@@ -31,9 +31,6 @@ class View:
 class ViewPlan:
     views: tuple[View, ...]
 
-    def __len__(self) -> int:
-        return len(self.views)
-
 
 def scaled_size(image_width: int, image_height: int, scale: int) -> tuple[int, int]:
     """Aspect-preserving resize target with min(side) == scale.
@@ -108,7 +105,7 @@ def sum_pool(view_vectors: Sequence[GlobalVector | FisherVector]):
             if not isinstance(v, GlobalVector) or v.dim != first.dim:
                 raise ShapeError("sum_pool inputs must share type and dim")
         total = np.sum([v.data.astype(np.float64) for v in view_vectors], axis=0)
-        return GlobalVector(dim=first.dim, data=total, source_tag=first.source_tag)
+        return GlobalVector(dim=first.dim, data=total)
     if isinstance(first, FisherVector):
         for v in view_vectors[1:]:
             if (

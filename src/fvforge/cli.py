@@ -2,9 +2,11 @@
 
 Exit codes: 0 success, 2 bad usage or parameters, 3 data/format
 problems (including missing or unreadable files), 4 numeric failures.
-Every subcommand writes outputs atomically and logs one ``key=value``
-line per completed stage on standard error.  Randomized subcommands
-default to seed 7 unless given ``--seed``.
+Each subcommand parses its arguments and calls the ``pipeline`` stage
+that ``run`` uses for the same step.  Every subcommand writes outputs
+atomically and logs one ``key=value`` line per completed stage on
+standard error.  Randomized subcommands default to seed 7 unless given
+``--seed``.
 """
 
 from __future__ import annotations
@@ -15,39 +17,24 @@ import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__, pipeline
-from .augment import plan_views, sum_pool
-from .classify import load_svm, predict_matrix, save_svm, train_ovr
+from .augment import plan_views
+from .classify import load_svm, predict_matrix
 from .config import load_config
 from .errors import FvForgeError, ParameterError, ValidationError
-from .evaluation import (
-    evaluate,
-    read_scores_csv,
-    write_report_csv,
-    write_scores_csv,
-)
-from .fisher import FisherVector, encode_fv, intra_normalize, power_l2_normalize, unit_norm
-from .fusion import FusionWeights, concat_features
-from .gmm import fit_gmm, load_gmm, save_gmm
-from .normalize import (
-    VARIANTS,
-    DescriptorSet,
-    descriptors_to_map,
-    extract_descriptors,
-    normalize_variant,
-    variant_provenance,
-)
-from .pca import fit_pca, load_pca, project, save_pca
+from .evaluation import read_scores_csv, write_scores_csv
+from .fusion import FusionWeights, fuse_scores
+from .gmm import load_gmm
+from .normalize import VARIANTS, descriptors_to_map, extract_descriptors, variant_descriptors
+from .pca import load_pca, project
 from .synth import SynthSpec, generate_dataset
 from .tensors import (
     ROLES,
     FeatureMap,
     GlobalVector,
+    ScoreVector,
     atomic_write_text,
     load_manifest,
-    read_tensor,
     write_tensor,
 )
 
@@ -76,18 +63,9 @@ def _parse_weights(text: str) -> FusionWeights:
         raise ParameterError(f"bad weights '{text}'") from exc
 
 
-def _read_descriptors(path: str) -> DescriptorSet:
-    tensor = read_tensor(path)
-    if not isinstance(tensor, FeatureMap):
-        raise ValidationError(f"{path}: descriptor input must be a rank-3 tensor")
-    return extract_descriptors(tensor)
-
-
-def _read_vector(path: str) -> GlobalVector:
-    tensor = read_tensor(path)
-    if not isinstance(tensor, GlobalVector):
-        raise ValidationError(f"{path}: expected a rank-1 tensor")
-    return tensor
+def _read_descriptors(path: str):
+    """Descriptors of a (count x 1 x dim) container file."""
+    return extract_descriptors(pipeline.read_as(path, FeatureMap))
 
 
 # ---------------------------------------------------------------- commands
@@ -122,15 +100,10 @@ def _suffixed(path: str, tag: str) -> Path:
 
 
 def _cmd_tdd(args) -> int:
-    fmap = read_tensor(args.infile)
-    if not isinstance(fmap, FeatureMap):
-        raise ValidationError(f"{args.infile}: tdd input must be a rank-3 tensor")
+    fmap = pipeline.read_as(args.infile, FeatureMap)
     modes = VARIANTS if args.mode == "both" else (args.mode,)
     for mode in modes:
-        normed = normalize_variant(fmap, mode)
-        container = descriptors_to_map(
-            extract_descriptors(normed, variant_provenance(mode))
-        )
+        container = descriptors_to_map(variant_descriptors(fmap, mode))
         out = _suffixed(args.out, mode) if args.mode == "both" else Path(args.out)
         write_tensor(container, out)
         logger.info(
@@ -140,35 +113,14 @@ def _cmd_tdd(args) -> int:
     return 0
 
 
-def _stack_descriptor_files(paths) -> DescriptorSet:
-    sets = [_read_descriptors(p) for p in paths]
-    dim = sets[0].dim
-    for path, ds in zip(paths, sets):
-        if ds.dim != dim:
-            raise ValidationError(
-                f"{path}: descriptor dim {ds.dim} != {dim} of first input"
-            )
-    return DescriptorSet(
-        dim=dim,
-        descriptors=np.vstack([s.descriptors for s in sets]),
-        provenance=sets[0].provenance,
-    )
-
-
 def _cmd_fit_pca(args) -> int:
-    descriptors = _stack_descriptor_files(args.inputs)
-    model = fit_pca(descriptors, args.dim)
-    save_pca(model, args.out)
-    logger.info(
-        "stage=fit-pca descriptors=%d in_dim=%d out_dim=%d out=%s",
-        descriptors.count, model.input_dim, model.output_dim, args.out,
-    )
+    descriptors = pipeline.stack_descriptors([_read_descriptors(p) for p in args.inputs])
+    pipeline.fit_pca_model(descriptors, args.dim, args.out)
     return 0
 
 
 def _cmd_apply_pca(args) -> int:
-    model = load_pca(args.model)
-    projected = project(model, _read_descriptors(args.infile))
+    projected = project(load_pca(args.model), _read_descriptors(args.infile))
     write_tensor(descriptors_to_map(projected), args.out)
     logger.info(
         "stage=apply-pca descriptors=%d dim=%d out=%s",
@@ -178,34 +130,12 @@ def _cmd_apply_pca(args) -> int:
 
 
 def _cmd_fit_gmm(args) -> int:
-    descriptors = _stack_descriptor_files(args.inputs)
-    model = fit_gmm(
-        descriptors,
-        args.k,
-        seed=args.seed,
-        max_iters=args.max_iters,
-        tol=args.tol,
-    )
-    save_gmm(model, args.out)
-    logger.info(
-        "stage=fit-gmm components=%d descriptors=%d iterations=%d out=%s",
-        args.k, descriptors.count, len(model.fit_trace), args.out,
+    descriptors = pipeline.stack_descriptors([_read_descriptors(p) for p in args.inputs])
+    pipeline.fit_gmm_model(
+        descriptors, args.k, args.out,
+        seed=args.seed, max_iters=args.max_iters, tol=args.tol,
     )
     return 0
-
-
-def _apply_norms(fv: FisherVector, tokens: tuple[str, ...], intra_mode: str) -> FisherVector:
-    for token in tokens:
-        if token == "intra":
-            fv = intra_normalize(fv, intra_mode)
-        elif token == "power":
-            fv = power_l2_normalize(fv)
-        elif token == "l2":
-            fv = FisherVector(
-                K=fv.K, d=fv.d, data=unit_norm(fv.data),
-                normalized=fv.normalized | {"l2"},
-            )
-    return fv
 
 
 def _cmd_encode_fv(args) -> int:
@@ -220,86 +150,38 @@ def _cmd_encode_fv(args) -> int:
     effective = () if tokens == ("none",) else tokens
 
     model = load_gmm(args.gmm)
-    fvs = [encode_fv(model, _read_descriptors(p)) for p in args.inputs]
-    if args.pooling_order == "pool_then_normalize":
-        fv = _apply_norms(sum_pool(fvs), effective, args.intra_mode)
-    else:
-        fv = sum_pool([_apply_norms(f, effective, args.intra_mode) for f in fvs])
+    views = [_read_descriptors(p) for p in args.inputs]
+    fv = pipeline.encode_views(
+        model, views, effective, args.intra_mode, args.pooling_order
+    )
     write_tensor(GlobalVector(dim=fv.data.size, data=fv.data), args.out)
     logger.info(
         "stage=encode-fv views=%d k=%d dim=%d out=%s",
-        len(fvs), fv.K, fv.data.size, args.out,
+        len(views), fv.K, fv.data.size, args.out,
     )
     return 0
 
 
 def _cmd_fuse(args) -> int:
     weights = _parse_weights(args.alpha)
-    first = _read_vector(args.inputs[0])
-    second = _read_vector(args.inputs[1])
+    first, second = (pipeline.read_as(p, GlobalVector) for p in args.inputs)
     if args.mode == "scores":
-        if first.dim != second.dim:
-            raise ValidationError(
-                f"score tensors disagree on dim: {first.dim} vs {second.dim}"
-            )
-        fused = (
-            weights.object_weight * first.data.astype(np.float64)
-            + weights.scene_weight * second.data.astype(np.float64)
-        )
-    else:
-        fused = concat_features(
-            first.data.astype(np.float64),
-            second.data.astype(np.float64),
+        fused = fuse_scores(
+            ScoreVector(first.dim, first.data),
+            ScoreVector(second.dim, second.data),
             weights,
-        ).data
-        if args.l2:
-            fused = unit_norm(fused)
+        ).scores
+    else:
+        fused = pipeline.fuse_features(first.data, second.data, weights, args.l2)
     write_tensor(GlobalVector(dim=fused.size, data=fused), args.out)
     logger.info("stage=fuse mode=%s dim=%d out=%s", args.mode, fused.size, args.out)
     return 0
 
 
-def _entries_for_role(manifest, role: str):
-    entries = manifest.entries if role == "all" else manifest.split(role)
-    if not entries:
-        raise ValidationError(f"manifest has no {role} entries")
-    return entries
-
-
-def _feature_matrix(features_dir: str, entries) -> np.ndarray:
-    rows = []
-    for entry in entries:
-        vec = _read_vector(str(Path(features_dir) / f"{entry.image_id}.fvt"))
-        rows.append(vec.data.astype(np.float64))
-    lengths = {r.size for r in rows}
-    if len(lengths) != 1:
-        raise ValidationError(f"feature files disagree on dim: {sorted(lengths)}")
-    return np.stack(rows)
-
-
 def _cmd_train_svm(args) -> int:
-    manifest = load_manifest(args.manifest)
-    entries = _entries_for_role(manifest, "train")
-    labels = [e.label for e in entries]
-    if any(label is None for label in labels):
-        raise ValidationError("training entries must all carry labels")
-    features = _feature_matrix(args.features, entries)
-    model = train_ovr(
-        features,
-        labels,
-        manifest.class_count,
-        C=args.c,
-        seed=args.seed,
-        max_epochs=args.max_epochs,
-        tol=args.tol,
-        class_names=manifest.class_names,
-        threads=args.threads,
-    )
-    save_svm(model, args.out)
-    logger.info(
-        "stage=train-svm classes=%d features=%d degenerate=%d out=%s",
-        model.class_count, model.feature_dim,
-        len(model.degenerate_classes), args.out,
+    pipeline.train_svm_model(
+        load_manifest(args.manifest), args.features, args.out,
+        args.c, args.seed, args.max_epochs, args.tol, args.threads,
     )
     return 0
 
@@ -307,8 +189,8 @@ def _cmd_train_svm(args) -> int:
 def _cmd_predict(args) -> int:
     manifest = load_manifest(args.manifest)
     model = load_svm(args.model)
-    entries = _entries_for_role(manifest, args.role)
-    matrix = predict_matrix(model, _feature_matrix(args.infile, entries))
+    entries = pipeline.entries_for_role(manifest, args.role)
+    matrix = predict_matrix(model, pipeline.read_features(args.infile, entries))
     write_scores_csv(args.out, [e.image_id for e in entries], matrix)
     logger.info(
         "stage=predict images=%d classes=%d out=%s",
@@ -320,28 +202,15 @@ def _cmd_predict(args) -> int:
 def _cmd_evaluate(args) -> int:
     manifest = load_manifest(args.manifest)
     ids, matrix = read_scores_csv(args.scores)
-    if matrix.shape[1] != manifest.class_count:
-        raise ValidationError(
-            f"scores list {matrix.shape[1]} classes, manifest has "
-            f"{manifest.class_count}"
-        )
     by_id = {e.image_id: e for e in manifest.entries}
-    labels = []
-    for image_id in ids:
-        entry = by_id.get(image_id)
-        if entry is None:
-            raise ValidationError(f"image '{image_id}' not present in manifest")
-        if entry.label is None:
-            raise ValidationError(f"image '{image_id}' has no label to evaluate")
-        labels.append(entry.label)
-    report = evaluate(matrix, labels, args.integrator, manifest.class_names)
-    if args.out:
-        write_report_csv(args.out, report)
-    sys.stdout.write(f"mAP={report.map_score!r} top1={report.top1_accuracy!r}\n")
-    logger.info(
-        "stage=evaluate images=%d map=%.6f top1=%.6f",
-        len(ids), report.map_score, report.top1_accuracy,
+    missing = [image_id for image_id in ids if image_id not in by_id]
+    if missing:
+        raise ValidationError(f"image '{missing[0]}' not present in manifest")
+    report = pipeline.report_scores(
+        matrix, [by_id[image_id] for image_id in ids], manifest.class_names,
+        args.integrator, report_path=args.out,
     )
+    sys.stdout.write(f"mAP={report.map_score!r} top1={report.top1_accuracy!r}\n")
     return 0
 
 

@@ -2,8 +2,8 @@
 
 The shipped defaults (also written to ``configs/default.cfg``) spell out
 the reference setup explicitly — mixture size 256, projection dim 64,
-C = 1, view scales 256/384/512 with 224-square crops, equal fusion
-weights — so a config file only needs the keys it overrides.
+C = 1, equal fusion weights — so a config file only needs the keys it
+overrides, and a section or key the defaults do not name is rejected.
 """
 
 from __future__ import annotations
@@ -35,12 +35,6 @@ DEFAULT_CONFIG_TEXT = """\
 
 [pipeline]
 scenario = local_fv
-seed = 7
-
-[views]
-scales = 256,384,512
-crop = 224
-flip = true
 
 [layers]
 score_layer = prob
@@ -87,10 +81,6 @@ integrator = step
 @dataclass(frozen=True)
 class PipelineConfig:
     scenario: str = "local_fv"
-    seed: int = 7
-    scales: tuple[int, ...] = (256, 384, 512)
-    crop: int = 224
-    flip: bool = True
     score_layer: str = "prob"
     global_layer: str = "fc7"
     conv_layer: str = "conv5_3"
@@ -118,10 +108,6 @@ class PipelineConfig:
             raise ParameterError(
                 f"unknown scenario '{self.scenario}'; choose from {SCENARIOS}"
             )
-        if not self.scales or any(s < 1 for s in self.scales):
-            raise ParameterError("scales must be a nonempty list of positive ints")
-        if self.crop < 1:
-            raise ParameterError("crop must be positive")
         if self.layer_mode not in LAYER_FUSION_MODES:
             raise ParameterError(
                 f"layer_mode must be one of {LAYER_FUSION_MODES}"
@@ -155,26 +141,15 @@ class PipelineConfig:
             )
         if self.integrator not in ("step", "trapezoid"):
             raise ParameterError("integrator must be 'step' or 'trapezoid'")
-        object.__setattr__(self, "scales", tuple(int(s) for s in self.scales))
         object.__setattr__(
             self, "tdd_variants", tuple(str(v) for v in self.tdd_variants)
         )
 
 
 def _parse(parser: configparser.ConfigParser) -> PipelineConfig:
-    def split_ints(text: str) -> tuple[int, ...]:
-        try:
-            return tuple(int(t.strip()) for t in text.split(",") if t.strip())
-        except ValueError as exc:
-            raise ParameterError(f"bad integer list '{text}'") from exc
-
     try:
         return PipelineConfig(
             scenario=parser.get("pipeline", "scenario"),
-            seed=parser.getint("pipeline", "seed"),
-            scales=split_ints(parser.get("views", "scales")),
-            crop=parser.getint("views", "crop"),
-            flip=parser.getboolean("views", "flip"),
             score_layer=parser.get("layers", "score_layer"),
             global_layer=parser.get("layers", "global_layer"),
             conv_layer=parser.get("layers", "conv_layer"),
@@ -217,10 +192,12 @@ def _parse(parser: configparser.ConfigParser) -> PipelineConfig:
 def load_config(path: str | Path | None = None) -> PipelineConfig:
     """Parse a config file layered over the shipped defaults.
 
-    With no path, returns the defaults themselves.
+    With no path, returns the defaults themselves.  A section or key
+    that the defaults do not name raises FormatError.
     """
     parser = configparser.ConfigParser(interpolation=None)
     parser.read_string(DEFAULT_CONFIG_TEXT)
+    known = {section: set(parser[section]) for section in parser.sections()}
     if path is not None:
         src = Path(path)
         if not src.is_file():
@@ -232,6 +209,12 @@ def load_config(path: str | Path | None = None) -> PipelineConfig:
             raise DataError(f"cannot read config file {src}: {exc}") from exc
         except configparser.Error as exc:
             raise FormatError(f"cannot parse config file {src}: {exc}") from exc
+        for section in parser.sections():
+            if section not in known:
+                raise FormatError(f"{src}: unknown config section [{section}]")
+            unknown = sorted(set(parser[section]) - known[section])
+            if unknown:
+                raise FormatError(f"{src}: unknown key(s) in [{section}]: {unknown}")
     return _parse(parser)
 
 

@@ -125,9 +125,7 @@ def power_l2_normalize(vec):
     if isinstance(vec, GlobalVector):
         data = vec.data.astype(np.float64)
         data = np.sign(data) * np.sqrt(np.abs(data))
-        return GlobalVector(
-            dim=vec.dim, data=unit_norm(data), source_tag=vec.source_tag
-        )
+        return GlobalVector(dim=vec.dim, data=unit_norm(data))
     raise ParameterError(f"cannot power-l2 normalize {type(vec).__name__}")
 
 
@@ -138,7 +136,6 @@ def l2_normalize(vec: GlobalVector, epsilon: float = 1e-12) -> GlobalVector:
     return GlobalVector(
         dim=vec.dim,
         data=unit_norm(vec.data.astype(np.float64), epsilon),
-        source_tag=vec.source_tag,
         nonnegative=vec.nonnegative,
     )
 

@@ -116,6 +116,11 @@ def extract_descriptors(fmap: FeatureMap, provenance: str = "raw") -> Descriptor
     return DescriptorSet(dim=fmap.channels, descriptors=flat, provenance=provenance)
 
 
+def variant_descriptors(fmap: FeatureMap, variant: str) -> DescriptorSet:
+    """Normalize a map with one variant and extract its tagged descriptors."""
+    return extract_descriptors(normalize_variant(fmap, variant), variant_provenance(variant))
+
+
 def descriptors_to_map(ds: DescriptorSet) -> FeatureMap:
     """Pack a descriptor set into the rank-3 container (count, 1, dim)."""
     return FeatureMap(

@@ -1,11 +1,16 @@
-"""End-to-end scenario runs: manifest + config in, evaluation report out.
+"""Pipeline stages and the end-to-end scenario runs built from them.
+
+Every stage — typed reads, descriptor stacking, model fitting, Fisher
+encoding, fusion, classifier training and evaluation — is written once
+here.  The scenario runners below and the per-stage subcommands in
+``cli`` call the same stage functions, so a scripted chain of
+subcommands reproduces ``run`` byte for byte.
 
 Four run modes share one discipline: models are fit on train-role
 entries only, every cross-stage handoff goes through the float32 file
 dtype (models are serialized and reloaded before use), and all
 randomness derives from config seeds — so a run's serialized outputs
-are bit-reproducible and byte-identical to composing the equivalent
-command-line steps by hand.
+are bit-reproducible.
 
 Outputs under the run directory: ``report.csv``, ``scores.csv`` for the
 evaluated images, per-image feature tensors under ``features*/``, and
@@ -21,29 +26,22 @@ from pathlib import Path
 import numpy as np
 
 from .augment import sum_pool
-from .classify import load_svm, predict_matrix, save_svm, train_ovr
+from .classify import LinearModel, load_svm, predict_matrix, save_svm, train_ovr
 from .config import PipelineConfig
 from .errors import ParameterError, ShapeError, ValidationError
 from .evaluation import EvalReport, evaluate, write_report_csv, write_scores_csv
 from .fisher import (
     FisherVector,
-    concat_variant_fvs,
     encode_fv,
     intra_normalize,
     l2_normalize,
     power_l2_normalize,
     unit_norm,
 )
-from .fusion import concat_features, fuse_scores
-from .gmm import fit_gmm, load_gmm, save_gmm
-from .normalize import (
-    VARIANTS,
-    DescriptorSet,
-    extract_descriptors,
-    normalize_variant,
-    variant_provenance,
-)
-from .pca import fit_pca, load_pca, project, save_pca
+from .fusion import FusionWeights, concat_features, fuse_scores
+from .gmm import GmmModel, fit_gmm, load_gmm, save_gmm
+from .normalize import VARIANTS, DescriptorSet, variant_descriptors
+from .pca import PcaModel, fit_pca, load_pca, project, save_pca
 from .tensors import (
     STREAMS,
     FeatureMap,
@@ -72,7 +70,32 @@ def _map_ordered(fn, items, threads: int) -> list:
     return [fn(item) for item in items]
 
 
-def _labels_of(entries) -> np.ndarray:
+def _file_round(vec: np.ndarray) -> np.ndarray:
+    """Round through the file dtype so memory and disk paths agree."""
+    return vec.astype(np.float32).astype(np.float64)
+
+
+# ---------------------------------------------------------------- stages
+
+
+def read_as(path: str | Path, expect: type):
+    """Read a tensor file that must hold an ``expect`` container."""
+    tensor = read_tensor(path)
+    if not isinstance(tensor, expect):
+        raise ValidationError(f"{path}: expected a {expect.__name__} tensor")
+    return tensor
+
+
+def entries_for_role(manifest: Manifest, role: str):
+    """Entries of one role, or every entry for role "all"; none is an error."""
+    entries = manifest.entries if role == "all" else manifest.split(role)
+    if not entries:
+        raise ValidationError(f"manifest has no {role}-role entries")
+    return entries
+
+
+def labels_of(entries) -> np.ndarray:
+    """Class indices of the entries; an unlabeled entry is an error."""
     unlabeled = [e.image_id for e in entries if e.label is None]
     if unlabeled:
         raise ValidationError(
@@ -81,11 +104,158 @@ def _labels_of(entries) -> np.ndarray:
     return np.asarray([e.label for e in entries], dtype=np.int64)
 
 
-def _require_train(manifest: Manifest):
-    train = manifest.split("train")
-    if not train:
-        raise ValidationError("manifest has no train-role entries")
-    return train
+def read_features(features_dir: str | Path, entries) -> np.ndarray:
+    """Stack the entries' ``<image_id>.fvt`` feature vectors, in order."""
+    rows = []
+    for entry in entries:
+        vec = read_as(Path(features_dir) / f"{entry.image_id}.fvt", GlobalVector)
+        if rows and vec.dim != rows[0].size:
+            raise ShapeError(
+                f"feature dim mismatch: '{entry.image_id}' has {vec.dim}, "
+                f"expected {rows[0].size}"
+            )
+        rows.append(vec.data.astype(np.float64))
+    return np.stack(rows)
+
+
+def stack_descriptors(sets) -> DescriptorSet:
+    """Stack descriptor sets in order; they must agree on dimension."""
+    dim = sets[0].dim
+    for ds in sets:
+        if ds.dim != dim:
+            raise ShapeError(f"descriptor sets disagree on dim: {ds.dim} vs {dim}")
+    return DescriptorSet(
+        dim=dim,
+        descriptors=np.vstack([ds.descriptors for ds in sets]),
+        provenance=sets[0].provenance,
+    )
+
+
+def fit_pca_model(descriptors: DescriptorSet, dim: int, model_dir: str | Path) -> PcaModel:
+    """Fit a projection, serialize it, and return the reloaded model."""
+    model = fit_pca(descriptors, dim)
+    save_pca(model, model_dir)
+    logger.info(
+        "stage=fit-pca descriptors=%d in_dim=%d out_dim=%d out=%s",
+        descriptors.count, model.input_dim, model.output_dim, model_dir,
+    )
+    return load_pca(model_dir)
+
+
+def fit_gmm_model(
+    descriptors: DescriptorSet,
+    K: int,
+    model_dir: str | Path,
+    seed: int,
+    max_iters: int,
+    tol: float,
+) -> GmmModel:
+    """Fit a mixture, serialize it, and return the reloaded model.
+
+    The iteration count is logged from the fitted model, because the
+    reloaded one carries no fit trace.
+    """
+    model = fit_gmm(descriptors, K, seed=seed, max_iters=max_iters, tol=tol)
+    save_gmm(model, model_dir)
+    logger.info(
+        "stage=fit-gmm components=%d descriptors=%d iterations=%d out=%s",
+        K, descriptors.count, len(model.fit_trace), model_dir,
+    )
+    return load_gmm(model_dir)
+
+
+def encode_views(
+    model: GmmModel,
+    views,
+    norms: tuple[str, ...],
+    intra_mode: str,
+    pooling_order: str,
+) -> FisherVector:
+    """Fisher-encode each view's descriptors, then sum-pool and normalize.
+
+    ``norms`` is applied in order, from "intra", "power" and "l2", either
+    to the pooled encoding or to each view's before pooling.
+    """
+
+    def normalized(fv: FisherVector) -> FisherVector:
+        for token in norms:
+            if token == "intra":
+                fv = intra_normalize(fv, intra_mode)
+            elif token == "power":
+                fv = power_l2_normalize(fv)
+            elif token == "l2":
+                fv = FisherVector(
+                    K=fv.K, d=fv.d, data=unit_norm(fv.data),
+                    normalized=fv.normalized | {"l2"},
+                )
+        return fv
+
+    fvs = [encode_fv(model, ds) for ds in views]
+    if pooling_order == "pool_then_normalize":
+        return normalized(sum_pool(fvs))
+    return sum_pool([normalized(fv) for fv in fvs])
+
+
+def fuse_features(first, second, weights: FusionWeights, l2: bool) -> np.ndarray:
+    """Weighted concatenation of two feature vectors, optionally unit-normalized."""
+    fused = concat_features(first, second, weights).data
+    return unit_norm(fused) if l2 else fused
+
+
+def train_svm_model(
+    manifest: Manifest,
+    features_dir: str | Path,
+    model_dir: str | Path,
+    C: float,
+    seed: int,
+    max_epochs: int,
+    tol: float,
+    threads: int,
+) -> LinearModel:
+    """Train on the train-role features, serialize, and return the reloaded model."""
+    train = entries_for_role(manifest, "train")
+    model = train_ovr(
+        read_features(features_dir, train),
+        labels_of(train),
+        manifest.class_count,
+        C=C,
+        seed=seed,
+        max_epochs=max_epochs,
+        tol=tol,
+        class_names=manifest.class_names,
+        threads=threads,
+    )
+    save_svm(model, model_dir)
+    logger.info(
+        "stage=train-svm classes=%d features=%d degenerate=%d out=%s",
+        model.class_count, model.feature_dim,
+        len(model.degenerate_classes), model_dir,
+    )
+    return load_svm(model_dir)
+
+
+def report_scores(
+    matrix: np.ndarray,
+    entries,
+    class_names,
+    integrator: str,
+    report_path: str | Path | None = None,
+    scores_path: str | Path | None = None,
+) -> EvalReport:
+    """Evaluate a score matrix against the entries' labels; write and log it."""
+    report = evaluate(matrix, labels_of(entries), integrator, class_names)
+    if scores_path is not None:
+        write_scores_csv(scores_path, [e.image_id for e in entries], matrix)
+    if report_path is not None:
+        write_report_csv(report_path, report)
+    logger.info(
+        "stage=evaluate images=%d map=%.6f top1=%.6f",
+        len(entries), report.map_score, report.top1_accuracy,
+    )
+    return report
+
+
+# ---------------------------------------------------------------- scenarios
 
 
 def _load_views(entry: ManifestEntry, stream: str, layer: str, expect):
@@ -94,18 +264,7 @@ def _load_views(entry: ManifestEntry, stream: str, layer: str, expect):
         raise ValidationError(
             f"image '{entry.image_id}' lists no {stream}:{layer} view files"
         )
-    tensors = [read_tensor(p) for p in paths]
-    for path, tensor in zip(paths, tensors):
-        if not isinstance(tensor, expect):
-            raise ValidationError(
-                f"{path}: expected a {expect.__name__} for {stream}:{layer}"
-            )
-    return tensors
-
-
-def _file_round(vec: np.ndarray) -> np.ndarray:
-    """Round through the file dtype so memory and disk paths agree."""
-    return vec.astype(np.float32).astype(np.float64)
+    return [read_as(p, expect) for p in paths]
 
 
 def _write_features(features_dir: Path, entries, feature_fn, threads: int) -> None:
@@ -122,74 +281,46 @@ def _write_features(features_dir: Path, entries, feature_fn, threads: int) -> No
     _map_ordered(one, list(entries), threads)
 
 
-def _read_features(features_dir: Path, entries) -> np.ndarray:
-    rows = []
-    dim = None
-    for entry in entries:
-        tensor = read_tensor(features_dir / f"{entry.image_id}.fvt")
-        if not isinstance(tensor, GlobalVector):
-            raise ValidationError(
-                f"feature file for '{entry.image_id}' is not rank-1"
-            )
-        if dim is None:
-            dim = tensor.dim
-        elif tensor.dim != dim:
-            raise ShapeError(
-                f"feature dim mismatch: '{entry.image_id}' has {tensor.dim}, "
-                f"expected {dim}"
-            )
-        rows.append(tensor.data.astype(np.float64))
-    return np.stack(rows)
-
-
 def _train_predict_evaluate(
     manifest: Manifest,
     cfg: PipelineConfig,
     out: Path,
-    features_dir: Path,
     threads: int,
-    svm_dir_name: str = "svm",
+    banks=(("svm", "features"),),
 ) -> EvalReport:
     """Shared tail of every classifier scenario.
 
-    The model is saved before the test split is touched, so a
-    train-only manifest still leaves fitted models on disk.
+    ``banks`` lists (model name, features dir name) pairs under ``out``;
+    each gets its own classifiers, and the scores of two banks are fused
+    with the layer weights.  Every model is saved before the test split
+    is touched, so a train-only manifest still leaves fitted models on disk.
     """
-    train = _require_train(manifest)
-    x_train = _read_features(features_dir, train)
-    model = train_ovr(
-        x_train,
-        _labels_of(train),
-        manifest.class_count,
-        C=cfg.svm_c,
-        seed=cfg.svm_seed,
-        max_epochs=cfg.svm_max_epochs,
-        tol=cfg.svm_tol,
-        class_names=manifest.class_names,
-        threads=threads,
+    models = [
+        train_svm_model(
+            manifest, out / features, out / "models" / name,
+            cfg.svm_c, cfg.svm_seed, cfg.svm_max_epochs, cfg.svm_tol, threads,
+        )
+        for name, features in banks
+    ]
+    test = entries_for_role(manifest, "test")
+    matrices = [
+        predict_matrix(model, read_features(out / features, test))
+        for model, (_, features) in zip(models, banks)
+    ]
+    if len(matrices) == 2:
+        n = manifest.class_count
+        matrices = [
+            np.stack(
+                [
+                    fuse_scores(ScoreVector(n, g), ScoreVector(n, l), cfg.layer_weights).scores
+                    for g, l in zip(*matrices)
+                ]
+            )
+        ]
+    return report_scores(
+        matrices[0], test, manifest.class_names, cfg.integrator,
+        out / "report.csv", out / "scores.csv",
     )
-    svm_dir = out / "models" / svm_dir_name
-    save_svm(model, svm_dir)
-    model = load_svm(svm_dir)
-    logger.info(
-        "stage=train-svm classes=%d features=%d degenerate=%d",
-        model.class_count, model.feature_dim, len(model.degenerate_classes),
-    )
-
-    test = manifest.split("test")
-    if not test:
-        raise ValidationError("manifest has no test-role entries to evaluate")
-    matrix = predict_matrix(model, _read_features(features_dir, test))
-    report = evaluate(
-        matrix, _labels_of(test), cfg.integrator, manifest.class_names
-    )
-    write_scores_csv(out / "scores.csv", [e.image_id for e in test], matrix)
-    write_report_csv(out / "report.csv", report)
-    logger.info(
-        "stage=evaluate images=%d map=%.6f top1=%.6f",
-        len(test), report.map_score, report.top1_accuracy,
-    )
-    return report
 
 
 def run_scenario1(
@@ -203,7 +334,6 @@ def run_scenario1(
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     entries = list(manifest.split("test") or manifest.entries)
-    labels = _labels_of(entries)
 
     def score_one(entry: ManifestEntry) -> np.ndarray:
         per_stream = []
@@ -220,14 +350,10 @@ def run_scenario1(
         return fuse_scores(per_stream[0], per_stream[1], cfg.alpha).scores
 
     matrix = np.stack(_map_ordered(score_one, entries, threads))
-    report = evaluate(matrix, labels, cfg.integrator, manifest.class_names)
-    write_scores_csv(out / "scores.csv", [e.image_id for e in entries], matrix)
-    write_report_csv(out / "report.csv", report)
-    logger.info(
-        "stage=evaluate images=%d map=%.6f top1=%.6f",
-        len(entries), report.map_score, report.top1_accuracy,
+    return report_scores(
+        matrix, entries, manifest.class_names, cfg.integrator,
+        out / "report.csv", out / "scores.csv",
     )
-    return report
 
 
 def _global_feature(entry: ManifestEntry, cfg: PipelineConfig) -> np.ndarray:
@@ -236,8 +362,16 @@ def _global_feature(entry: ManifestEntry, cfg: PipelineConfig) -> np.ndarray:
     for stream in STREAMS:
         pooled = sum_pool(_load_views(entry, stream, cfg.global_layer, GlobalVector))
         parts.append(l2_normalize(pooled).data.astype(np.float64))
-    fused = concat_features(parts[0], parts[1], cfg.beta).data
-    return unit_norm(fused) if cfg.final_l2 else fused
+    return fuse_features(parts[0], parts[1], cfg.beta, cfg.final_l2)
+
+
+def _write_global_features(
+    manifest: Manifest, cfg: PipelineConfig, features_dir: Path, threads: int
+) -> None:
+    _write_features(
+        features_dir, manifest.entries, lambda e: _global_feature(e, cfg), threads
+    )
+    logger.info("stage=features kind=global images=%d", len(manifest.entries))
 
 
 def run_global(
@@ -245,102 +379,38 @@ def run_global(
 ) -> EvalReport:
     """Global-vector scenario; covers pre-trained and fine-tuned inputs alike."""
     out = Path(out_dir)
-    features_dir = out / "features"
-    _write_features(
-        features_dir, manifest.entries, lambda e: _global_feature(e, cfg), threads
-    )
-    logger.info("stage=features kind=global images=%d", len(manifest.entries))
-    return _train_predict_evaluate(manifest, cfg, out, features_dir, threads)
-
-
-def _collect_descriptors(
-    entries, stream: str, variant: str, cfg: PipelineConfig
-) -> DescriptorSet:
-    """All normalized descriptors of the given entries, in manifest order."""
-    blocks = []
-    dim = None
-    for entry in entries:
-        for fmap in _load_views(entry, stream, cfg.conv_layer, FeatureMap):
-            normed = normalize_variant(fmap, variant)
-            ds = extract_descriptors(normed, variant_provenance(variant))
-            if dim is None:
-                dim = ds.dim
-            elif ds.dim != dim:
-                raise ShapeError(
-                    f"conv maps disagree on channel count: {ds.dim} vs {dim}"
-                )
-            blocks.append(ds.descriptors)
-    return DescriptorSet(
-        dim=dim,
-        descriptors=np.vstack(blocks),
-        provenance=variant_provenance(variant),
-    )
+    _write_global_features(manifest, cfg, out / "features", threads)
+    return _train_predict_evaluate(manifest, cfg, out, threads)
 
 
 def _fit_local_models(
     manifest: Manifest, cfg: PipelineConfig, models_dir: Path
 ) -> dict:
     """Fit + serialize + reload one PCA and one GMM per (stream, variant)."""
-    train = _require_train(manifest)
+    train = entries_for_role(manifest, "train")
     models = {}
     for stream in STREAMS:
         for variant in cfg.tdd_variants:
-            descriptors = _collect_descriptors(train, stream, variant, cfg)
-            pca_dir = models_dir / f"pca_{stream}_{variant}"
-            pca_model = fit_pca(descriptors, cfg.pca_dim)
-            save_pca(pca_model, pca_dir)
-            pca_model = load_pca(pca_dir)
-            logger.info(
-                "stage=fit-pca stream=%s variant=%s descriptors=%d dim=%d",
-                stream, variant, descriptors.count, cfg.pca_dim,
+            descriptors = stack_descriptors(
+                [
+                    variant_descriptors(fmap, variant)
+                    for entry in train
+                    for fmap in _load_views(entry, stream, cfg.conv_layer, FeatureMap)
+                ]
             )
-            projected = project(pca_model, descriptors)
-            gmm_dir = models_dir / f"gmm_{stream}_{variant}"
-            gmm_model = fit_gmm(
-                projected,
+            pca_model = fit_pca_model(
+                descriptors, cfg.pca_dim, models_dir / f"pca_{stream}_{variant}"
+            )
+            gmm_model = fit_gmm_model(
+                project(pca_model, descriptors),
                 cfg.gmm_components,
+                models_dir / f"gmm_{stream}_{variant}",
                 seed=derived_seed(cfg.gmm_seed, stream, variant),
                 max_iters=cfg.gmm_max_iterations,
                 tol=cfg.gmm_tol,
             )
-            save_gmm(gmm_model, gmm_dir)
-            gmm_model = load_gmm(gmm_dir)
-            logger.info(
-                "stage=fit-gmm stream=%s variant=%s components=%d iterations=%d",
-                stream, variant, cfg.gmm_components, len(gmm_model.fit_trace),
-            )
             models[(stream, variant)] = (pca_model, gmm_model)
     return models
-
-
-def _encode_views(
-    entry: ManifestEntry,
-    stream: str,
-    variant: str,
-    cfg: PipelineConfig,
-    pca_model,
-    gmm_model,
-) -> FisherVector:
-    """One fully normalized, file-rounded encoding per (image, stream, variant)."""
-    fvs = []
-    for fmap in _load_views(entry, stream, cfg.conv_layer, FeatureMap):
-        normed = normalize_variant(fmap, variant)
-        descriptors = extract_descriptors(normed, variant_provenance(variant))
-        fvs.append(encode_fv(gmm_model, project(pca_model, descriptors)))
-    if cfg.pooling_order == "pool_then_normalize":
-        fv = power_l2_normalize(
-            intra_normalize(sum_pool(fvs), cfg.intra_block_mode)
-        )
-    else:
-        fv = sum_pool(
-            [
-                power_l2_normalize(intra_normalize(f, cfg.intra_block_mode))
-                for f in fvs
-            ]
-        )
-    return FisherVector(
-        K=fv.K, d=fv.d, data=_file_round(fv.data), normalized=fv.normalized
-    )
 
 
 def _local_feature(
@@ -349,28 +419,29 @@ def _local_feature(
     """Per-stream variant encodings, variant concat, then stream concat."""
     stream_vecs = []
     for stream in STREAMS:
-        encoded = {
-            variant: _encode_views(entry, stream, variant, cfg, *models[(stream, variant)])
-            for variant in cfg.tdd_variants
-        }
-        if len(encoded) == 2:
-            vec = _file_round(
-                concat_variant_fvs(encoded["channel"], encoded["spatial"])
+        encoded = []
+        # The channel variant's block always comes first.
+        for variant in (v for v in VARIANTS if v in cfg.tdd_variants):
+            pca_model, gmm_model = models[(stream, variant)]
+            views = [
+                project(pca_model, variant_descriptors(fmap, variant))
+                for fmap in _load_views(entry, stream, cfg.conv_layer, FeatureMap)
+            ]
+            fv = encode_views(
+                gmm_model, views, ("intra", "power"),
+                cfg.intra_block_mode, cfg.pooling_order,
             )
-        else:
-            (vec,) = (fv.data for fv in encoded.values())
-        stream_vecs.append(vec)
-    fused = concat_features(stream_vecs[0], stream_vecs[1], cfg.beta).data
-    return unit_norm(fused) if cfg.final_l2 else fused
+            encoded.append(_file_round(fv.data))
+        if len(encoded) == 2:
+            encoded = [_file_round(fuse_features(*encoded, FusionWeights(), True))]
+        stream_vecs.append(encoded[0])
+    return fuse_features(stream_vecs[0], stream_vecs[1], cfg.beta, cfg.final_l2)
 
 
-def run_local_fv(
-    manifest: Manifest, cfg: PipelineConfig, out_dir: str | Path, threads: int = 1
-) -> EvalReport:
-    """Local-descriptor scenario: normalize, project, encode, pool, fuse."""
-    out = Path(out_dir)
+def _write_local_features(
+    manifest: Manifest, cfg: PipelineConfig, out: Path, features_dir: Path, threads: int
+) -> None:
     models = _fit_local_models(manifest, cfg, out / "models")
-    features_dir = out / "features"
     _write_features(
         features_dir,
         manifest.entries,
@@ -378,7 +449,15 @@ def run_local_fv(
         threads,
     )
     logger.info("stage=features kind=local images=%d", len(manifest.entries))
-    return _train_predict_evaluate(manifest, cfg, out, features_dir, threads)
+
+
+def run_local_fv(
+    manifest: Manifest, cfg: PipelineConfig, out_dir: str | Path, threads: int = 1
+) -> EvalReport:
+    """Local-descriptor scenario: normalize, project, encode, pool, fuse."""
+    out = Path(out_dir)
+    _write_local_features(manifest, cfg, out, out / "features", threads)
+    return _train_predict_evaluate(manifest, cfg, out, threads)
 
 
 def run_layer_fusion(
@@ -387,82 +466,27 @@ def run_layer_fusion(
     """Combine the global and local representations of the same images."""
     out = Path(out_dir)
     global_dir = out / "features_global"
-    _write_features(
-        global_dir, manifest.entries, lambda e: _global_feature(e, cfg), threads
-    )
-    logger.info("stage=features kind=global images=%d", len(manifest.entries))
-    models = _fit_local_models(manifest, cfg, out / "models")
     local_dir = out / "features_local"
-    _write_features(
-        local_dir,
-        manifest.entries,
-        lambda e: _local_feature(e, cfg, models),
-        threads,
-    )
-    logger.info("stage=features kind=local images=%d", len(manifest.entries))
+    _write_global_features(manifest, cfg, global_dir, threads)
+    _write_local_features(manifest, cfg, out, local_dir, threads)
 
     if cfg.layer_mode == "features":
-        features_dir = out / "features"
 
         def combined(entry: ManifestEntry) -> np.ndarray:
-            g = read_tensor(global_dir / f"{entry.image_id}.fvt")
-            l = read_tensor(local_dir / f"{entry.image_id}.fvt")
-            fused = concat_features(
-                g.data.astype(np.float64),
-                l.data.astype(np.float64),
+            name = f"{entry.image_id}.fvt"
+            return fuse_features(
+                read_as(global_dir / name, GlobalVector).data,
+                read_as(local_dir / name, GlobalVector).data,
                 cfg.layer_weights,
-            ).data
-            return unit_norm(fused) if cfg.final_l2 else fused
+                cfg.final_l2,
+            )
 
-        _write_features(features_dir, manifest.entries, combined, threads)
-        return _train_predict_evaluate(manifest, cfg, out, features_dir, threads)
+        _write_features(out / "features", manifest.entries, combined, threads)
+        return _train_predict_evaluate(manifest, cfg, out, threads)
 
     # Score-level combination: one classifier bank per representation.
-    train = _require_train(manifest)
-    y_train = _labels_of(train)
-    banks = {}
-    for name, features_dir in (("global", global_dir), ("local", local_dir)):
-        model = train_ovr(
-            _read_features(features_dir, train),
-            y_train,
-            manifest.class_count,
-            C=cfg.svm_c,
-            seed=cfg.svm_seed,
-            max_epochs=cfg.svm_max_epochs,
-            tol=cfg.svm_tol,
-            class_names=manifest.class_names,
-            threads=threads,
-        )
-        svm_dir = out / "models" / f"svm_{name}"
-        save_svm(model, svm_dir)
-        banks[name] = (load_svm(svm_dir), features_dir)
-        logger.info(
-            "stage=train-svm bank=%s classes=%d features=%d degenerate=%d",
-            name, model.class_count, model.feature_dim,
-            len(model.degenerate_classes),
-        )
-
-    test = manifest.split("test")
-    if not test:
-        raise ValidationError("manifest has no test-role entries to evaluate")
-    matrices = {
-        name: predict_matrix(model, _read_features(features_dir, test))
-        for name, (model, features_dir) in banks.items()
-    }
-    fused_matrix = (
-        cfg.layer_weights.object_weight * matrices["global"]
-        + cfg.layer_weights.scene_weight * matrices["local"]
-    )
-    report = evaluate(
-        fused_matrix, _labels_of(test), cfg.integrator, manifest.class_names
-    )
-    write_scores_csv(out / "scores.csv", [e.image_id for e in test], fused_matrix)
-    write_report_csv(out / "report.csv", report)
-    logger.info(
-        "stage=evaluate images=%d map=%.6f top1=%.6f",
-        len(test), report.map_score, report.top1_accuracy,
-    )
-    return report
+    banks = (("svm_global", "features_global"), ("svm_local", "features_local"))
+    return _train_predict_evaluate(manifest, cfg, out, threads, banks)
 
 
 _RUNNERS = {

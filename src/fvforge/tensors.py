@@ -88,10 +88,6 @@ class FeatureMap:
             raise DataError("FeatureMap declared nonnegative but has negative values")
         object.__setattr__(self, "data", _freeze(arr))
 
-    @property
-    def rank(self) -> int:
-        return 3
-
 
 @dataclass(frozen=True)
 class GlobalVector:
@@ -99,7 +95,6 @@ class GlobalVector:
 
     dim: int
     data: np.ndarray
-    source_tag: str = ""
     nonnegative: bool = False
 
     def __post_init__(self):
@@ -112,10 +107,6 @@ class GlobalVector:
         if self.nonnegative and np.any(arr < 0.0):
             raise DataError("GlobalVector declared nonnegative but has negative values")
         object.__setattr__(self, "data", _freeze(arr))
-
-    @property
-    def rank(self) -> int:
-        return 1
 
 
 @dataclass(frozen=True)
@@ -252,9 +243,6 @@ class ManifestEntry:
 
     def paths_for(self, stream: str, layer: str) -> tuple[Path, ...]:
         return tuple(p for s, l, p in self.views if s == stream and l == layer)
-
-    def layers(self) -> set[tuple[str, str]]:
-        return {(s, l) for s, l, _ in self.views}
 
 
 @dataclass(frozen=True)

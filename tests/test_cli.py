@@ -213,12 +213,26 @@ def test_run_prints_a_summary_line(tiny, tmp_path, capsys):
     assert (tmp_path / "out" / "report.csv").is_file()
 
 
-def test_scripted_chain_matches_run_byte_for_byte(tiny, tmp_path, capsys):
+@pytest.mark.parametrize(
+    "normalize_cfg, encode_flags",
+    [
+        ("", []),
+        (
+            "\n[normalize]\npooling_order = normalize_then_pool\n"
+            "intra_block_mode = per_gaussian\n",
+            ["--pooling-order", "normalize_then_pool", "--intra-mode", "per_gaussian"],
+        ),
+    ],
+    ids=["pool_then_normalize", "normalize_then_pool"],
+)
+def test_scripted_chain_matches_run_byte_for_byte(
+    tiny, tmp_path, capsys, normalize_cfg, encode_flags
+):
     """Composing the module subcommands by hand reproduces `run` exactly."""
     manifest_path = str(tiny / "data.manifest")
     manifest = load_manifest(manifest_path)
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("[pca]\ndim = 4\n\n[gmm]\ncomponents = 2\n")
+    cfg.write_text("[pca]\ndim = 4\n\n[gmm]\ncomponents = 2\n" + normalize_cfg)
     auto = tmp_path / "auto"
     assert main(["run", "--config", str(cfg), "--manifest", manifest_path, "--out", str(auto)]) == 0
 
@@ -286,6 +300,7 @@ def test_scripted_chain_matches_run_byte_for_byte(tiny, tmp_path, capsys):
                         "encode-fv",
                         "--gmm", str(work / f"gmm_{stream}_{variant}"),
                         "--norm", "intra,power",
+                        *encode_flags,
                         "--out", str(fv_out),
                         *inputs,
                     ]

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import pytest
 
 from fvforge.config import (
@@ -16,8 +18,6 @@ from fvforge.errors import DataError, FormatError, ParameterError
 def test_defaults_without_a_file():
     cfg = load_config()
     assert cfg.scenario == "local_fv"
-    assert cfg.scales == (256, 384, 512)
-    assert cfg.crop == 224 and cfg.flip is True
     assert cfg.score_layer == "prob"
     assert cfg.global_layer == "fc7"
     assert cfg.conv_layer == "conv5_3"
@@ -72,8 +72,6 @@ def test_missing_file_and_parse_errors(tmp_path):
     "section, key, value",
     [
         ("pipeline", "scenario", "transformer"),
-        ("views", "scales", "0,256"),
-        ("views", "crop", "-3"),
         ("fusion", "layer_mode", "mean"),
         ("tdd", "variants", "channel,channel"),
         ("tdd", "variants", "fancy"),
@@ -94,6 +92,26 @@ def test_invalid_values_are_rejected(tmp_path, section, key, value):
         load_config(path)
 
 
+@pytest.mark.parametrize(
+    "section, key, value",
+    [
+        ("gmm", "componets", "16"),
+        ("views", "scales", "0,256"),
+        ("views", "crop", "-3"),
+    ],
+)
+def test_unknown_sections_and_keys_are_rejected(tmp_path, section, key, value):
+    path = tmp_path / "bad.cfg"
+    path.write_text(f"[{section}]\n{key} = {value}\n")
+    with pytest.raises(FormatError, match="unknown"):
+        load_config(path)
+
+
+def test_shipped_default_file_matches_the_defaults():
+    shipped = Path(__file__).resolve().parents[1] / "configs" / "default.cfg"
+    assert shipped.read_text() == DEFAULT_CONFIG_TEXT
+
+
 def test_zero_fusion_weights_are_rejected(tmp_path):
     path = tmp_path / "bad.cfg"
     path.write_text("[fusion]\nalpha_object = 0.0\nalpha_scene = 0.0\n")
@@ -112,5 +130,3 @@ def test_config_object_validates_directly():
         PipelineConfig(scenario="unknown")
     with pytest.raises(ParameterError):
         PipelineConfig(tdd_variants=())
-    with pytest.raises(ParameterError):
-        PipelineConfig(scales=())

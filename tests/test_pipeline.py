@@ -169,6 +169,16 @@ def test_local_feature_recomputable_from_saved_models(dataset, local_run):
     np.testing.assert_array_equal(written.data, expected)
 
 
+def test_gmm_fit_logs_its_em_iterations(dataset, tmp_path, caplog):
+    with caplog.at_level(logging.INFO, logger="fvforge.pipeline"):
+        run(dataset, make_cfg(), tmp_path / "run")
+    lines = [r.message for r in caplog.records if r.message.startswith("stage=fit-gmm")]
+    assert len(lines) == 4  # one mixture per (stream, variant)
+    for line in lines:
+        fields = dict(item.split("=", 1) for item in line.split())
+        assert int(fields["iterations"]) >= 1
+
+
 def test_local_run_separates_the_synthetic_classes(local_run):
     _, report = local_run
     assert report.map_score >= 0.9
