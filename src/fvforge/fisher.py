@@ -2,7 +2,9 @@
 
 One encoded vector holds, per mixture component, a first-order block and a
 second-order block of the component's soft-assigned standardized
-residuals, laid out [u_1, v_1, ..., u_K, v_K].  The 1/N averaging makes
+residuals, laid out [u_1, v_1, ..., u_K, v_K].  Both blocks are closed
+forms in the bag's sufficient statistics S0, S1, S2 from ``gmm.moments``,
+the same kernel EM and its initialization use.  The 1/N averaging makes
 the encoding invariant to duplicating the descriptor bag.
 """
 
@@ -58,31 +60,21 @@ class FisherVector:
 def encode_fv(model: gmm_mod.GmmModel, descriptors: DescriptorSet) -> FisherVector:
     """Encode a descriptor bag into an unnormalized Fisher vector.
 
-    With responsibilities gamma and sigma_k = sqrt(var_k):
+    From S0, S1, S2 = gmm.moments(gamma, x) of the responsibilities gamma,
+    with sigma_k = sqrt(var_k):
 
-        u_k = 1/(N sqrt(pi_k))   * sum_x gamma_k(x) (x - mu_k) / sigma_k
-        v_k = 1/(N sqrt(2 pi_k)) * sum_x gamma_k(x) [((x - mu_k)/sigma_k)^2 - 1]
+        u_k = (S1 - S0 mu_k) / (N sigma_k sqrt(pi_k))
+        v_k = ((S2 - 2 mu_k S1 + mu_k^2 S0) / var_k - S0) / (N sqrt(2 pi_k))
     """
     if descriptors.count < 1:
         raise ParameterError("cannot encode an empty descriptor set")
-    if descriptors.dim != model.dim:
-        raise ShapeError(
-            f"descriptor dim {descriptors.dim} != model dim {model.dim}"
-        )
     x = descriptors.descriptors.astype(np.float64)
-    n = x.shape[0]
-    gamma = gmm_mod.responsibilities(model, descriptors).gamma
-    sigma = np.sqrt(model.variances)
-
-    out = np.empty(2 * model.K * model.dim, dtype=np.float64)
-    for k in range(model.K):
-        z = (x - model.means[k]) / sigma[k]
-        gk = gamma[:, k]
-        u = gk @ z / (n * np.sqrt(model.weights[k]))
-        v = gk @ (z * z - 1.0) / (n * np.sqrt(2.0 * model.weights[k]))
-        out[2 * k * model.dim : (2 * k + 1) * model.dim] = u
-        out[(2 * k + 1) * model.dim : (2 * k + 2) * model.dim] = v
-    return FisherVector(K=model.K, d=model.dim, data=out)
+    s0, s1, s2 = gmm_mod.moments(gmm_mod.responsibilities(model, descriptors), x)
+    s0, n, w = s0[:, None], x.shape[0], model.weights[:, None]
+    mu, var = model.means, model.variances
+    u = (s1 - s0 * mu) / (np.sqrt(var) * n * np.sqrt(w))
+    v = ((s2 - 2.0 * mu * s1 + mu * mu * s0) / var - s0) / (n * np.sqrt(2.0 * w))
+    return FisherVector(K=model.K, d=model.dim, data=np.hstack([u, v]))
 
 
 def intra_normalize(fv: FisherVector, block_mode: str = "per_order") -> FisherVector:

@@ -3,7 +3,9 @@
 All density work happens in log space through a stable log-sum-exp; raw
 densities are never multiplied.  Initialization is seeded k-means++
 followed by a short k-means refinement, which makes the fit a pure
-function of (data, K, seed, parameters).
+function of (data, K, seed, parameters).  The k-means refinement (on
+one-hot assignments), the EM M-step and Fisher encoding all derive from
+the statistics S0, S1, S2 of ``moments`` (Sanchez et al., IJCV 2013).
 """
 
 from __future__ import annotations
@@ -80,39 +82,42 @@ class GmmModel:
             object.__setattr__(self, name, arr)
 
 
-@dataclass(frozen=True)
-class Responsibilities:
-    N: int
-    gamma: np.ndarray  # (N, K), rows sum to 1
+def _log_density(x, weights, means, variances) -> np.ndarray:
+    """Per-point, per-component log(pi_k * N(x; mu_k, var_k)), shape (N, K).
 
-    def __post_init__(self):
-        g = np.ascontiguousarray(self.gamma, dtype=np.float64)
-        if g.shape[0] != self.N:
-            raise ShapeError("row count disagrees with N")
-        if np.any(np.abs(g.sum(axis=1) - 1.0) > WEIGHT_SUM_TOL):
-            raise NumericError("responsibility rows must sum to 1")
-        g.flags.writeable = False
-        object.__setattr__(self, "gamma", g)
-
-
-def _log_density(x: np.ndarray, model_or_parts) -> np.ndarray:
-    """Per-point, per-component log(pi_k * N(x; mu_k, var_k)), shape (N, K)."""
-    weights, means, variances = model_or_parts
-    # (x - mu)^2 / var expanded per component; K is small enough to loop.
-    n = x.shape[0]
-    k = means.shape[0]
-    out = np.empty((n, k), dtype=np.float64)
-    log_norm = -0.5 * (
+    sum_d (x - mu_k)^2 / var_k is expanded into one quadratic form in x.
+    """
+    inv_var = 1.0 / variances
+    mahal = (
+        (x * x) @ inv_var.T
+        - 2.0 * x @ (means * inv_var).T
+        + np.sum(means * means * inv_var, axis=1)
+    )
+    log_norm = np.log(weights) - 0.5 * (
         means.shape[1] * np.log(2.0 * np.pi) + np.sum(np.log(variances), axis=1)
     )
-    for j in range(k):
-        diff = x - means[j]
-        out[:, j] = log_norm[j] - 0.5 * np.sum(diff * diff / variances[j], axis=1)
-    return out + np.log(weights)
+    return log_norm - 0.5 * mahal
 
 
-def _as_f64(descriptors: DescriptorSet) -> np.ndarray:
-    return descriptors.descriptors.astype(np.float64)
+def _posterior(x, weights, means, variances) -> tuple[np.ndarray, np.ndarray]:
+    """Responsibilities gamma (N, K), rows summing to 1, and log p(x) (N,)."""
+    log_joint = _log_density(x, weights, means, variances)
+    log_px = logsumexp(log_joint, axis=1)
+    return np.exp(log_joint - log_px[:, None]), log_px
+
+
+def moments(gamma: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """S0 = sum_n gamma_nk (K,), S1 = gamma^T x and S2 = gamma^T x^2, both (K, d)."""
+    return gamma.sum(axis=0), gamma.T @ x, gamma.T @ (x * x)
+
+
+def _estimate(gamma: np.ndarray, x: np.ndarray, var_floor: np.ndarray):
+    """S0, means S1/S0 and floored variances S2/S0 - mean^2 (non-finite where S0 = 0)."""
+    s0, s1, s2 = moments(gamma, x)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        means = s1 / s0[:, None]
+        variances = np.maximum(s2 / s0[:, None] - means * means, var_floor)
+    return s0, means, variances
 
 
 def _kmeans_plus_plus(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -132,13 +137,11 @@ def _kmeans_plus_plus(x: np.ndarray, k: int, rng: np.random.Generator) -> np.nda
 
 
 def _assign(x: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    # argmin breaks ties toward the lowest component index.
-    d2 = (
-        np.sum(x * x, axis=1)[:, None]
-        - 2.0 * x @ centers.T
-        + np.sum(centers * centers, axis=1)[None, :]
-    )
-    return np.argmin(d2, axis=1)
+    """One-hot nearest-center assignment, (N, K); ties go to the lowest index."""
+    k = centers.shape[0]
+    # Equal weights and unit variances: log-density = const - ||x - c||^2 / 2.
+    log_joint = _log_density(x, np.ones(k), centers, np.ones_like(centers))
+    return np.eye(k)[np.argmax(log_joint, axis=1)]
 
 
 def fit_gmm(
@@ -168,7 +171,7 @@ def fit_gmm(
         raise ParameterError("max_iters must be positive")
     if tol <= 0.0:
         raise ParameterError("tol must be positive")
-    x = _as_f64(descriptors)
+    x = descriptors.descriptors.astype(np.float64)
     if x.shape[0] < K:
         raise ParameterError(f"{x.shape[0]} descriptors < K={K}")
     rng = np.random.default_rng(seed)
@@ -183,73 +186,44 @@ def fit_gmm(
     var_floor = np.maximum(variance_floor_frac * global_var, 1e-12)
     iso_var = np.maximum(np.full(d, global_var.mean()), var_floor)
 
-    # k-means++ seeding plus a short Lloyd refinement.
-    centers = _kmeans_plus_plus(x, K, rng)
-    for _ in range(KMEANS_REFINE_ITERS):
-        labels = _assign(x, centers)
-        for j in range(K):
-            mask = labels == j
-            if mask.any():
-                centers[j] = x[mask].mean(axis=0)
-            else:
-                centers[j] = x[rng.integers(n)]
-
-    labels = _assign(x, centers)
-    weights = np.empty(K)
-    means = centers.copy()
-    variances = np.empty((K, d))
-    for j in range(K):
-        mask = labels == j
-        count = int(mask.sum())
-        weights[j] = count / n
-        if count:
-            means[j] = x[mask].mean(axis=0)
-            variances[j] = np.maximum(x[mask].var(axis=0), var_floor)
-        else:
+    # k-means++ seeding, a short Lloyd refinement, then the moments of the
+    # final hard assignment; an empty cluster restarts at a random point.
+    means = _kmeans_plus_plus(x, K, rng)
+    for _ in range(KMEANS_REFINE_ITERS + 1):
+        counts, means, variances = _estimate(_assign(x, means), x, var_floor)
+        for j in np.flatnonzero(counts == 0):
             means[j] = x[rng.integers(n)]
             variances[j] = iso_var
-    weights = np.maximum(weights, weight_floor)
+    weights = np.maximum(counts / n, weight_floor)
     weights /= weights.sum()
 
-    trace: list[float] = []
-    prev_avg = None
-    check_monotone = True
+    trace: list[float] = []  # per-point average log-likelihood at each E-step
     for iteration in range(max_iters):
-        log_joint = _log_density(x, (weights, means, variances))
-        log_norm = logsumexp(log_joint, axis=1)
-        avg_ll = float(log_norm.mean())
+        gamma, log_px = _posterior(x, weights, means, variances)
+        avg_ll = float(log_px.mean())
         if not np.isfinite(avg_ll):
             raise NumericError("log-likelihood became non-finite during EM")
-        if prev_avg is not None and check_monotone and avg_ll < prev_avg - MONOTONICITY_TOL:
+        if trace and check_monotone and avg_ll < trace[-1] - MONOTONICITY_TOL:
             raise NumericError(
                 f"EM log-likelihood decreased at iteration {iteration}: "
-                f"{prev_avg:.12g} -> {avg_ll:.12g}"
+                f"{trace[-1]:.12g} -> {avg_ll:.12g}"
             )
         trace.append(avg_ll)
-        if prev_avg is not None and avg_ll - prev_avg < tol:
+        if len(trace) > 1 and avg_ll - trace[-2] < tol:
             break
-        prev_avg = avg_ll
 
-        gamma = np.exp(log_joint - log_norm[:, None])
-        nk = gamma.sum(axis=0)
+        nk, means, variances = _estimate(gamma, x, var_floor)
         new_weights = nk / n
-        check_monotone = True
-        for j in range(K):
-            if new_weights[j] < weight_floor:
-                # Collapsed component: restart it at a random data point.
-                means[j] = x[rng.integers(n)]
-                variances[j] = iso_var
-                new_weights[j] = 1.0 / K
-                check_monotone = False
-                logger.warning(
-                    "stage=gmm-reset component=%d iteration=%d", j, iteration
-                )
-            else:
-                means[j] = gamma[:, j] @ x / nk[j]
-                diff = x - means[j]
-                variances[j] = np.maximum(
-                    gamma[:, j] @ (diff * diff) / nk[j], var_floor
-                )
+        collapsed = np.flatnonzero(new_weights < weight_floor)
+        check_monotone = collapsed.size == 0
+        for j in collapsed:
+            # Collapsed component: restart it at a random data point.
+            means[j] = x[rng.integers(n)]
+            variances[j] = iso_var
+            new_weights[j] = 1.0 / K
+            logger.warning(
+                "stage=gmm-reset component=%d iteration=%d", j, iteration
+            )
         weights = np.maximum(new_weights, weight_floor)
         weights /= weights.sum()
 
@@ -259,24 +233,21 @@ def fit_gmm(
     )
 
 
-def responsibilities(model: GmmModel, descriptors: DescriptorSet) -> Responsibilities:
-    """Posterior component probabilities for each descriptor, via log-sum-exp."""
+def _model_posterior(model: GmmModel, descriptors: DescriptorSet):
     if descriptors.dim != model.dim:
         raise ShapeError(f"descriptor dim {descriptors.dim} != model dim {model.dim}")
-    x = _as_f64(descriptors)
-    log_joint = _log_density(x, (model.weights, model.means, model.variances))
-    gamma = np.exp(log_joint - logsumexp(log_joint, axis=1)[:, None])
-    return Responsibilities(N=x.shape[0], gamma=gamma)
+    x = descriptors.descriptors.astype(np.float64)
+    return _posterior(x, model.weights, model.means, model.variances)
+
+
+def responsibilities(model: GmmModel, descriptors: DescriptorSet) -> np.ndarray:
+    """Posterior component probabilities (N, K) for each descriptor, via log-sum-exp."""
+    return _model_posterior(model, descriptors)[0]
 
 
 def log_likelihood(model: GmmModel, descriptors: DescriptorSet) -> float:
     """Total log-likelihood of a descriptor bag under the mixture."""
-    if descriptors.dim != model.dim:
-        raise ShapeError(f"descriptor dim {descriptors.dim} != model dim {model.dim}")
-    x = _as_f64(descriptors)
-    total = float(
-        logsumexp(_log_density(x, (model.weights, model.means, model.variances)), axis=1).sum()
-    )
+    total = float(_model_posterior(model, descriptors)[1].sum())
     if not np.isfinite(total):
         raise NumericError("log-likelihood is not finite")
     return total
@@ -304,11 +275,13 @@ def load_gmm(model_dir: str | Path) -> GmmModel:
     for key in ("weights", "means", "variances"):
         if key not in header:
             raise ValidationError(f"GMM header missing '{key}'")
-    weights = read_tensor(model_dir / header["weights"])
-    means = read_tensor(model_dir / header["means"])
-    variances = read_tensor(model_dir / header["variances"])
-    if not isinstance(weights, GlobalVector) or not isinstance(means, FeatureMap):
-        raise ValidationError("GMM payload tensors have unexpected ranks")
+    weights, means, variances = (
+        read_tensor(model_dir / header[key]) for key in ("weights", "means", "variances")
+    )
+    if not isinstance(weights, GlobalVector) or not all(
+        isinstance(t, FeatureMap) and t.width == 1 for t in (means, variances)
+    ):
+        raise ValidationError("GMM payload tensors have unexpected ranks or widths")
     w = weights.data.astype(np.float64)
     total = w.sum()
     if not total > 0.0:

@@ -138,8 +138,11 @@ def load_pca(model_dir: str | Path) -> PcaModel:
     mean = read_tensor(model_dir / header["mean"])
     basis = read_tensor(model_dir / header["basis"])
     eig = read_tensor(model_dir / header["eigenvalues"])
-    if not isinstance(mean, GlobalVector) or not isinstance(basis, FeatureMap):
-        raise ValidationError("PCA payload tensors have unexpected ranks")
+    if not (
+        isinstance(mean, GlobalVector) and isinstance(eig, GlobalVector)
+        and isinstance(basis, FeatureMap) and basis.width == 1
+    ):
+        raise ValidationError("PCA payload tensors have unexpected ranks or widths")
     return PcaModel(
         input_dim=mean.dim,
         output_dim=basis.height,

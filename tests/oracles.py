@@ -109,6 +109,22 @@ def gmm_responsibilities_reference(weights, means, variances, points):
     return gamma
 
 
+def gmm_moments_reference(gamma, points):
+    """Per-component sums of gamma, gamma * x and gamma * x^2, by explicit loops."""
+    K = len(gamma[0])
+    d = len(points[0])
+    s0 = [0.0] * K
+    s1 = [[0.0] * d for _ in range(K)]
+    s2 = [[0.0] * d for _ in range(K)]
+    for g, x in zip(gamma, points):
+        for k in range(K):
+            s0[k] += g[k]
+            for j in range(d):
+                s1[k][j] += g[k] * x[j]
+                s2[k][j] += g[k] * x[j] * x[j]
+    return s0, s1, s2
+
+
 def fisher_vector_reference(weights, means, variances, points):
     """Double-loop Fisher encoding, interleaved [u_1, v_1, ..., u_K, v_K]."""
     K = len(weights)

@@ -7,8 +7,15 @@ import pytest
 
 from fvforge.cli import main
 from fvforge.gmm import GmmModel, save_gmm
+from fvforge.pca import PcaModel, save_pca
 from fvforge.pipeline import derived_seed
-from fvforge.tensors import GlobalVector, load_manifest, read_tensor, write_tensor
+from fvforge.tensors import (
+    FeatureMap,
+    GlobalVector,
+    load_manifest,
+    read_tensor,
+    write_tensor,
+)
 
 STREAMS = ("object", "scene")
 VARIANTS = ("channel", "spatial")
@@ -157,6 +164,45 @@ def test_corrupted_mixture_exits_four(tmp_path):
     )
     assert code == 4
     assert not (tmp_path / "fv.fvt").exists()
+
+
+@pytest.mark.parametrize(
+    "command, payload, bad",
+    [
+        ("encode-fv", "variances.fvt", GlobalVector(6, np.ones(6))),
+        ("encode-fv", "means.fvt", FeatureMap(2, 3, 1, np.zeros(6))),
+        ("apply-pca", "basis.fvt", FeatureMap(2, 3, 1, np.zeros(6))),
+        ("apply-pca", "eigenvalues.fvt", FeatureMap(2, 1, 1, np.ones(2))),
+    ],
+    ids=["gmm-rank1-variances", "gmm-wide-means", "pca-wide-basis", "pca-rank3-eigenvalues"],
+)
+def test_malformed_model_tensor_exits_three(tmp_path, command, payload, bad):
+    """A model payload of the wrong rank or width is a typed data error."""
+    model_dir = tmp_path / "model"
+    if command == "encode-fv":
+        save_gmm(
+            GmmModel(
+                K=2, dim=3, weights=np.array([0.5, 0.5]),
+                means=np.zeros((2, 3)), variances=np.ones((2, 3)),
+            ),
+            model_dir,
+        )
+        argv = ["encode-fv", "--gmm", str(model_dir)]
+    else:
+        save_pca(
+            PcaModel(
+                input_dim=3, output_dim=2, mean=np.zeros(3),
+                basis=np.eye(3)[:2], eigenvalues=np.array([2.0, 1.0]),
+            ),
+            model_dir,
+        )
+        argv = ["apply-pca", "--model", str(model_dir), "--in"]
+    write_tensor(bad, model_dir / payload)
+    infile = tmp_path / "in.fvt"
+    write_tensor(FeatureMap(4, 1, 3, np.arange(12.0)), infile)
+    out = tmp_path / "out.fvt"
+    assert main(argv + [str(infile), "--out", str(out)]) == 3
+    assert not out.exists()
 
 
 def test_fuse_scores_weighted_sum(tmp_path):

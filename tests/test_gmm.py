@@ -2,23 +2,36 @@
 
 from __future__ import annotations
 
+import logging
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import fvforge
 from fvforge.errors import NumericError, ParameterError, ShapeError
 from fvforge.gmm import (
+    DEFAULT_VARIANCE_FLOOR_FRAC,
     GmmModel,
     fit_gmm,
     load_gmm,
     log_likelihood,
     logsumexp,
+    moments,
     responsibilities,
     save_gmm,
 )
 from fvforge.normalize import DescriptorSet
 
 from conftest import random_descriptors, random_gmm
-from oracles import gmm_responsibilities_reference, logsumexp_reference
+from oracles import (
+    gmm_moments_reference,
+    gmm_responsibilities_reference,
+    logsumexp_reference,
+)
 
 
 def _two_blob_set(rng, n_per=400, d=3, separation=6.0):
@@ -42,7 +55,7 @@ def test_logsumexp_handles_extreme_magnitudes():
 def test_responsibilities_match_density_ratio_reference(rng):
     model = random_gmm(rng, 3, 4)
     ds = random_descriptors(rng, 40, 4)
-    ours = responsibilities(model, ds).gamma
+    ours = responsibilities(model, ds)
     ref = gmm_responsibilities_reference(
         model.weights.tolist(),
         model.means.tolist(),
@@ -51,6 +64,16 @@ def test_responsibilities_match_density_ratio_reference(rng):
     )
     np.testing.assert_allclose(ours, np.asarray(ref), atol=1e-10)
     np.testing.assert_allclose(ours.sum(axis=1), 1.0, atol=1e-12)
+
+
+def test_moments_match_loop_reference(rng):
+    model = random_gmm(rng, 3, 4)
+    ds = random_descriptors(rng, 40, 4)
+    gamma = responsibilities(model, ds)
+    x = ds.descriptors.astype(np.float64)
+    ref = gmm_moments_reference(gamma.tolist(), x.tolist())
+    for ours, expected in zip(moments(gamma, x), ref):
+        np.testing.assert_allclose(ours, np.asarray(expected), rtol=0.0, atol=1e-10)
 
 
 def test_fit_recovers_two_separated_blobs(rng):
@@ -94,6 +117,57 @@ def test_duplicated_points_collapse_variance_to_floor(rng):
     model = fit_gmm(DescriptorSet(3, data), 1, seed=0)
     assert np.all(model.variances > 0.0)
     np.testing.assert_allclose(model.means[0], data[0], atol=1e-5)
+
+
+@pytest.mark.parametrize("K", [3, 4])
+def test_component_resets_keep_a_valid_deterministic_model(rng, caplog, K):
+    # Two distinct points and K > 2: k-means leaves clusters empty and EM
+    # sees components collapse, so both reset paths run.
+    values = np.array([[0.0, 1.0], [3.0, -2.0]])
+    data = values[rng.integers(0, 2, 100)]
+    ds = DescriptorSet(2, data)
+    with caplog.at_level(logging.WARNING, logger="fvforge.gmm"):
+        a = fit_gmm(ds, K, seed=4)
+    assert any("stage=gmm-reset" in r.getMessage() for r in caplog.records)
+    assert abs(a.weights.sum() - 1.0) < 1e-12
+    assert np.all(a.variances >= DEFAULT_VARIANCE_FLOOR_FRAC * data.var(axis=0))
+    b = fit_gmm(ds, K, seed=4)
+    np.testing.assert_array_equal(a.weights, b.weights)
+    np.testing.assert_array_equal(a.means, b.means)
+    np.testing.assert_array_equal(a.variances, b.variances)
+
+
+_FIT_AND_ENCODE = """
+import sys
+import numpy as np
+from fvforge.fisher import encode_fv
+from fvforge.gmm import fit_gmm
+from fvforge.normalize import DescriptorSet
+
+rng = np.random.default_rng(5)
+x = rng.normal(size=(6000, 24)) + 3.0 * rng.integers(0, 4, size=(6000, 1))
+model = fit_gmm(DescriptorSet(24, x), 8, seed=3, max_iters=10)
+fv = encode_fv(model, DescriptorSet(24, x[:3000]))
+np.savez(sys.argv[1], means=model.means, variances=model.variances, fv=fv.data)
+"""
+
+
+def test_fit_and_encode_do_not_depend_on_blas_threads(tmp_path):
+    """Fitted parameters and Fisher vectors are bitwise equal at 1 and 2 BLAS threads."""
+    src = str(Path(fvforge.__file__).resolve().parents[1])
+    results = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=src)
+        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+            env[var] = threads
+        out = tmp_path / f"threads_{threads}.npz"
+        subprocess.run(
+            [sys.executable, "-c", _FIT_AND_ENCODE, str(out)], env=env, check=True, timeout=300
+        )
+        with np.load(out) as arrays:
+            results.append(dict(arrays))
+    for key in ("means", "variances", "fv"):
+        np.testing.assert_array_equal(results[0][key], results[1][key])
 
 
 def test_fit_preconditions(rng):
