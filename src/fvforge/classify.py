@@ -8,12 +8,19 @@ with the bias folded in as an extra always-1 feature coordinate.  That
 coordinate is regularized along with the rest — a deliberate
 simplification that keeps the dual box-constrained with no equality
 constraint.
+
+All classes are solved in lock-step by dual coordinate descent (Hsieh
+et al., ICML 2008) over the Gram matrix Q = X X^T of the n augmented
+training vectors; keeping the margins w_k . x_i current makes one update
+O(n) instead of O(dim).  Memory: n^2 float64 for Q plus a few K n for
+duals and margins, no more than the features while n <= dim + 1.  Q and
+the weights come from ``np.einsum``, not ``@``: BLAS products round
+differently at different thread counts, and models must not.
 """
 
 from __future__ import annotations
 
 import logging
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -23,7 +30,6 @@ from .errors import DataError, ParameterError, ShapeError, ValidationError
 from .tensors import (
     FeatureMap,
     GlobalVector,
-    ScoreVector,
     read_header,
     read_tensor,
     write_header,
@@ -83,6 +89,53 @@ class LinearModel:
         )
 
 
+def _train_dual(
+    x: np.ndarray, y: np.ndarray, C: float, rngs, max_epochs: int, tol: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Lock-step dual coordinate descent for m binary l2-reg L1-hinge SVMs.
+
+    ``x`` is the (n, dim) feature matrix with the constant-1 bias column,
+    ``y`` the (m, n) +-1 labels of each problem and ``rngs`` one generator
+    per problem, which draws that problem's visiting order once per epoch.
+    A problem stops after the first epoch whose largest projected gradient
+    is below ``tol``, or after ``max_epochs``.  Returns the (m, dim) primal
+    weights (last coordinate is the bias), the (m, n) dual variables,
+    which stay inside [0, C] by construction, and each problem's
+    last-epoch violation.
+    """
+    m, n = y.shape
+    q = np.einsum("id,jd->ij", x, x)
+    alpha, violation = np.zeros((m, n)), np.zeros(m)
+    # The problems still running, with their duals, labels and margins
+    # f[k, i] = w_k . x_i, which each update keeps current through q.
+    run, a_run, y_run, f_run = np.arange(m), alpha.copy(), y, np.zeros((m, n))
+    for _ in range(max_epochs):
+        order = np.stack([rngs[k].permutation(n) for k in run], axis=1)
+        # Per step t: flat indices of the visited entries, their labels and q_ii.
+        flat = order + n * np.arange(run.size)
+        signs, steps = y_run.take(flat), q.diagonal()[order]
+        grads, before = np.empty(flat.shape), np.empty(flat.shape)
+        for t, i in enumerate(order):
+            a = a_run.take(flat[t])
+            g = signs[t] * f_run.take(flat[t]) - 1.0
+            # Applied unconditionally: it leaves alpha as it is exactly
+            # when the projected gradient is zero.
+            new = np.minimum(np.maximum(a - g / steps[t], 0.0), C)
+            a_run.put(flat[t], new)
+            f_run += ((new - a) * signs[t])[:, None] * q[i]
+            grads[t], before[t] = g, a
+        # Projected gradient: zero when the constraint set blocks descent.
+        pg = np.where(before <= 0.0, np.minimum(grads, 0.0), grads)
+        pg = np.where(before >= C, np.maximum(grads, 0.0), pg)
+        epoch_violation = np.abs(pg).max(axis=0)
+        alpha[run], violation[run] = a_run, epoch_violation
+        going = epoch_violation >= tol
+        if not going.any():
+            break
+        run, a_run, y_run, f_run = run[going], a_run[going], y_run[going], f_run[going]
+    return np.einsum("kn,nd->kd", alpha * y, x), alpha, violation
+
+
 def _train_binary(
     x: np.ndarray,
     y: np.ndarray,
@@ -91,37 +144,9 @@ def _train_binary(
     max_epochs: int,
     tol: float,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Dual coordinate descent for one binary l2-reg L1-hinge SVM.
-
-    ``x`` already carries the constant-1 bias column.  Returns the
-    primal weight vector (last coordinate is the bias) together with
-    the dual variables, which stay inside [0, C] by construction.
-    """
-    n, dim = x.shape
-    alpha = np.zeros(n)
-    w = np.zeros(dim)
-    sq_norms = np.einsum("ij,ij->i", x, x)
-
-    for _ in range(max_epochs):
-        order = rng.permutation(n)
-        max_violation = 0.0
-        for i in order:
-            grad = y[i] * (x[i] @ w) - 1.0
-            # Projected gradient: zero when the constraint set blocks descent.
-            if alpha[i] <= 0.0:
-                pg = min(grad, 0.0)
-            elif alpha[i] >= C:
-                pg = max(grad, 0.0)
-            else:
-                pg = grad
-            if pg != 0.0:
-                old = alpha[i]
-                alpha[i] = min(max(old - grad / sq_norms[i], 0.0), C)
-                w += (alpha[i] - old) * y[i] * x[i]
-            max_violation = max(max_violation, abs(pg))
-        if max_violation < tol:
-            break
-    return w, alpha
+    """One binary problem through ``_train_dual``: returns (w, alpha)."""
+    w, alpha, _ = _train_dual(x, y[None, :], C, [rng], max_epochs, tol)
+    return w[0], alpha[0]
 
 
 def train_ovr(
@@ -133,14 +158,15 @@ def train_ovr(
     max_epochs: int = DEFAULT_MAX_EPOCHS,
     tol: float = DEFAULT_TOL,
     class_names=(),
-    threads: int = 1,
 ) -> LinearModel:
     """Train one binary classifier per class against all other classes.
 
-    A class with no positive examples is trained as a constant
-    always-negative scorer and reported in ``degenerate_classes``
-    rather than raised.  Deterministic for a fixed seed regardless of
-    thread count.
+    Every class with positive examples is solved at once by
+    ``_train_dual``, class k visiting samples in the order drawn from
+    ``default_rng([seed, k])``.  A class with no positive examples is
+    trained as a constant always-negative scorer and reported in
+    ``degenerate_classes`` rather than raised.  Classes that stop at
+    ``max_epochs`` are named in one ``not-converged`` warning.
     """
     x = np.ascontiguousarray(features, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] < 1:
@@ -172,24 +198,20 @@ def train_ovr(
 
     n = x.shape[0]
     aug = np.hstack([x, np.ones((n, 1))])
-
-    def one_class(k: int) -> tuple[np.ndarray, bool]:
-        pos = y == k
-        if not pos.any():
-            return np.zeros(aug.shape[1]), True
-        yk = np.where(pos, 1.0, -1.0)
-        rng = np.random.default_rng([seed, k])
-        w, _ = _train_binary(aug, yk, C, rng, max_epochs, tol)
-        return w, False
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(one_class, range(class_count)))
-    else:
-        results = [one_class(k) for k in range(class_count)]
-
-    w_aug = np.stack([w for w, _ in results])
-    degenerate = tuple(k for k, (_, d) in enumerate(results) if d)
+    present = np.bincount(y, minlength=class_count) > 0
+    trained = np.flatnonzero(present)
+    w_aug = np.zeros((class_count, aug.shape[1]))
+    rngs = [np.random.default_rng([seed, k]) for k in trained]
+    w_aug[trained], _, violation = _train_dual(
+        aug, np.where(y == trained[:, None], 1.0, -1.0), C, rngs, max_epochs, tol
+    )
+    late = violation >= tol
+    if late.any():
+        logger.warning(
+            "stage=train-svm event=not-converged classes=%s max_violation=%.6g",
+            ",".join(map(str, trained[late])), violation[late].max(),
+        )
+    degenerate = tuple(int(k) for k in np.flatnonzero(~present))
     if degenerate:
         logger.warning(
             "stage=train-svm event=degenerate classes=%s",
@@ -206,18 +228,6 @@ def train_ovr(
     )
 
 
-def predict_scores(model: LinearModel, feature: np.ndarray) -> ScoreVector:
-    """scores[k] = weights[k] . feature + biases[k]; no calibration."""
-    f = np.ascontiguousarray(feature, dtype=np.float64).reshape(-1)
-    if f.size != model.feature_dim:
-        raise ShapeError(
-            f"feature dim {f.size} != model dim {model.feature_dim}"
-        )
-    return ScoreVector(
-        class_count=model.class_count, scores=model.weights @ f + model.biases
-    )
-
-
 def predict_matrix(model: LinearModel, features: np.ndarray) -> np.ndarray:
     """Score many features at once; rows of the result follow input rows."""
     x = np.ascontiguousarray(features, dtype=np.float64)
@@ -229,20 +239,6 @@ def predict_matrix(model: LinearModel, features: np.ndarray) -> np.ndarray:
     if not np.all(np.isfinite(x)):
         raise DataError("features contain non-finite values")
     return x @ model.weights.T + model.biases
-
-
-def primal_objective(model: LinearModel, features, labels) -> float:
-    """1/2 sum_k ||w_k||^2 + C * total hinge loss across all classes."""
-    x = np.ascontiguousarray(features, dtype=np.float64)
-    y = np.asarray(labels, dtype=np.int64).reshape(-1)
-    margins = predict_matrix(model, x)
-    total = 0.5 * float(
-        np.sum(model.weights * model.weights) + model.biases @ model.biases
-    )
-    for k in range(model.class_count):
-        yk = np.where(y == k, 1.0, -1.0)
-        total += model.C * float(np.maximum(0.0, 1.0 - yk * margins[:, k]).sum())
-    return total
 
 
 def save_svm(model: LinearModel, model_dir: str | Path) -> None:

@@ -181,7 +181,7 @@ def _cmd_fuse(args) -> int:
 def _cmd_train_svm(args) -> int:
     pipeline.train_svm_model(
         load_manifest(args.manifest), args.features, args.out,
-        args.c, args.seed, args.max_epochs, args.tol, args.threads,
+        args.c, args.seed, args.max_epochs, args.tol,
     )
     return 0
 

@@ -69,7 +69,7 @@ def encode_fv(model: gmm_mod.GmmModel, descriptors: DescriptorSet) -> FisherVect
     if descriptors.count < 1:
         raise ParameterError("cannot encode an empty descriptor set")
     x = descriptors.descriptors.astype(np.float64)
-    s0, s1, s2 = gmm_mod.moments(gmm_mod.responsibilities(model, descriptors), x)
+    s0, s1, s2 = gmm_mod.moments(gmm_mod.responsibilities(model, x), x)
     s0, n, w = s0[:, None], x.shape[0], model.weights[:, None]
     mu, var = model.means, model.variances
     u = (s1 - s0 * mu) / (np.sqrt(var) * n * np.sqrt(w))

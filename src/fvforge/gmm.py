@@ -233,21 +233,22 @@ def fit_gmm(
     )
 
 
-def _model_posterior(model: GmmModel, descriptors: DescriptorSet):
-    if descriptors.dim != model.dim:
-        raise ShapeError(f"descriptor dim {descriptors.dim} != model dim {model.dim}")
-    x = descriptors.descriptors.astype(np.float64)
+def _model_posterior(model: GmmModel, x):
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 2 or x.shape[1] != model.dim:
+        raise ShapeError(f"descriptors of shape {x.shape} for model dim {model.dim}")
     return _posterior(x, model.weights, model.means, model.variances)
 
 
-def responsibilities(model: GmmModel, descriptors: DescriptorSet) -> np.ndarray:
-    """Posterior component probabilities (N, K) for each descriptor, via log-sum-exp."""
-    return _model_posterior(model, descriptors)[0]
+def responsibilities(model: GmmModel, x) -> np.ndarray:
+    """Posterior component probabilities (N, K) of an (N, dim) descriptor
+    array, via log-sum-exp; a float64 array is used without a copy."""
+    return _model_posterior(model, x)[0]
 
 
-def log_likelihood(model: GmmModel, descriptors: DescriptorSet) -> float:
-    """Total log-likelihood of a descriptor bag under the mixture."""
-    total = float(_model_posterior(model, descriptors)[1].sum())
+def log_likelihood(model: GmmModel, x) -> float:
+    """Total log-likelihood of an (N, dim) descriptor array under the mixture."""
+    total = float(_model_posterior(model, x)[1].sum())
     if not np.isfinite(total):
         raise NumericError("log-likelihood is not finite")
     return total

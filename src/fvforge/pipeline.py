@@ -210,7 +210,6 @@ def train_svm_model(
     seed: int,
     max_epochs: int,
     tol: float,
-    threads: int,
 ) -> LinearModel:
     """Train on the train-role features, serialize, and return the reloaded model."""
     train = entries_for_role(manifest, "train")
@@ -223,7 +222,6 @@ def train_svm_model(
         max_epochs=max_epochs,
         tol=tol,
         class_names=manifest.class_names,
-        threads=threads,
     )
     save_svm(model, model_dir)
     logger.info(
@@ -285,7 +283,6 @@ def _train_predict_evaluate(
     manifest: Manifest,
     cfg: PipelineConfig,
     out: Path,
-    threads: int,
     banks=(("svm", "features"),),
 ) -> EvalReport:
     """Shared tail of every classifier scenario.
@@ -298,7 +295,7 @@ def _train_predict_evaluate(
     models = [
         train_svm_model(
             manifest, out / features, out / "models" / name,
-            cfg.svm_c, cfg.svm_seed, cfg.svm_max_epochs, cfg.svm_tol, threads,
+            cfg.svm_c, cfg.svm_seed, cfg.svm_max_epochs, cfg.svm_tol,
         )
         for name, features in banks
     ]
@@ -380,7 +377,7 @@ def run_global(
     """Global-vector scenario; covers pre-trained and fine-tuned inputs alike."""
     out = Path(out_dir)
     _write_global_features(manifest, cfg, out / "features", threads)
-    return _train_predict_evaluate(manifest, cfg, out, threads)
+    return _train_predict_evaluate(manifest, cfg, out)
 
 
 def _fit_local_models(
@@ -457,7 +454,7 @@ def run_local_fv(
     """Local-descriptor scenario: normalize, project, encode, pool, fuse."""
     out = Path(out_dir)
     _write_local_features(manifest, cfg, out, out / "features", threads)
-    return _train_predict_evaluate(manifest, cfg, out, threads)
+    return _train_predict_evaluate(manifest, cfg, out)
 
 
 def run_layer_fusion(
@@ -482,11 +479,11 @@ def run_layer_fusion(
             )
 
         _write_features(out / "features", manifest.entries, combined, threads)
-        return _train_predict_evaluate(manifest, cfg, out, threads)
+        return _train_predict_evaluate(manifest, cfg, out)
 
     # Score-level combination: one classifier bank per representation.
     banks = (("svm_global", "features_global"), ("svm_local", "features_local"))
-    return _train_predict_evaluate(manifest, cfg, out, threads, banks)
+    return _train_predict_evaluate(manifest, cfg, out, banks)
 
 
 _RUNNERS = {

@@ -2,9 +2,15 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import fvforge
 from fvforge.gmm import GmmModel
 from fvforge.normalize import DescriptorSet
 
@@ -45,3 +51,20 @@ def make_blobs(
         xs.append(centers[k] + spread * rng.standard_normal((per_class, dim)))
         ys.extend([k] * per_class)
     return np.vstack(xs), np.asarray(ys, dtype=np.int64)
+
+
+def arrays_at_blas_threads(script: str, tmp_path: Path) -> list[dict]:
+    """Run ``script``, which saves an .npz to ``sys.argv[1]``, in a fresh
+    interpreter with OPENBLAS/OMP/MKL threads at 1 and then at 2; return
+    the arrays of each run."""
+    src = str(Path(fvforge.__file__).resolve().parents[1])
+    results = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=src)
+        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+            env[var] = threads
+        out = tmp_path / f"threads_{threads}.npz"
+        subprocess.run([sys.executable, "-c", script, str(out)], env=env, check=True, timeout=300)
+        with np.load(out) as arrays:
+            results.append(dict(arrays))
+    return results

@@ -246,11 +246,60 @@ def evaluate_reference(matrix, labels):
 # -------------------------------------------------------------- linear
 
 
-def scores_reference(weights, biases, feature):
+def predict_scores(model, feature):
+    """scores[k] = weights[k] . feature + biases[k]; no calibration."""
     return [
         sum(w[j] * feature[j] for j in range(len(feature))) + b
-        for w, b in zip(weights, biases)
+        for w, b in zip(model.weights.tolist(), model.biases.tolist())
     ]
+
+
+def primal_objective(model, features, labels):
+    """1/2 sum_k ||w_k||^2 + C * total hinge loss across all classes."""
+    total = 0.0
+    for w, b in zip(model.weights.tolist(), model.biases.tolist()):
+        total += 0.5 * (sum(v * v for v in w) + b * b)
+    for feature, label in zip(features, labels):
+        for k, score in enumerate(predict_scores(model, feature)):
+            yk = 1.0 if label == k else -1.0
+            total += model.C * max(0.0, 1.0 - yk * score)
+    return total
+
+
+def svm_dcd_reference(x, y, C, rng, max_epochs, tol):
+    """Per-sample dual coordinate descent for one binary SVM (Hsieh et al.,
+    ICML 2008), updating the primal vector after every step.
+
+    Rows of ``x`` carry the constant-1 bias coordinate and ``y`` holds
+    +-1 labels.  ``rng.permutation`` draws the visiting order once per
+    epoch; the solver stops after the first epoch whose largest projected
+    gradient is below ``tol``.  Returns (w, alpha, epochs run).
+    """
+    n, d = len(x), len(x[0])
+    alpha = [0.0] * n
+    w = [0.0] * d
+    sq_norms = [sum(v * v for v in row) for row in x]
+    for epoch in range(1, max_epochs + 1):
+        max_violation = 0.0
+        for i in rng.permutation(n).tolist():
+            grad = y[i] * sum(x[i][j] * w[j] for j in range(d)) - 1.0
+            # Projected gradient: zero when the constraint set blocks descent.
+            if alpha[i] <= 0.0:
+                pg = min(grad, 0.0)
+            elif alpha[i] >= C:
+                pg = max(grad, 0.0)
+            else:
+                pg = grad
+            if pg != 0.0:
+                old = alpha[i]
+                alpha[i] = min(max(old - grad / sq_norms[i], 0.0), C)
+                step = (alpha[i] - old) * y[i]
+                for j in range(d):
+                    w[j] += step * x[i][j]
+            max_violation = max(max_violation, abs(pg))
+        if max_violation < tol:
+            break
+    return w, alpha, epoch
 
 
 def svm_subgradient_reference(x, y, C, epochs=2000):

@@ -12,15 +12,20 @@ from fvforge.classify import (
     _train_binary,
     load_svm,
     predict_matrix,
-    predict_scores,
-    primal_objective,
     save_svm,
     train_ovr,
 )
+from fvforge.cli import main
 from fvforge.errors import DataError, ParameterError, ShapeError, ValidationError
+from fvforge.tensors import GlobalVector, write_tensor
 
-from conftest import make_blobs
-from oracles import scores_reference, svm_ovr_accuracy_reference
+from conftest import arrays_at_blas_threads, make_blobs
+from oracles import (
+    predict_scores,
+    primal_objective,
+    svm_dcd_reference,
+    svm_ovr_accuracy_reference,
+)
 
 
 def test_separable_toy_is_classified_perfectly(rng):
@@ -66,12 +71,83 @@ def test_training_is_deterministic_for_a_fixed_seed(rng):
     assert np.array_equal(a.biases, b.biases)
 
 
-def test_thread_count_does_not_change_the_model(rng):
+@pytest.mark.parametrize("max_epochs", [500, 4])
+def test_lock_step_solver_matches_per_sample_reference(rng, max_epochs):
+    """Every class equals the one-class-at-a-time loop, whether it converges
+    or stops at the epoch cap; class 3 has no positives."""
+    x, y = make_blobs(rng, classes=3, per_class=12, dim=4, spread=1.5, separation=2.5)
+    model = train_ovr(x, y, class_count=4, seed=7, max_epochs=max_epochs, tol=1e-6)
+    aug = np.hstack([x, np.ones((x.shape[0], 1))]).tolist()
+    epochs = []
+    for k in range(3):
+        yk = [1.0 if label == k else -1.0 for label in y]
+        w, _, run = svm_dcd_reference(
+            aug, yk, 1.0, np.random.default_rng([7, k]), max_epochs, 1e-6
+        )
+        np.testing.assert_allclose(model.weights[k], w[:-1], rtol=0.0, atol=1e-12)
+        assert abs(model.biases[k] - w[-1]) <= 1e-12
+        epochs.append(run)
+    if max_epochs == 500:
+        assert len(set(epochs)) > 1 and max(epochs) < max_epochs
+    else:
+        assert max(epochs) == max_epochs
+    assert model.degenerate_classes == (3,)
+    assert not model.weights[3].any() and model.biases[3] == 0.0
+
+
+def test_thread_count_does_not_change_the_model(rng, tmp_path):
+    """`train-svm` writes the same model bytes at --threads 1 and 3."""
     x, y = make_blobs(rng, classes=4, per_class=10, dim=4)
-    serial = train_ovr(x, y, class_count=4, seed=7, threads=1)
-    pooled = train_ovr(x, y, class_count=4, seed=7, threads=3)
-    assert np.array_equal(serial.weights, pooled.weights)
-    assert np.array_equal(serial.biases, pooled.biases)
+    features = tmp_path / "features"
+    features.mkdir()
+    lines = ["classes: a,b,c,d"]
+    for i, (row, label) in enumerate(zip(x, y)):
+        write_tensor(GlobalVector(dim=4, data=row), features / f"img{i}.fvt")
+        lines.append(f"img{i}\t{label}\tobject:fc7=img{i}.fvt\ttrain")
+    manifest = tmp_path / "data.manifest"
+    manifest.write_text("\n".join(lines) + "\n")
+    for threads in ("1", "3"):
+        assert main(
+            ["--threads", threads, "train-svm", "--manifest", str(manifest),
+             "--features", str(features), "--out", str(tmp_path / f"svm_{threads}")]
+        ) == 0
+    parts = sorted(p.name for p in (tmp_path / "svm_1").iterdir())
+    assert parts == sorted(p.name for p in (tmp_path / "svm_3").iterdir())
+    for name in parts:
+        assert (tmp_path / "svm_1" / name).read_bytes() == (tmp_path / "svm_3" / name).read_bytes()
+
+
+_TRAIN = """
+import sys
+import numpy as np
+from fvforge.classify import train_ovr
+
+rng = np.random.default_rng(11)
+x = rng.normal(size=(300, 3000))
+x /= np.linalg.norm(x, axis=1, keepdims=True)
+model = train_ovr(x, np.arange(300) % 12, class_count=12)
+np.savez(sys.argv[1], weights=model.weights, biases=model.biases)
+"""
+
+
+def test_weights_do_not_depend_on_blas_threads(tmp_path):
+    """Weights and biases are bitwise equal at 1 and 2 BLAS threads."""
+    results = arrays_at_blas_threads(_TRAIN, tmp_path)
+    for key in ("weights", "biases"):
+        np.testing.assert_array_equal(results[0][key], results[1][key])
+
+
+def test_classes_stopped_by_the_epoch_cap_warn(rng, caplog):
+    x, y = make_blobs(rng, classes=3, per_class=10, dim=4, spread=1.5, separation=2.0)
+    with caplog.at_level(logging.WARNING, logger="fvforge.classify"):
+        train_ovr(x, y, class_count=4, max_epochs=1)
+    warnings = [r.message for r in caplog.records if "not-converged" in r.message]
+    assert len(warnings) == 1
+    assert "classes=0,1,2 " in warnings[0] and "max_violation=" in warnings[0]
+    caplog.clear()
+    with caplog.at_level(logging.WARNING, logger="fvforge.classify"):
+        train_ovr(x, y, class_count=3, max_epochs=4000, tol=1e-4)
+    assert not any("not-converged" in r.message for r in caplog.records)
 
 
 def test_seed_choice_barely_moves_the_solution(rng):
@@ -110,9 +186,7 @@ def test_predict_matches_scalar_reference(rng):
         biases=rng.normal(size=3),
     )
     feature = rng.normal(size=5)
-    ours = predict_scores(model, feature).scores
-    ref = scores_reference(model.weights.tolist(), model.biases.tolist(), feature.tolist())
-    np.testing.assert_allclose(ours, ref, atol=1e-9)
+    ref = predict_scores(model, feature.tolist())
     np.testing.assert_allclose(predict_matrix(model, feature[None, :])[0], ref, atol=1e-9)
 
 
@@ -120,7 +194,7 @@ def test_zero_feature_scores_the_biases(rng):
     model = LinearModel(
         class_count=4, feature_dim=3, weights=rng.normal(size=(4, 3)), biases=rng.normal(size=4)
     )
-    np.testing.assert_allclose(predict_scores(model, np.zeros(3)).scores, model.biases)
+    np.testing.assert_allclose(predict_matrix(model, np.zeros((1, 3)))[0], model.biases)
 
 
 def test_class_without_positives_is_flagged_degenerate(rng, caplog):
