@@ -27,14 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError, ParameterError, ShapeError, ValidationError
-from .tensors import (
-    FeatureMap,
-    GlobalVector,
-    read_header,
-    read_tensor,
-    write_header,
-    write_tensor,
-)
+from .tensors import load_model, save_model
 
 logger = logging.getLogger(__name__)
 
@@ -243,19 +236,7 @@ def predict_matrix(model: LinearModel, features: np.ndarray) -> np.ndarray:
 
 def save_svm(model: LinearModel, model_dir: str | Path) -> None:
     """Write weights/biases tensors plus a text header into a directory."""
-    out = Path(model_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    write_tensor(
-        FeatureMap(model.class_count, 1, model.feature_dim, model.weights),
-        out / "weights.fvt",
-    )
-    write_tensor(
-        GlobalVector(dim=model.class_count, data=model.biases),
-        out / "biases.fvt",
-    )
     fields = {
-        "weights": "weights.fvt",
-        "biases": "biases.fvt",
         "class_count": str(model.class_count),
         "feature_dim": str(model.feature_dim),
         "c": repr(model.C),
@@ -264,39 +245,28 @@ def save_svm(model: LinearModel, model_dir: str | Path) -> None:
         fields["class_names"] = ",".join(model.class_names)
     if model.degenerate_classes:
         fields["degenerate"] = ",".join(map(str, model.degenerate_classes))
-    write_header(out / _HEADER_NAME, fields)
+    arrays = {"weights": model.weights, "biases": model.biases}
+    save_model(model_dir, _HEADER_NAME, arrays, fields)
 
 
 def load_svm(model_dir: str | Path) -> LinearModel:
-    """Inverse of save_svm; revalidates everything via the constructor."""
-    src = Path(model_dir)
-    fields = read_header(src / _HEADER_NAME)
+    """Inverse of save_svm; the shape comes from ``weights.fvt`` and must
+    match the header's class_count and feature_dim."""
+    arrays, fields = load_model(model_dir, _HEADER_NAME, {"weights": 2, "biases": 1})
     try:
-        class_count = int(fields["class_count"])
-        feature_dim = int(fields["feature_dim"])
+        shape = (int(fields["class_count"]), int(fields["feature_dim"]))
         c_value = float(fields["c"])
+        degenerate = [int(t) for t in fields.get("degenerate", "").split(",") if t]
     except KeyError as exc:
         raise ValidationError(f"model header missing key {exc}") from exc
     except ValueError as exc:
         raise ValidationError(f"bad model header value: {exc}") from exc
+    if shape != arrays["weights"].shape:
+        raise ValidationError(
+            f"header class_count x feature_dim {shape} disagrees with "
+            f"weights tensor {arrays['weights'].shape}"
+        )
     names = tuple(fields["class_names"].split(",")) if "class_names" in fields else ()
-    degenerate = (
-        tuple(int(t) for t in fields["degenerate"].split(","))
-        if "degenerate" in fields
-        else ()
-    )
-    weights = read_tensor(src / fields.get("weights", "weights.fvt"))
-    biases = read_tensor(src / fields.get("biases", "biases.fvt"))
-    if not isinstance(weights, FeatureMap) or weights.width != 1:
-        raise ValidationError("weights tensor must be rank-3 with width 1")
-    if not isinstance(biases, GlobalVector):
-        raise ValidationError("biases tensor must be rank-1")
     return LinearModel(
-        class_count=class_count,
-        feature_dim=feature_dim,
-        weights=weights.data.reshape(class_count, feature_dim).astype(np.float64),
-        biases=biases.data.astype(np.float64),
-        C=c_value,
-        class_names=names,
-        degenerate_classes=degenerate,
+        *shape, **arrays, C=c_value, class_names=names, degenerate_classes=degenerate
     )

@@ -35,6 +35,7 @@ from .tensors import (
     ScoreVector,
     atomic_write_text,
     load_manifest,
+    read_as,
     write_tensor,
 )
 
@@ -65,7 +66,7 @@ def _parse_weights(text: str) -> FusionWeights:
 
 def _read_descriptors(path: str):
     """Descriptors of a (count x 1 x dim) container file."""
-    return extract_descriptors(pipeline.read_as(path, FeatureMap))
+    return extract_descriptors(read_as(path, FeatureMap))
 
 
 # ---------------------------------------------------------------- commands
@@ -100,7 +101,7 @@ def _suffixed(path: str, tag: str) -> Path:
 
 
 def _cmd_tdd(args) -> int:
-    fmap = pipeline.read_as(args.infile, FeatureMap)
+    fmap = read_as(args.infile, FeatureMap)
     modes = VARIANTS if args.mode == "both" else (args.mode,)
     for mode in modes:
         container = descriptors_to_map(variant_descriptors(fmap, mode))
@@ -164,7 +165,7 @@ def _cmd_encode_fv(args) -> int:
 
 def _cmd_fuse(args) -> int:
     weights = _parse_weights(args.alpha)
-    first, second = (pipeline.read_as(p, GlobalVector) for p in args.inputs)
+    first, second = (read_as(p, GlobalVector) for p in args.inputs)
     if args.mode == "scores":
         fused = fuse_scores(
             ScoreVector(first.dim, first.data),

@@ -18,7 +18,6 @@ from .errors import DataError, FormatError, ParameterError
 from .fisher import BLOCK_MODES
 from .fusion import FusionWeights
 from .normalize import VARIANTS
-from .tensors import atomic_write_text
 
 SCENARIOS = (
     "softmax_fusion",
@@ -216,7 +215,3 @@ def load_config(path: str | Path | None = None) -> PipelineConfig:
             if unknown:
                 raise FormatError(f"{src}: unknown key(s) in [{section}]: {unknown}")
     return _parse(parser)
-
-
-def write_default_config(path: str | Path) -> None:
-    atomic_write_text(path, DEFAULT_CONFIG_TEXT)

@@ -130,15 +130,3 @@ def l2_normalize(vec: GlobalVector, epsilon: float = 1e-12) -> GlobalVector:
         data=unit_norm(vec.data.astype(np.float64), epsilon),
         nonnegative=vec.nonnegative,
     )
-
-
-def concat_variant_fvs(channel_fv: FisherVector, spatial_fv: FisherVector) -> np.ndarray:
-    """Join the two TDD-variant encodings of one image region.
-
-    Both inputs must already be fully normalized; the channel variant
-    comes first and the concatenation is l2-normalized once more.
-    """
-    for fv, name in ((channel_fv, "channel"), (spatial_fv, "spatial")):
-        if "l2" not in fv.normalized:
-            raise ParameterError(f"{name} Fisher vector is not normalized")
-    return unit_norm(np.concatenate([channel_fv.data, spatial_fv.data]))

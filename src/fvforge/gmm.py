@@ -16,21 +16,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import (
-    NumericError,
-    ParameterError,
-    ShapeError,
-    ValidationError,
-)
+from .errors import NumericError, ParameterError, ShapeError
 from .normalize import DescriptorSet
-from .tensors import (
-    FeatureMap,
-    GlobalVector,
-    read_header,
-    read_tensor,
-    write_header,
-    write_tensor,
-)
+from .tensors import load_model, save_model
 
 logger = logging.getLogger(__name__)
 
@@ -233,64 +221,30 @@ def fit_gmm(
     )
 
 
-def _model_posterior(model: GmmModel, x):
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != model.dim:
-        raise ShapeError(f"descriptors of shape {x.shape} for model dim {model.dim}")
-    return _posterior(x, model.weights, model.means, model.variances)
-
-
 def responsibilities(model: GmmModel, x) -> np.ndarray:
     """Posterior component probabilities (N, K) of an (N, dim) descriptor
     array, via log-sum-exp; a float64 array is used without a copy."""
-    return _model_posterior(model, x)[0]
-
-
-def log_likelihood(model: GmmModel, x) -> float:
-    """Total log-likelihood of an (N, dim) descriptor array under the mixture."""
-    total = float(_model_posterior(model, x)[1].sum())
-    if not np.isfinite(total):
-        raise NumericError("log-likelihood is not finite")
-    return total
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 2 or x.shape[1] != model.dim:
+        raise ShapeError(f"descriptors of shape {x.shape} for model dim {model.dim}")
+    return _posterior(x, model.weights, model.means, model.variances)[0]
 
 
 def save_gmm(model: GmmModel, model_dir: str | Path) -> None:
     """Write weights/means/variances tensors plus a header naming them."""
-    model_dir = Path(model_dir)
-    model_dir.mkdir(parents=True, exist_ok=True)
-    write_tensor(GlobalVector(model.K, model.weights), model_dir / "weights.fvt")
-    write_tensor(FeatureMap(model.K, 1, model.dim, model.means), model_dir / "means.fvt")
-    write_tensor(
-        FeatureMap(model.K, 1, model.dim, model.variances), model_dir / "variances.fvt"
-    )
-    write_header(
-        model_dir / _HEADER_NAME,
-        {"weights": "weights.fvt", "means": "means.fvt", "variances": "variances.fvt"},
+    save_model(
+        model_dir, _HEADER_NAME,
+        {"weights": model.weights, "means": model.means, "variances": model.variances},
     )
 
 
 def load_gmm(model_dir: str | Path) -> GmmModel:
     """Load a serialized mixture; float32 weights are renormalized to sum to 1."""
-    model_dir = Path(model_dir)
-    header = read_header(model_dir / _HEADER_NAME)
-    for key in ("weights", "means", "variances"):
-        if key not in header:
-            raise ValidationError(f"GMM header missing '{key}'")
-    weights, means, variances = (
-        read_tensor(model_dir / header[key]) for key in ("weights", "means", "variances")
+    arrays, _ = load_model(
+        model_dir, _HEADER_NAME, {"weights": 1, "means": 2, "variances": 2}
     )
-    if not isinstance(weights, GlobalVector) or not all(
-        isinstance(t, FeatureMap) and t.width == 1 for t in (means, variances)
-    ):
-        raise ValidationError("GMM payload tensors have unexpected ranks or widths")
-    w = weights.data.astype(np.float64)
-    total = w.sum()
+    total = arrays["weights"].sum()
     if not total > 0.0:
         raise NumericError("serialized mixture weights do not sum to a positive value")
-    return GmmModel(
-        K=weights.dim,
-        dim=means.channels,
-        weights=w / total,
-        means=means.data.reshape(means.height, means.channels),
-        variances=variances.data.reshape(variances.height, variances.channels),
-    )
+    arrays["weights"] = arrays["weights"] / total
+    return GmmModel(K=arrays["weights"].size, dim=arrays["means"].shape[1], **arrays)

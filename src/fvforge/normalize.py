@@ -126,14 +126,3 @@ def descriptors_to_map(ds: DescriptorSet) -> FeatureMap:
     return FeatureMap(
         height=ds.count, width=1, channels=ds.dim, data=ds.descriptors
     )
-
-
-def map_to_descriptors(fmap: FeatureMap, provenance: str = "raw") -> DescriptorSet:
-    """Inverse of descriptors_to_map; requires width == 1."""
-    if fmap.width != 1:
-        raise ShapeError(f"descriptor container must have width 1, got {fmap.width}")
-    return DescriptorSet(
-        dim=fmap.channels,
-        descriptors=fmap.data.reshape(fmap.height, fmap.channels),
-        provenance=provenance,
-    )

@@ -13,16 +13,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import NumericError, ParameterError, ShapeError, ValidationError
+from .errors import NumericError, ParameterError, ShapeError
 from .normalize import DescriptorSet
-from .tensors import (
-    FeatureMap,
-    GlobalVector,
-    read_header,
-    read_tensor,
-    write_header,
-    write_tensor,
-)
+from .tensors import load_model, save_model
 
 ORTHONORMALITY_TOL = 1e-6
 
@@ -111,42 +104,17 @@ def project(model: PcaModel, descriptors: DescriptorSet) -> DescriptorSet:
 
 def save_pca(model: PcaModel, model_dir: str | Path) -> None:
     """Write mean/basis/eigenvalue tensors plus a header naming them."""
-    model_dir = Path(model_dir)
-    model_dir.mkdir(parents=True, exist_ok=True)
-    write_tensor(GlobalVector(model.input_dim, model.mean), model_dir / "mean.fvt")
-    write_tensor(
-        FeatureMap(model.output_dim, 1, model.input_dim, model.basis),
-        model_dir / "basis.fvt",
-    )
-    write_tensor(
-        GlobalVector(model.output_dim, model.eigenvalues),
-        model_dir / "eigenvalues.fvt",
-    )
-    write_header(
-        model_dir / _HEADER_NAME,
-        {"mean": "mean.fvt", "basis": "basis.fvt", "eigenvalues": "eigenvalues.fvt"},
+    save_model(
+        model_dir, _HEADER_NAME,
+        {"mean": model.mean, "basis": model.basis, "eigenvalues": model.eigenvalues},
     )
 
 
 def load_pca(model_dir: str | Path) -> PcaModel:
     """Load a serialized model; orthonormality is re-checked on load."""
-    model_dir = Path(model_dir)
-    header = read_header(model_dir / _HEADER_NAME)
-    for key in ("mean", "basis", "eigenvalues"):
-        if key not in header:
-            raise ValidationError(f"PCA header missing '{key}'")
-    mean = read_tensor(model_dir / header["mean"])
-    basis = read_tensor(model_dir / header["basis"])
-    eig = read_tensor(model_dir / header["eigenvalues"])
-    if not (
-        isinstance(mean, GlobalVector) and isinstance(eig, GlobalVector)
-        and isinstance(basis, FeatureMap) and basis.width == 1
-    ):
-        raise ValidationError("PCA payload tensors have unexpected ranks or widths")
+    arrays, _ = load_model(
+        model_dir, _HEADER_NAME, {"mean": 1, "basis": 2, "eigenvalues": 1}
+    )
     return PcaModel(
-        input_dim=mean.dim,
-        output_dim=basis.height,
-        mean=mean.data,
-        basis=basis.data.reshape(basis.height, basis.channels),
-        eigenvalues=eig.data,
+        input_dim=arrays["mean"].size, output_dim=arrays["basis"].shape[0], **arrays
     )

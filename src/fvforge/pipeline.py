@@ -1,10 +1,10 @@
 """Pipeline stages and the end-to-end scenario runs built from them.
 
-Every stage — typed reads, descriptor stacking, model fitting, Fisher
-encoding, fusion, classifier training and evaluation — is written once
-here.  The scenario runners below and the per-stage subcommands in
-``cli`` call the same stage functions, so a scripted chain of
-subcommands reproduces ``run`` byte for byte.
+Every stage — descriptor stacking, model fitting, Fisher encoding,
+fusion, classifier training and evaluation — is written once here.
+The scenario runners below and the per-stage subcommands in ``cli``
+call the same stage functions, so a scripted chain of subcommands
+reproduces ``run`` byte for byte.
 
 Four run modes share one discipline: models are fit on train-role
 entries only, every cross-stage handoff goes through the float32 file
@@ -50,7 +50,7 @@ from .tensors import (
     ManifestEntry,
     ScoreVector,
     load_manifest,
-    read_tensor,
+    read_as,
     write_tensor,
 )
 
@@ -76,14 +76,6 @@ def _file_round(vec: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------- stages
-
-
-def read_as(path: str | Path, expect: type):
-    """Read a tensor file that must hold an ``expect`` container."""
-    tensor = read_tensor(path)
-    if not isinstance(tensor, expect):
-        raise ValidationError(f"{path}: expected a {expect.__name__} tensor")
-    return tensor
 
 
 def entries_for_role(manifest: Manifest, role: str):

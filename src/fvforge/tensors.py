@@ -1,4 +1,5 @@
-"""Dense activation containers, the binary tensor file format, and manifests.
+"""Dense activation containers, the binary tensor file format, model
+directories and manifests.
 
 The on-disk tensor format is a little-endian container:
 
@@ -9,6 +10,12 @@ The on-disk tensor format is a little-endian container:
     byte  7     flags (bit 0: values declared nonnegative)
     next        rank x uint32 dims
     rest        row-major float32 payload, (height, width, channels) for rank 3
+
+A fitted model (PCA, GMM, SVM bank) is a directory written by
+``save_model`` and read by ``load_model``: one ``<name>.fvt`` per array,
+vectors at rank 1 and (rows, cols) matrices as (rows, 1, cols), plus a
+UTF-8 header of ``key=value`` lines (``#`` lines are comments) that maps
+each array name to its file, followed by any scalar fields.
 
 Manifests are line-oriented UTF-8 text:
 
@@ -151,10 +158,9 @@ def atomic_write_text(path: str | Path, text: str) -> None:
     atomic_write_bytes(path, text.encode("utf-8"))
 
 
-def read_header(path: str | Path) -> dict[str, str]:
-    """Parse a key=value model header file; '#' lines are comments."""
+def _read_header(path: Path) -> dict[str, str]:
     fields: dict[str, str] = {}
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
+    for line in path.read_text(encoding="utf-8").splitlines():
         line = line.strip()
         if not line or line.startswith("#"):
             continue
@@ -163,10 +169,6 @@ def read_header(path: str | Path) -> dict[str, str]:
             raise ValidationError(f"{path}: malformed header line '{line}'")
         fields[key.strip()] = value.strip()
     return fields
-
-
-def write_header(path: str | Path, fields: dict[str, str]) -> None:
-    atomic_write_text(path, "".join(f"{k}={v}\n" for k, v in fields.items()))
 
 
 def write_tensor(tensor: FeatureMap | GlobalVector, path: str | Path) -> None:
@@ -232,6 +234,65 @@ def read_tensor(path: str | Path) -> FeatureMap | GlobalVector:
         )
     except DataError as exc:
         raise DataError(f"{path}: {exc}") from exc
+
+
+def read_as(path: str | Path, expect: type):
+    """Read a tensor file that must hold an ``expect`` container."""
+    tensor = read_tensor(path)
+    if not isinstance(tensor, expect):
+        raise ValidationError(f"{path}: expected a {expect.__name__} tensor")
+    return tensor
+
+
+def save_model(
+    model_dir: str | Path,
+    header_name: str,
+    arrays: dict[str, np.ndarray],
+    fields: dict[str, str] | None = None,
+) -> None:
+    """Write each array to ``<name>.fvt``, then a header naming them.
+
+    1-D arrays are stored at rank 1, 2-D (rows, cols) arrays as
+    (rows, 1, cols).  The header lists the arrays first, then ``fields``.
+    """
+    model_dir = Path(model_dir)
+    model_dir.mkdir(parents=True, exist_ok=True)
+    header = {}
+    for name, arr in arrays.items():
+        if arr.ndim == 1:
+            tensor = GlobalVector(arr.size, arr)
+        else:
+            tensor = FeatureMap(arr.shape[0], 1, arr.shape[1], arr)
+        write_tensor(tensor, model_dir / f"{name}.fvt")
+        header[name] = f"{name}.fvt"
+    header.update(fields or {})
+    atomic_write_text(
+        model_dir / header_name, "".join(f"{k}={v}\n" for k, v in header.items())
+    )
+
+
+def load_model(
+    model_dir: str | Path, header_name: str, ranks: dict[str, int]
+) -> tuple[dict[str, np.ndarray], dict[str, str]]:
+    """Inverse of ``save_model``: float64 arrays by name, and the header.
+
+    ``ranks`` gives each array's dimensionality (1 or 2) in read order; a
+    missing header key, a tensor of the wrong rank or a matrix stored at
+    width other than 1 raises ValidationError.
+    """
+    model_dir = Path(model_dir)
+    header = _read_header(model_dir / header_name)
+    arrays = {}
+    for name, rank in ranks.items():
+        if name not in header:
+            raise ValidationError(f"{model_dir / header_name}: missing '{name}'")
+        path = model_dir / header[name]
+        tensor = read_as(path, GlobalVector if rank == 1 else FeatureMap)
+        if rank == 2 and tensor.width != 1:
+            raise ValidationError(f"{path}: matrix stored at width {tensor.width}")
+        data = tensor.data if rank == 1 else tensor.data.reshape(tensor.height, -1)
+        arrays[name] = data.astype(np.float64)
+    return arrays, header
 
 
 @dataclass(frozen=True)

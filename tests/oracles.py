@@ -3,12 +3,21 @@
 Everything here is deliberately written in plain Python scalar loops
 (no numpy vectorization, no shared helpers from the package) so each
 function is an independent derivation of the same math.  Slow is fine;
-these run on tiny inputs.
+these run on tiny inputs.  The last section holds small helpers that
+only tests need; they build the package's containers and raise its
+error types.
 """
 
 from __future__ import annotations
 
 import math
+from pathlib import Path
+
+import numpy as np
+
+from fvforge.config import DEFAULT_CONFIG_TEXT
+from fvforge.errors import ParameterError, ShapeError
+from fvforge.normalize import DescriptorSet
 
 
 # ------------------------------------------------------------ geometry
@@ -107,6 +116,22 @@ def gmm_responsibilities_reference(weights, means, variances, points):
         total = sum(dens)
         gamma.append([v / total for v in dens])
     return gamma
+
+
+def log_likelihood(model, points):
+    """Total log-likelihood of the points under the mixture, scalar loops."""
+    total = 0.0
+    for x in points:
+        logs = []
+        for w, mu, var in zip(model.weights, model.means, model.variances):
+            log_den = math.log(w)
+            for j in range(model.dim):
+                diff = x[j] - mu[j]
+                log_den -= 0.5 * math.log(2.0 * math.pi * var[j])
+                log_den -= 0.5 * diff * diff / var[j]
+            logs.append(log_den)
+        total += logsumexp_reference(logs)
+    return total
 
 
 def gmm_moments_reference(gamma, points):
@@ -361,3 +386,30 @@ def sum_pool_reference(vectors):
 def logsumexp_reference(values):
     peak = max(values)
     return peak + math.log(sum(math.exp(v - peak) for v in values))
+
+
+# ------------------------------------------------------ test-only helpers
+
+
+def map_to_descriptors(fmap, provenance="raw"):
+    """Inverse of ``normalize.descriptors_to_map``; requires width == 1."""
+    if fmap.width != 1:
+        raise ShapeError(f"descriptor container must have width 1, got {fmap.width}")
+    return DescriptorSet(
+        dim=fmap.channels, descriptors=fmap.data[:, 0, :], provenance=provenance
+    )
+
+
+def concat_variant_fvs(channel_fv, spatial_fv):
+    """Join the two fully normalized TDD-variant Fisher vectors of one
+    region, channel first, and l2-normalize the concatenation once more."""
+    for fv, name in ((channel_fv, "channel"), (spatial_fv, "spatial")):
+        if "l2" not in fv.normalized:
+            raise ParameterError(f"{name} Fisher vector is not normalized")
+    joined = np.concatenate([channel_fv.data, spatial_fv.data])
+    return joined / max(float(np.linalg.norm(joined)), 1e-12)
+
+
+def write_default_config(path):
+    """Write the default configuration text to ``path``."""
+    Path(path).write_text(DEFAULT_CONFIG_TEXT, encoding="utf-8")

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from fvforge.classify import LinearModel, save_svm
 from fvforge.cli import main
 from fvforge.gmm import GmmModel, save_gmm
 from fvforge.pca import PcaModel, save_pca
@@ -173,12 +174,20 @@ def test_corrupted_mixture_exits_four(tmp_path):
         ("encode-fv", "means.fvt", FeatureMap(2, 3, 1, np.zeros(6))),
         ("apply-pca", "basis.fvt", FeatureMap(2, 3, 1, np.zeros(6))),
         ("apply-pca", "eigenvalues.fvt", FeatureMap(2, 1, 1, np.ones(2))),
+        ("predict", "svm.model", "weights=weights.fvt\nbiases=biases.fvt\n"
+         "class_count=3\nfeature_dim=5\nc=1.0\n"),
+        ("predict", "weights.fvt", FeatureMap(2, 1, 9, np.zeros(18))),
     ],
-    ids=["gmm-rank1-variances", "gmm-wide-means", "pca-wide-basis", "pca-rank3-eigenvalues"],
+    ids=[
+        "gmm-rank1-variances", "gmm-wide-means", "pca-wide-basis",
+        "pca-rank3-eigenvalues", "svm-header-feature-dim", "svm-weights-shape",
+    ],
 )
 def test_malformed_model_tensor_exits_three(tmp_path, command, payload, bad):
-    """A model payload of the wrong rank or width is a typed data error."""
+    """A model payload of the wrong rank, width or shape is a typed data error."""
     model_dir = tmp_path / "model"
+    infile = tmp_path / "in.fvt"
+    write_tensor(FeatureMap(4, 1, 3, np.arange(12.0)), infile)
     if command == "encode-fv":
         save_gmm(
             GmmModel(
@@ -187,8 +196,8 @@ def test_malformed_model_tensor_exits_three(tmp_path, command, payload, bad):
             ),
             model_dir,
         )
-        argv = ["encode-fv", "--gmm", str(model_dir)]
-    else:
+        argv = ["encode-fv", "--gmm", str(model_dir), str(infile)]
+    elif command == "apply-pca":
         save_pca(
             PcaModel(
                 input_dim=3, output_dim=2, mean=np.zeros(3),
@@ -196,12 +205,24 @@ def test_malformed_model_tensor_exits_three(tmp_path, command, payload, bad):
             ),
             model_dir,
         )
-        argv = ["apply-pca", "--model", str(model_dir), "--in"]
-    write_tensor(bad, model_dir / payload)
-    infile = tmp_path / "in.fvt"
-    write_tensor(FeatureMap(4, 1, 3, np.arange(12.0)), infile)
+        argv = ["apply-pca", "--model", str(model_dir), "--in", str(infile)]
+    else:
+        save_svm(LinearModel(3, 6, np.zeros((3, 6)), np.zeros(3)), model_dir)
+        features = tmp_path / "features"
+        features.mkdir()
+        write_tensor(GlobalVector(6, np.ones(6)), features / "img.fvt")
+        manifest = tmp_path / "data.manifest"
+        manifest.write_text("classes: a,b,c\nimg\t0\tobject:fc7=img.fvt\ttest\n")
+        argv = [
+            "predict", "--model", str(model_dir), "--in", str(features),
+            "--manifest", str(manifest),
+        ]
+    if isinstance(bad, str):
+        (model_dir / payload).write_text(bad)
+    else:
+        write_tensor(bad, model_dir / payload)
     out = tmp_path / "out.fvt"
-    assert main(argv + [str(infile), "--out", str(out)]) == 3
+    assert main(argv + ["--out", str(out)]) == 3
     assert not out.exists()
 
 

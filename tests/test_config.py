@@ -6,13 +6,10 @@ from pathlib import Path
 
 import pytest
 
-from fvforge.config import (
-    DEFAULT_CONFIG_TEXT,
-    PipelineConfig,
-    load_config,
-    write_default_config,
-)
+from fvforge.config import DEFAULT_CONFIG_TEXT, PipelineConfig, load_config
 from fvforge.errors import DataError, FormatError, ParameterError
+
+from oracles import write_default_config
 
 
 def test_defaults_without_a_file():

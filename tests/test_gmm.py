@@ -13,7 +13,6 @@ from fvforge.gmm import (
     GmmModel,
     fit_gmm,
     load_gmm,
-    log_likelihood,
     logsumexp,
     moments,
     responsibilities,
@@ -25,6 +24,7 @@ from conftest import arrays_at_blas_threads, random_descriptors, random_gmm
 from oracles import (
     gmm_moments_reference,
     gmm_responsibilities_reference,
+    log_likelihood,
     logsumexp_reference,
 )
 

@@ -11,14 +11,17 @@ from fvforge.normalize import (
     channel_normalize,
     descriptors_to_map,
     extract_descriptors,
-    map_to_descriptors,
     normalize_variant,
     spatial_normalize,
     variant_provenance,
 )
 from fvforge.tensors import FeatureMap
 
-from oracles import channel_normalize_reference, spatial_normalize_reference
+from oracles import (
+    channel_normalize_reference,
+    map_to_descriptors,
+    spatial_normalize_reference,
+)
 
 
 def _random_map(rng, h=5, w=4, c=6):

@@ -14,7 +14,6 @@ from fvforge.errors import ParameterError, ShapeError, ValidationError
 from fvforge.evaluation import evaluate, read_scores_csv
 from fvforge.fisher import (
     FisherVector,
-    concat_variant_fvs,
     encode_fv,
     intra_normalize,
     l2_normalize,
@@ -28,6 +27,8 @@ from fvforge.pca import load_pca, project
 from fvforge.pipeline import derived_seed, run
 from fvforge.synth import SynthSpec, generate_dataset
 from fvforge.tensors import STREAMS, Manifest, read_tensor
+
+from oracles import concat_variant_fvs
 
 SPEC = SynthSpec(
     classes=4,

@@ -18,6 +18,10 @@ from fvforge.errors import (
     ShapeError,
     ValidationError,
 )
+from fvforge.classify import load_svm, save_svm, train_ovr
+from fvforge.gmm import fit_gmm, load_gmm, save_gmm
+from fvforge.normalize import DescriptorSet
+from fvforge.pca import fit_pca, load_pca, save_pca
 from fvforge.tensors import (
     FeatureMap,
     GlobalVector,
@@ -148,6 +152,52 @@ def test_round_trip_property(tmp_path_factory, dims, seed):
     path = tmp_path_factory.mktemp("rt") / "x.fvt"
     write_tensor(tensor, path)
     assert read_tensor(path).data.tobytes() == data.tobytes()
+
+
+# ---------------------------------------------------- model directories
+
+
+def _fit_model(kind, rng):
+    x = rng.normal(size=(60, 4))
+    if kind == "pca":
+        return fit_pca(DescriptorSet(4, x), 3)
+    if kind == "gmm":
+        return fit_gmm(DescriptorSet(4, x), 2, seed=3)
+    # Class 2 has no training images, so it is stored as degenerate.
+    return train_ovr(x, np.arange(60) % 2, 3, C=0.5, class_names=("a", "b", "c"))
+
+
+MODEL_FORMATS = {
+    "pca": (save_pca, load_pca, "pca.model",
+            "mean=mean.fvt\nbasis=basis.fvt\neigenvalues=eigenvalues.fvt\n",
+            {"mean.fvt": (4,), "basis.fvt": (3, 1, 4), "eigenvalues.fvt": (3,)}),
+    "gmm": (save_gmm, load_gmm, "gmm.model",
+            "weights=weights.fvt\nmeans=means.fvt\nvariances=variances.fvt\n",
+            {"weights.fvt": (2,), "means.fvt": (2, 1, 4), "variances.fvt": (2, 1, 4)}),
+    "svm": (save_svm, load_svm, "svm.model",
+            "weights=weights.fvt\nbiases=biases.fvt\nclass_count=3\nfeature_dim=4\n"
+            "c=0.5\nclass_names=a,b,c\ndegenerate=2\n",
+            {"weights.fvt": (3, 1, 4), "biases.fvt": (3,)}),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(MODEL_FORMATS))
+def test_model_directory_bytes_are_pinned(rng, tmp_path, kind):
+    """save -> load -> save is byte-identical, and the header text, key
+    order included, and the tensor shapes are fixed."""
+    save, load, header_name, header_text, shapes = MODEL_FORMATS[kind]
+    save(_fit_model(kind, rng), tmp_path / "first")
+    save(load(tmp_path / "first"), tmp_path / "second")
+    first, second = (
+        {p.name: p.read_bytes() for p in (tmp_path / d).iterdir()}
+        for d in ("first", "second")
+    )
+    assert first == second
+    assert sorted(first) == sorted([header_name, *shapes])
+    assert first[header_name].decode("utf-8") == header_text
+    for name, shape in shapes.items():
+        tensor = read_tensor(tmp_path / "first" / name)
+        assert tensor.data.shape == shape
 
 
 # ------------------------------------------------------------ manifest
