@@ -14,8 +14,6 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ParameterError, ShapeError
-from .fisher import FisherVector
-from .tensors import GlobalVector
 
 
 @dataclass(frozen=True)
@@ -91,32 +89,15 @@ def plan_views(
     return ViewPlan(views=tuple(views))
 
 
-def sum_pool(view_vectors: Sequence[GlobalVector | FisherVector]):
-    """Elementwise sum of per-view representations, preserving the type.
+def sum_pool(view_vectors: Sequence[np.ndarray]) -> np.ndarray:
+    """Elementwise float64 sum of per-view arrays that share one shape.
 
-    Summation only; whether the caller normalizes before or after pooling
-    is a pipeline policy, not decided here.
+    Summation only; whether the caller normalizes or rounds before or
+    after pooling is a pipeline policy, not decided here.
     """
     if not view_vectors:
         raise ParameterError("sum_pool requires at least one view")
-    first = view_vectors[0]
-    if isinstance(first, GlobalVector):
-        for v in view_vectors[1:]:
-            if not isinstance(v, GlobalVector) or v.dim != first.dim:
-                raise ShapeError("sum_pool inputs must share type and dim")
-        total = np.sum([v.data.astype(np.float64) for v in view_vectors], axis=0)
-        return GlobalVector(dim=first.dim, data=total)
-    if isinstance(first, FisherVector):
-        for v in view_vectors[1:]:
-            if (
-                not isinstance(v, FisherVector)
-                or v.K != first.K
-                or v.d != first.d
-                or v.normalized != first.normalized
-            ):
-                raise ShapeError(
-                    "sum_pool inputs must share K, d, and normalization state"
-                )
-        total = np.sum([v.data for v in view_vectors], axis=0)
-        return FisherVector(K=first.K, d=first.d, data=total, normalized=first.normalized)
-    raise ParameterError(f"cannot pool {type(first).__name__}")
+    shape = np.shape(view_vectors[0])
+    if any(np.shape(v) != shape for v in view_vectors):
+        raise ShapeError("sum_pool inputs must share one shape")
+    return np.sum([np.asarray(v, dtype=np.float64) for v in view_vectors], axis=0)

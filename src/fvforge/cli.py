@@ -148,6 +148,8 @@ def _cmd_encode_fv(args) -> int:
             )
     if "none" in tokens and len(tokens) > 1:
         raise ParameterError("--norm none cannot be combined with other tokens")
+    if tokens.count("intra") > 1:
+        raise ParameterError("--norm intra can be applied only once")
     effective = () if tokens == ("none",) else tokens
 
     model = load_gmm(args.gmm)
@@ -155,10 +157,10 @@ def _cmd_encode_fv(args) -> int:
     fv = pipeline.encode_views(
         model, views, effective, args.intra_mode, args.pooling_order
     )
-    write_tensor(GlobalVector(dim=fv.data.size, data=fv.data), args.out)
+    write_tensor(GlobalVector(dim=fv.size, data=fv), args.out)
     logger.info(
         "stage=encode-fv views=%d k=%d dim=%d out=%s",
-        len(views), fv.K, fv.data.size, args.out,
+        len(views), model.K, fv.size, args.out,
     )
     return 0
 

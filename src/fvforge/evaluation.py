@@ -187,7 +187,8 @@ def write_scores_csv(
 
 
 def read_scores_csv(path: str | Path) -> tuple[list[str], np.ndarray]:
-    """Inverse of write_scores_csv; validates the header and row widths."""
+    """Inverse of write_scores_csv; validates the header, row widths and
+    that no image id repeats."""
     src = Path(path)
     try:
         with src.open(newline="") as fh:
@@ -206,6 +207,7 @@ def read_scores_csv(path: str | Path) -> tuple[list[str], np.ndarray]:
     if header[1:] != expected:
         raise ValidationError(f"scores file {src} has malformed score columns")
     ids: list[str] = []
+    seen: set[str] = set()
     data = np.zeros((len(rows) - 1, class_count))
     for i, row in enumerate(rows[1:]):
         if len(row) != class_count + 1:
@@ -213,6 +215,11 @@ def read_scores_csv(path: str | Path) -> tuple[list[str], np.ndarray]:
                 f"scores file {src} row {i + 2} has {len(row)} fields, "
                 f"expected {class_count + 1}"
             )
+        if row[0] in seen:
+            raise ValidationError(
+                f"scores file {src} row {i + 2} repeats image id '{row[0]}'"
+            )
+        seen.add(row[0])
         ids.append(row[0])
         try:
             data[i] = [float(v) for v in row[1:]]

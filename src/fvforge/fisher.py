@@ -17,11 +17,8 @@ import numpy as np
 from . import gmm as gmm_mod
 from .errors import DataError, ParameterError, ShapeError
 from .normalize import DescriptorSet
-from .tensors import GlobalVector
 
 BLOCK_MODES = ("per_order", "per_gaussian")
-
-_NORM_FLAGS = ("intra", "power", "l2")
 
 
 @dataclass(frozen=True)
@@ -31,7 +28,6 @@ class FisherVector:
     K: int
     d: int
     data: np.ndarray
-    normalized: frozenset[str] = frozenset()
 
     def __post_init__(self):
         if self.K < 1 or self.d < 1:
@@ -43,18 +39,8 @@ class FisherVector:
             )
         if not np.all(np.isfinite(arr)):
             raise DataError("Fisher vector contains non-finite values")
-        unknown = set(self.normalized) - set(_NORM_FLAGS)
-        if unknown:
-            raise ParameterError(f"unknown normalization flags {sorted(unknown)}")
         arr.flags.writeable = False
         object.__setattr__(self, "data", arr)
-        object.__setattr__(self, "normalized", frozenset(self.normalized))
-
-    def block_u(self, k: int) -> np.ndarray:
-        return self.data[2 * k * self.d : (2 * k + 1) * self.d]
-
-    def block_v(self, k: int) -> np.ndarray:
-        return self.data[(2 * k + 1) * self.d : (2 * k + 2) * self.d]
 
 
 def encode_fv(model: gmm_mod.GmmModel, descriptors: DescriptorSet) -> FisherVector:
@@ -84,18 +70,13 @@ def intra_normalize(fv: FisherVector, block_mode: str = "per_order") -> FisherVe
     ``per_gaussian`` joins each component's pair into one length-2d
     block.  Zero blocks stay zero.
     """
-    if "intra" in fv.normalized:
-        raise ParameterError("intra normalization already applied")
     if block_mode not in BLOCK_MODES:
         raise ParameterError(f"unknown block_mode '{block_mode}'")
     block_len = fv.d if block_mode == "per_order" else 2 * fv.d
     blocks = fv.data.reshape(-1, block_len).copy()
     norms = np.linalg.norm(blocks, axis=1, keepdims=True)
     np.divide(blocks, norms, out=blocks, where=norms > 0.0)
-    return FisherVector(
-        K=fv.K, d=fv.d, data=blocks.reshape(-1),
-        normalized=fv.normalized | {"intra"},
-    )
+    return FisherVector(K=fv.K, d=fv.d, data=blocks.reshape(-1))
 
 
 def unit_norm(vec: np.ndarray, epsilon: float = 1e-12) -> np.ndarray:
@@ -103,30 +84,7 @@ def unit_norm(vec: np.ndarray, epsilon: float = 1e-12) -> np.ndarray:
     return vec / max(float(np.linalg.norm(vec)), epsilon)
 
 
-def power_l2_normalize(vec):
-    """Signed square root of every entry, then global l2 normalization.
-
-    Accepts a FisherVector or a GlobalVector and returns the same type.
-    """
-    if isinstance(vec, FisherVector):
-        data = np.sign(vec.data) * np.sqrt(np.abs(vec.data))
-        return FisherVector(
-            K=vec.K, d=vec.d, data=unit_norm(data),
-            normalized=vec.normalized | {"power", "l2"},
-        )
-    if isinstance(vec, GlobalVector):
-        data = vec.data.astype(np.float64)
-        data = np.sign(data) * np.sqrt(np.abs(data))
-        return GlobalVector(dim=vec.dim, data=unit_norm(data))
-    raise ParameterError(f"cannot power-l2 normalize {type(vec).__name__}")
-
-
-def l2_normalize(vec: GlobalVector, epsilon: float = 1e-12) -> GlobalVector:
-    """Plain l2 normalization for global representations; idempotent."""
-    if not isinstance(vec, GlobalVector):
-        raise ParameterError(f"l2_normalize expects a GlobalVector, got {type(vec).__name__}")
-    return GlobalVector(
-        dim=vec.dim,
-        data=unit_norm(vec.data.astype(np.float64), epsilon),
-        nonnegative=vec.nonnegative,
-    )
+def power_l2_normalize(fv: FisherVector) -> FisherVector:
+    """Signed square root of every entry, then global l2 normalization."""
+    data = np.sign(fv.data) * np.sqrt(np.abs(fv.data))
+    return FisherVector(K=fv.K, d=fv.d, data=unit_norm(data))

@@ -29,25 +29,9 @@ class FusionWeights:
 
 @dataclass(frozen=True)
 class FusedFeature:
-    """Concatenated two-stream feature plus the index where the second starts."""
+    """Concatenated two-stream feature, object block first."""
 
     data: np.ndarray
-    boundary: int
-
-    def __post_init__(self):
-        arr = np.ascontiguousarray(self.data, dtype=np.float64).reshape(-1)
-        if not 0 <= self.boundary <= arr.size:
-            raise ShapeError(
-                f"boundary {self.boundary} outside [0, {arr.size}]"
-            )
-        if not np.all(np.isfinite(arr)):
-            raise DataError("fused feature contains non-finite values")
-        arr.flags.writeable = False
-        object.__setattr__(self, "data", arr)
-
-    @property
-    def dim(self) -> int:
-        return int(self.data.size)
 
 
 def fuse_scores(
@@ -71,11 +55,11 @@ def concat_features(
     scene_feat: np.ndarray,
     w: FusionWeights | None = None,
 ) -> FusedFeature:
-    """[w_o * object_feat, w_s * scene_feat] with the block boundary kept."""
+    """[w_o * object_feat, w_s * scene_feat] as one float64 vector."""
     w = w or FusionWeights()
     o = np.ascontiguousarray(object_feat, dtype=np.float64).reshape(-1)
     s = np.ascontiguousarray(scene_feat, dtype=np.float64).reshape(-1)
     if not (np.all(np.isfinite(o)) and np.all(np.isfinite(s))):
         raise DataError("stream features must be finite")
     fused = np.concatenate([w.object_weight * o, w.scene_weight * s])
-    return FusedFeature(data=fused, boundary=o.size)
+    return FusedFeature(data=fused)

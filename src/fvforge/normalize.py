@@ -15,8 +15,6 @@ import numpy as np
 from .errors import DataError, ParameterError, ShapeError
 from .tensors import FeatureMap
 
-PROVENANCES = ("raw", "channel_norm", "spatial_norm")
-
 VARIANTS = ("channel", "spatial")
 
 DEFAULT_EPSILON = 1e-12
@@ -33,13 +31,10 @@ class DescriptorSet:
 
     dim: int
     descriptors: np.ndarray
-    provenance: str = "raw"
 
     def __post_init__(self):
         if self.dim < 1:
             raise ParameterError("descriptor dim must be positive")
-        if self.provenance not in PROVENANCES:
-            raise ParameterError(f"unknown provenance '{self.provenance}'")
         arr = np.ascontiguousarray(self.descriptors, dtype=np.float32)
         if arr.ndim != 2 or arr.shape[1] != self.dim:
             raise ShapeError(
@@ -103,22 +98,15 @@ def normalize_variant(
     raise ParameterError(f"unknown variant '{variant}'; choose from {VARIANTS}")
 
 
-def variant_provenance(variant: str) -> str:
-    """Descriptor provenance tag matching a normalization variant."""
-    if variant not in VARIANTS:
-        raise ParameterError(f"unknown variant '{variant}'; choose from {VARIANTS}")
-    return f"{variant}_norm"
-
-
-def extract_descriptors(fmap: FeatureMap, provenance: str = "raw") -> DescriptorSet:
+def extract_descriptors(fmap: FeatureMap) -> DescriptorSet:
     """Flatten a map into height*width descriptors in row-major position order."""
     flat = fmap.data.reshape(fmap.height * fmap.width, fmap.channels)
-    return DescriptorSet(dim=fmap.channels, descriptors=flat, provenance=provenance)
+    return DescriptorSet(dim=fmap.channels, descriptors=flat)
 
 
 def variant_descriptors(fmap: FeatureMap, variant: str) -> DescriptorSet:
-    """Normalize a map with one variant and extract its tagged descriptors."""
-    return extract_descriptors(normalize_variant(fmap, variant), variant_provenance(variant))
+    """Normalize a map with one variant and extract its descriptors."""
+    return extract_descriptors(normalize_variant(fmap, variant))
 
 
 def descriptors_to_map(ds: DescriptorSet) -> FeatureMap:

@@ -97,9 +97,7 @@ def project(model: PcaModel, descriptors: DescriptorSet) -> DescriptorSet:
         )
     x = descriptors.descriptors.astype(np.float64)
     reduced = (x - model.mean) @ model.basis.T
-    return DescriptorSet(
-        dim=model.output_dim, descriptors=reduced, provenance=descriptors.provenance
-    )
+    return DescriptorSet(dim=model.output_dim, descriptors=reduced)
 
 
 def save_pca(model: PcaModel, model_dir: str | Path) -> None:

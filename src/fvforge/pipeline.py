@@ -30,14 +30,7 @@ from .classify import LinearModel, load_svm, predict_matrix, save_svm, train_ovr
 from .config import PipelineConfig
 from .errors import ParameterError, ShapeError, ValidationError
 from .evaluation import EvalReport, evaluate, write_report_csv, write_scores_csv
-from .fisher import (
-    FisherVector,
-    encode_fv,
-    intra_normalize,
-    l2_normalize,
-    power_l2_normalize,
-    unit_norm,
-)
+from .fisher import FisherVector, encode_fv, intra_normalize, power_l2_normalize, unit_norm
 from .fusion import FusionWeights, concat_features, fuse_scores
 from .gmm import GmmModel, fit_gmm, load_gmm, save_gmm
 from .normalize import VARIANTS, DescriptorSet, variant_descriptors
@@ -116,11 +109,7 @@ def stack_descriptors(sets) -> DescriptorSet:
     for ds in sets:
         if ds.dim != dim:
             raise ShapeError(f"descriptor sets disagree on dim: {ds.dim} vs {dim}")
-    return DescriptorSet(
-        dim=dim,
-        descriptors=np.vstack([ds.descriptors for ds in sets]),
-        provenance=sets[0].provenance,
-    )
+    return DescriptorSet(dim=dim, descriptors=np.vstack([ds.descriptors for ds in sets]))
 
 
 def fit_pca_model(descriptors: DescriptorSet, dim: int, model_dir: str | Path) -> PcaModel:
@@ -162,29 +151,27 @@ def encode_views(
     norms: tuple[str, ...],
     intra_mode: str,
     pooling_order: str,
-) -> FisherVector:
+) -> np.ndarray:
     """Fisher-encode each view's descriptors, then sum-pool and normalize.
 
     ``norms`` is applied in order, from "intra", "power" and "l2", either
     to the pooled encoding or to each view's before pooling.
     """
 
-    def normalized(fv: FisherVector) -> FisherVector:
+    def normalized(fv: FisherVector) -> np.ndarray:
         for token in norms:
             if token == "intra":
                 fv = intra_normalize(fv, intra_mode)
             elif token == "power":
                 fv = power_l2_normalize(fv)
             elif token == "l2":
-                fv = FisherVector(
-                    K=fv.K, d=fv.d, data=unit_norm(fv.data),
-                    normalized=fv.normalized | {"l2"},
-                )
-        return fv
+                fv = FisherVector(K=fv.K, d=fv.d, data=unit_norm(fv.data))
+        return fv.data
 
     fvs = [encode_fv(model, ds) for ds in views]
     if pooling_order == "pool_then_normalize":
-        return normalized(sum_pool(fvs))
+        pooled = sum_pool([fv.data for fv in fvs])
+        return normalized(FisherVector(K=model.K, d=model.dim, data=pooled))
     return sum_pool([normalized(fv) for fv in fvs])
 
 
@@ -257,6 +244,12 @@ def _load_views(entry: ManifestEntry, stream: str, layer: str, expect):
     return [read_as(p, expect) for p in paths]
 
 
+def _pooled_vector(entry: ManifestEntry, stream: str, layer: str) -> np.ndarray:
+    """Sum of one stream's rank-1 views, rounded through the file dtype."""
+    views = _load_views(entry, stream, layer, GlobalVector)
+    return _file_round(sum_pool([v.data for v in views]))
+
+
 def _write_features(features_dir: Path, entries, feature_fn, threads: int) -> None:
     """Compute one vector per entry and serialize each as a tensor file."""
     features_dir.mkdir(parents=True, exist_ok=True)
@@ -327,15 +320,13 @@ def run_scenario1(
     def score_one(entry: ManifestEntry) -> np.ndarray:
         per_stream = []
         for stream in STREAMS:
-            pooled = sum_pool(
-                _load_views(entry, stream, cfg.score_layer, GlobalVector)
-            )
-            if pooled.dim != manifest.class_count:
+            pooled = _pooled_vector(entry, stream, cfg.score_layer)
+            if pooled.size != manifest.class_count:
                 raise ShapeError(
                     f"image '{entry.image_id}' {stream} scores have dim "
-                    f"{pooled.dim}, manifest lists {manifest.class_count} classes"
+                    f"{pooled.size}, manifest lists {manifest.class_count} classes"
                 )
-            per_stream.append(ScoreVector(pooled.dim, pooled.data))
+            per_stream.append(ScoreVector(pooled.size, pooled))
         return fuse_scores(per_stream[0], per_stream[1], cfg.alpha).scores
 
     matrix = np.stack(_map_ordered(score_one, entries, threads))
@@ -347,10 +338,10 @@ def run_scenario1(
 
 def _global_feature(entry: ManifestEntry, cfg: PipelineConfig) -> np.ndarray:
     """Sum-pool each stream's global vectors, unit-normalize, concatenate."""
-    parts = []
-    for stream in STREAMS:
-        pooled = sum_pool(_load_views(entry, stream, cfg.global_layer, GlobalVector))
-        parts.append(l2_normalize(pooled).data.astype(np.float64))
+    parts = [
+        _file_round(unit_norm(_pooled_vector(entry, stream, cfg.global_layer)))
+        for stream in STREAMS
+    ]
     return fuse_features(parts[0], parts[1], cfg.beta, cfg.final_l2)
 
 
@@ -420,7 +411,7 @@ def _local_feature(
                 gmm_model, views, ("intra", "power"),
                 cfg.intra_block_mode, cfg.pooling_order,
             )
-            encoded.append(_file_round(fv.data))
+            encoded.append(_file_round(fv))
         if len(encoded) == 2:
             encoded = [_file_round(fuse_features(*encoded, FusionWeights(), True))]
         stream_vecs.append(encoded[0])

@@ -391,22 +391,22 @@ def logsumexp_reference(values):
 # ------------------------------------------------------ test-only helpers
 
 
-def map_to_descriptors(fmap, provenance="raw"):
+def map_to_descriptors(fmap):
     """Inverse of ``normalize.descriptors_to_map``; requires width == 1."""
     if fmap.width != 1:
         raise ShapeError(f"descriptor container must have width 1, got {fmap.width}")
-    return DescriptorSet(
-        dim=fmap.channels, descriptors=fmap.data[:, 0, :], provenance=provenance
-    )
+    return DescriptorSet(dim=fmap.channels, descriptors=fmap.data[:, 0, :])
 
 
 def concat_variant_fvs(channel_fv, spatial_fv):
-    """Join the two fully normalized TDD-variant Fisher vectors of one
-    region, channel first, and l2-normalize the concatenation once more."""
+    """Join the two fully normalized TDD-variant Fisher vector arrays of one
+    region, channel first, and l2-normalize the concatenation once more.
+
+    "Fully normalized" is checked as unit length, up to float32 rounding."""
     for fv, name in ((channel_fv, "channel"), (spatial_fv, "spatial")):
-        if "l2" not in fv.normalized:
+        if abs(float(np.linalg.norm(fv)) - 1.0) > 1e-6:
             raise ParameterError(f"{name} Fisher vector is not normalized")
-    joined = np.concatenate([channel_fv.data, spatial_fv.data])
+    joined = np.concatenate([channel_fv, spatial_fv])
     return joined / max(float(np.linalg.norm(joined)), 1e-12)
 
 

@@ -131,17 +131,42 @@ def test_tdd_rejects_rank1_input_without_writing(tiny, tmp_path):
     assert not out.exists()
 
 
-def test_norm_token_validation_exits_two(tmp_path):
+# The mixture directory does not exist, so only a check made before any
+# model is loaded can give exit 2.
+@pytest.mark.parametrize("norm", ["none,intra", "intra,power,intra"])
+def test_norm_token_validation_exits_two(tmp_path, norm):
     code = main(
         [
             "encode-fv",
             "--gmm", str(tmp_path / "gmm"),
-            "--norm", "none,intra",
+            "--norm", norm,
             "--out", str(tmp_path / "fv.fvt"),
             str(tmp_path / "in.fvt"),
         ]
     )
     assert code == 2
+
+
+@pytest.mark.parametrize("norm", ["power,power", "intra,power,l2,l2"])
+def test_repeated_power_or_l2_is_accepted(tmp_path, caplog, rng, norm):
+    gmm_dir = tmp_path / "gmm"
+    save_gmm(
+        GmmModel(
+            K=2, dim=3, weights=np.array([0.4, 0.6]),
+            means=rng.normal(size=(2, 3)), variances=np.ones((2, 3)),
+        ),
+        gmm_dir,
+    )
+    views = tmp_path / "view.fvt"
+    write_tensor(FeatureMap(5, 1, 3, rng.normal(size=(5, 1, 3))), views)
+    out = tmp_path / "fv.fvt"
+    with caplog.at_level("INFO", logger="fvforge"):
+        code = main(
+            ["encode-fv", "--gmm", str(gmm_dir), "--norm", norm, "--out", str(out), str(views)]
+        )
+    assert code == 0
+    assert read_tensor(out).dim == 2 * 2 * 3
+    assert any("stage=encode-fv views=1 k=2 dim=12" in r.message for r in caplog.records)
 
 
 def test_corrupted_mixture_exits_four(tmp_path):

@@ -219,6 +219,9 @@ def test_scores_csv_rejects_malformed_input(tmp_path):
     path.write_text("image_id,score_0\nim0,abc\n")
     with pytest.raises(ValidationError):
         read_scores_csv(path)
+    path.write_text("image_id,score_0\nim0,1.0\nim1,2.0\nim0,3.0\n")
+    with pytest.raises(ValidationError, match="'im0'"):
+        read_scores_csv(path)
     path.write_text("image_id,score_0\nim0,nan\n")
     with pytest.raises(DataError):
         read_scores_csv(path)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from fvforge.errors import DataError, ParameterError, ShapeError
-from fvforge.fusion import FusedFeature, FusionWeights, concat_features, fuse_scores
+from fvforge.fusion import FusionWeights, concat_features, fuse_scores
 from fvforge.tensors import ScoreVector
 
 
@@ -50,9 +50,14 @@ def test_feature_concat_layout_and_weighting(rng):
     fused = concat_features(
         np.array([1.0, 2.0, 3.0]), np.array([5.0, 7.0]), FusionWeights(2.0, 0.5)
     )
-    assert fused.dim == 5
-    assert fused.boundary == 3
     np.testing.assert_allclose(fused.data, [2.0, 4.0, 6.0, 2.5, 3.5])
+
+
+def test_feature_concat_rejects_non_finite_streams():
+    with pytest.raises(DataError):
+        concat_features(np.array([1.0, np.inf]), np.zeros(2))
+    with pytest.raises(DataError):
+        concat_features(np.zeros(2), np.array([np.nan]))
 
 
 def test_feature_concat_dot_product_decomposes(rng):
@@ -63,13 +68,6 @@ def test_feature_concat_dot_product_decomposes(rng):
     lhs = float(np.dot(concat_features(o1, s1, w).data, concat_features(o2, s2, w).data))
     rhs = 0.9**2 * float(np.dot(o1, o2)) + 1.4**2 * float(np.dot(s1, s2))
     assert abs(lhs - rhs) < 1e-9
-
-
-def test_fused_feature_container_validation():
-    with pytest.raises(ShapeError):
-        FusedFeature(np.zeros(4), boundary=9)
-    with pytest.raises(DataError):
-        FusedFeature(np.array([1.0, np.inf]), boundary=1)
 
 
 def test_fusion_weight_validation():

@@ -13,7 +13,6 @@ from fvforge.normalize import (
     extract_descriptors,
     normalize_variant,
     spatial_normalize,
-    variant_provenance,
 )
 from fvforge.tensors import FeatureMap
 
@@ -74,14 +73,12 @@ def test_normalize_variant_rejects_unknown():
     with pytest.raises(ParameterError):
         normalize_variant(fmap, "global")
     with pytest.raises(ParameterError):
-        variant_provenance("global")
-    with pytest.raises(ParameterError):
         spatial_normalize(fmap, epsilon=0.0)
 
 
 def test_extract_descriptors_row_major_order(rng):
     fmap = _random_map(rng, 3, 2, 4)
-    ds = extract_descriptors(fmap, "raw")
+    ds = extract_descriptors(fmap)
     assert ds.count == 6
     assert ds.dim == 4
     np.testing.assert_array_equal(ds.descriptors[1], fmap.data[0, 1])
@@ -89,11 +86,10 @@ def test_extract_descriptors_row_major_order(rng):
 
 
 def test_descriptor_container_round_trip(rng):
-    ds = DescriptorSet(4, rng.normal(size=(9, 4)), provenance="channel_norm")
+    ds = DescriptorSet(4, rng.normal(size=(9, 4)))
     container = descriptors_to_map(ds)
     assert (container.height, container.width, container.channels) == (9, 1, 4)
-    back = map_to_descriptors(container, provenance="channel_norm")
-    assert back.provenance == "channel_norm"
+    back = map_to_descriptors(container)
     np.testing.assert_array_equal(back.descriptors, ds.descriptors)
 
 
@@ -106,4 +102,4 @@ def test_descriptor_set_validation(rng):
     with pytest.raises(ShapeError):
         DescriptorSet(3, rng.normal(size=(4, 2)))
     with pytest.raises(ParameterError):
-        DescriptorSet(3, rng.normal(size=(4, 3)), provenance="cooked")
+        DescriptorSet(0, np.zeros((4, 0)))

@@ -16,13 +16,12 @@ from fvforge.fisher import (
     FisherVector,
     encode_fv,
     intra_normalize,
-    l2_normalize,
     power_l2_normalize,
     unit_norm,
 )
 from fvforge.fusion import FusionWeights, concat_features
 from fvforge.gmm import load_gmm
-from fvforge.normalize import extract_descriptors, normalize_variant, variant_provenance
+from fvforge.normalize import extract_descriptors, normalize_variant
 from fvforge.pca import load_pca, project
 from fvforge.pipeline import derived_seed, run
 from fvforge.synth import SynthSpec, generate_dataset
@@ -64,18 +63,19 @@ def _file_bytes(directory):
     return {p.name: p.read_bytes() for p in sorted(directory.iterdir()) if p.is_file()}
 
 
+def _pooled_views(entry, stream, layer):
+    """Float64 sum of an entry's rank-1 views, rounded through float32."""
+    pooled = sum_pool([read_tensor(p).data for p in entry.paths_for(stream, layer)])
+    return pooled.astype(np.float32).astype(np.float64)
+
+
 def test_score_fusion_matches_manual_composition(dataset, tmp_path):
     cfg = make_cfg(scenario="softmax_fusion", alpha=FusionWeights(0.7, 1.3))
     report = run(dataset, cfg, tmp_path / "run")
     test_entries = dataset.split("test")
     rows = []
     for entry in test_entries:
-        pooled = {
-            stream: sum_pool(
-                [read_tensor(p) for p in entry.paths_for(stream, "prob")]
-            ).data.astype(np.float64)
-            for stream in STREAMS
-        }
+        pooled = {stream: _pooled_views(entry, stream, "prob") for stream in STREAMS}
         rows.append(0.7 * pooled["object"] + 1.3 * pooled["scene"])
     matrix = np.stack(rows)
     expected = evaluate(
@@ -93,12 +93,7 @@ def test_score_fusion_weight_projects_one_stream(dataset, tmp_path):
     cfg = make_cfg(scenario="softmax_fusion", alpha=FusionWeights(1.0, 0.0))
     run(dataset, cfg, tmp_path / "run")
     _, written = read_scores_csv(tmp_path / "run" / "scores.csv")
-    rows = [
-        sum_pool(
-            [read_tensor(p) for p in e.paths_for("object", "prob")]
-        ).data.astype(np.float64)
-        for e in dataset.split("test")
-    ]
+    rows = [_pooled_views(e, "object", "prob") for e in dataset.split("test")]
     np.testing.assert_array_equal(written, np.stack(rows))
 
 
@@ -139,9 +134,24 @@ def test_zero_scene_weight_blanks_the_scene_block(dataset, tmp_path):
     vec = read_tensor(tmp_path / "run" / "features" / f"{entry.image_id}.fvt")
     data = vec.data.astype(np.float64)
     assert not data[SPEC.fc_dim :].any()
-    pooled = sum_pool([read_tensor(p) for p in entry.paths_for("object", "fc7")])
-    expected = l2_normalize(pooled).data.astype(np.float64)
+    expected = unit_norm(_pooled_views(entry, "object", "fc7"))
     np.testing.assert_allclose(data[: SPEC.fc_dim], expected, atol=1e-6)
+
+
+def test_global_feature_rebuilds_exactly_from_fc7_views(dataset, tmp_path):
+    cfg = make_cfg(scenario="global_pretrained", beta=FusionWeights(0.6, 1.4))
+    run(dataset, cfg, tmp_path / "run")
+    entry = dataset.split("test")[0]
+    parts = []
+    for stream in STREAMS:
+        views = [
+            read_tensor(p).data.astype(np.float64) for p in entry.paths_for(stream, "fc7")
+        ]
+        pooled = np.sum(views, axis=0).astype(np.float32).astype(np.float64)
+        parts.append(unit_norm(pooled).astype(np.float32).astype(np.float64))
+    fused = np.concatenate([0.6 * parts[0], 1.4 * parts[1]])
+    written = read_tensor(tmp_path / "run" / "features" / f"{entry.image_id}.fvt")
+    np.testing.assert_array_equal(written.data, unit_norm(fused).astype(np.float32))
 
 
 def test_local_feature_recomputable_from_saved_models(dataset, local_run):
@@ -157,11 +167,11 @@ def test_local_feature_recomputable_from_saved_models(dataset, local_run):
             fvs = []
             for path in entry.paths_for(stream, cfg.conv_layer):
                 normed = normalize_variant(read_tensor(path), variant)
-                ds = extract_descriptors(normed, variant_provenance(variant))
-                fvs.append(encode_fv(gmm, project(pca, ds)))
-            fv = power_l2_normalize(intra_normalize(sum_pool(fvs), cfg.intra_block_mode))
-            rounded = fv.data.astype(np.float32).astype(np.float64)
-            encoded[variant] = FisherVector(fv.K, fv.d, rounded, normalized=fv.normalized)
+                ds = extract_descriptors(normed)
+                fvs.append(encode_fv(gmm, project(pca, ds)).data)
+            pooled = FisherVector(gmm.K, gmm.dim, sum_pool(fvs))
+            fv = power_l2_normalize(intra_normalize(pooled, cfg.intra_block_mode))
+            encoded[variant] = fv.data.astype(np.float32).astype(np.float64)
         joined = concat_variant_fvs(encoded["channel"], encoded["spatial"])
         stream_vecs.append(joined.astype(np.float32).astype(np.float64))
     fused = concat_features(stream_vecs[0], stream_vecs[1], cfg.beta).data

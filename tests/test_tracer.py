@@ -1,0 +1,50 @@
+"""The benchmark tracer can still read the stage signatures it counts."""
+
+from __future__ import annotations
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import fvforge
+from fvforge.cli import main
+
+TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+
+CONFIG = (
+    "[pipeline]\nscenario = local_fv\n[pca]\ndim = 4\n"
+    "[gmm]\ncomponents = 2\nmax_iterations = 3\n"
+)
+
+
+def test_traced_local_fv_run_counts_every_stage(tmp_path):
+    data = tmp_path / "data"
+    assert main(
+        [
+            "synth", "--out", str(data), "--seed", "5",
+            "--classes", "2", "--images-per-class", "4", "--views", "1",
+            "--map-size", "3", "--map-channels", "6", "--test-fraction", "0.5",
+        ]
+    ) == 0
+    config = tmp_path / "run.ini"
+    config.write_text(CONFIG, encoding="utf-8")
+    spans = tmp_path / "spans.json"
+    env = dict(os.environ, PYTHONPATH=str(Path(fvforge.__file__).resolve().parents[1]))
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        env[var] = "1"
+    done = subprocess.run(
+        [
+            sys.executable, str(TRACER), str(spans), "--",
+            "run", "--config", str(config),
+            "--manifest", str(data / "data.manifest"), "--out", str(tmp_path / "run"),
+        ],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    counts = json.loads(spans.read_text(encoding="utf-8"))["counts"]
+    for key in (
+        "normalize.descriptors", "pca.fit_descriptors", "gmm.em_work", "fisher.encode_work"
+    ):
+        assert counts.get(key, 0) > 0, key
