@@ -12,10 +12,13 @@ standard error.  Randomized subcommands default to seed 7 unless given
 from __future__ import annotations
 
 import argparse
+import ctypes
 import logging
 import os
 import sys
 from pathlib import Path
+
+import numpy as np
 
 from . import __version__, pipeline
 from .augment import plan_views
@@ -263,7 +266,11 @@ def build_parser() -> argparse.ArgumentParser:
         "--threads",
         type=int,
         default=max(1, os.cpu_count() or 1),
-        help="worker bound for parallel stages (default: machine parallelism)",
+        help=(
+            "threads working at once (default: machine parallelism); local "
+            "encodings overlap the model fits, which, like BLAS, stay "
+            "single-threaded"
+        ),
     )
     parser.add_argument(
         "--log-level",
@@ -382,6 +389,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _pin_blas() -> None:
+    """Hold numpy's bundled OpenBLAS at one thread for the whole process.
+
+    Eigendecompositions and long inner products change in their last
+    bits with the BLAS thread count, and file outputs inherit that.
+    Parallelism comes from ``--threads`` alone.  Another BLAS build is
+    left as it is, with one warning.
+    """
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for lib in sorted(libs.glob("libscipy_openblas*.so*")):
+        setter = getattr(ctypes.CDLL(str(lib)), "scipy_openblas_set_num_threads64_", None)
+        if setter is not None:
+            setter.argtypes, setter.restype = [ctypes.c_int], None
+            setter(1)
+            return
+    logger.warning("stage=blas event=unpinned reason=no bundled OpenBLAS thread setter")
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     logging.basicConfig(
@@ -389,6 +414,7 @@ def main(argv=None) -> int:
         level=getattr(logging, args.log_level.upper()),
         format="%(message)s",
     )
+    _pin_blas()
     if args.threads < 1:
         print("error: --threads must be positive", file=sys.stderr)
         return 2

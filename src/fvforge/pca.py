@@ -74,8 +74,8 @@ def fit_pca(descriptors: DescriptorSet, output_dim: int) -> PcaModel:
         raise ParameterError(f"{n} descriptors cannot support output_dim {output_dim}")
     x = descriptors.descriptors.astype(np.float64)
     mean = x.mean(axis=0)
-    centered = x - mean
-    cov = centered.T @ centered / n
+    x -= mean  # x is a fresh copy; centering in place halves the peak
+    cov = x.T @ x / n
     try:
         eigvals, eigvecs = np.linalg.eigh(cov)
     except np.linalg.LinAlgError as exc:
@@ -96,7 +96,8 @@ def project(model: PcaModel, descriptors: DescriptorSet) -> DescriptorSet:
             f"descriptor dim {descriptors.dim} != model input_dim {model.input_dim}"
         )
     x = descriptors.descriptors.astype(np.float64)
-    reduced = (x - model.mean) @ model.basis.T
+    x -= model.mean
+    reduced = x @ model.basis.T
     return DescriptorSet(dim=model.output_dim, descriptors=reduced)
 
 

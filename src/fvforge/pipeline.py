@@ -8,9 +8,14 @@ reproduces ``run`` byte for byte.
 
 Four run modes share one discipline: models are fit on train-role
 entries only, every cross-stage handoff goes through the float32 file
-dtype (models are serialized and reloaded before use), and all
-randomness derives from config seeds — so a run's serialized outputs
-are bit-reproducible.
+dtype, and all randomness derives from config seeds — so a run's
+serialized outputs are bit-reproducible.  Models are serialized and
+reloaded before use.  Local descriptors and encodings pass between
+stages in memory, but as float32 arrays, so they hold exactly what a
+file in between would: ``run`` reads each train conv view once, fits
+on the stacked descriptors, then projects each view from its own rows
+and stacks the projections for the mixture, as ``apply-pca`` and
+``fit-gmm`` do.
 
 Outputs under the run directory: ``report.csv``, ``scores.csv`` for the
 evaluated images, per-image feature tensors under ``features*/``, and
@@ -20,7 +25,7 @@ fitted models under ``models/``.
 from __future__ import annotations
 
 import logging
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Executor, Future, ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -363,72 +368,145 @@ def run_global(
     return _train_predict_evaluate(manifest, cfg, out)
 
 
-def _fit_local_models(
-    manifest: Manifest, cfg: PipelineConfig, models_dir: Path
-) -> dict:
-    """Fit + serialize + reload one PCA and one GMM per (stream, variant)."""
-    train = entries_for_role(manifest, "train")
-    models = {}
-    for stream in STREAMS:
-        for variant in cfg.tdd_variants:
-            descriptors = stack_descriptors(
-                [
-                    variant_descriptors(fmap, variant)
-                    for entry in train
-                    for fmap in _load_views(entry, stream, cfg.conv_layer, FeatureMap)
-                ]
-            )
-            pca_model = fit_pca_model(
-                descriptors, cfg.pca_dim, models_dir / f"pca_{stream}_{variant}"
-            )
-            gmm_model = fit_gmm_model(
-                project(pca_model, descriptors),
-                cfg.gmm_components,
-                models_dir / f"gmm_{stream}_{variant}",
-                seed=derived_seed(cfg.gmm_seed, stream, variant),
-                max_iters=cfg.gmm_max_iterations,
-                tol=cfg.gmm_tol,
-            )
-            models[(stream, variant)] = (pca_model, gmm_model)
-    return models
+class _Inline(Executor):
+    """Executor for ``threads == 1``: runs each call when it is submitted
+    and keeps its outcome in the future, as a pool would."""
+
+    def submit(self, fn, /, *args):
+        future = Future()
+        try:
+            future.set_result(fn(*args))
+        except Exception as exc:
+            future.set_exception(exc)
+        return future
 
 
-def _local_feature(
-    entry: ManifestEntry, cfg: PipelineConfig, models: dict
-) -> np.ndarray:
-    """Per-stream variant encodings, variant concat, then stream concat."""
-    stream_vecs = []
-    for stream in STREAMS:
-        encoded = []
-        # The channel variant's block always comes first.
-        for variant in (v for v in VARIANTS if v in cfg.tdd_variants):
-            pca_model, gmm_model = models[(stream, variant)]
-            views = [
-                project(pca_model, variant_descriptors(fmap, variant))
-                for fmap in _load_views(entry, stream, cfg.conv_layer, FeatureMap)
-            ]
-            fv = encode_views(
-                gmm_model, views, ("intra", "power"),
-                cfg.intra_block_mode, cfg.pooling_order,
+def _encode_into(row: np.ndarray, gmm_model: GmmModel, views, cfg: PipelineConfig) -> None:
+    """Write one variant's pooled encoding of projected views into its
+    float32 row, which rounds it as the feature file would."""
+    row[:] = encode_views(
+        gmm_model, views, ("intra", "power"), cfg.intra_block_mode, cfg.pooling_order
+    )
+
+
+def _encode_entry(
+    entry: ManifestEntry, stream: str, cfg: PipelineConfig, models: dict, rows: dict
+) -> None:
+    """Read an entry's views of one stream once and encode every variant."""
+    fmaps = _load_views(entry, stream, cfg.conv_layer, FeatureMap)
+    for variant, (pca_model, gmm_model) in models.items():
+        views = [project(pca_model, variant_descriptors(f, variant)) for f in fmaps]
+        _encode_into(rows[variant], gmm_model, views, cfg)
+
+
+def _fit_stream(
+    stream: str, train, cfg: PipelineConfig, models_dir: Path, pool: Executor, rows
+) -> tuple[dict, list[list[Future]]]:
+    """Fit + serialize + reload one stream's PCA and GMM per variant.
+
+    Each train view is read once and normalized once per variant.  The
+    fits run here, in variant order; as soon as a variant's mixture
+    exists, ``pool`` encodes every train entry into ``rows[i][variant]``
+    from the projected views the mixture was fit on.  Returns the models
+    by variant and each train entry's encoding futures.
+    """
+    sets = {variant: [] for variant in cfg.tdd_variants}
+    view_counts = []
+    for entry in train:
+        fmaps = _load_views(entry, stream, cfg.conv_layer, FeatureMap)
+        view_counts.append(len(fmaps))
+        for variant, variant_sets in sets.items():
+            variant_sets.extend(variant_descriptors(f, variant) for f in fmaps)
+    models, futures = {}, [[] for _ in train]
+    for variant in cfg.tdd_variants:
+        variant_sets = sets.pop(variant)
+        stacked = stack_descriptors(variant_sets)
+        spans = np.cumsum([0] + [ds.count for ds in variant_sets]).tolist()
+        del variant_sets
+        pca_model = fit_pca_model(
+            stacked, cfg.pca_dim, models_dir / f"pca_{stream}_{variant}"
+        )
+        # Each view is projected from its own rows, as apply-pca projects
+        # one view file, so the mixture below sees what fit-gmm would.
+        projected = [
+            project(pca_model, DescriptorSet(stacked.dim, stacked.descriptors[a:b]))
+            for a, b in zip(spans[:-1], spans[1:])
+        ]
+        del stacked
+        gmm_model = fit_gmm_model(
+            stack_descriptors(projected),
+            cfg.gmm_components,
+            models_dir / f"gmm_{stream}_{variant}",
+            seed=derived_seed(cfg.gmm_seed, stream, variant),
+            max_iters=cfg.gmm_max_iterations,
+            tol=cfg.gmm_tol,
+        )
+        models[variant] = (pca_model, gmm_model)
+        first = 0
+        for entry_futures, entry_rows, count in zip(futures, rows, view_counts):
+            views = projected[first:first + count]
+            entry_futures.append(
+                pool.submit(_encode_into, entry_rows[variant], gmm_model, views, cfg)
             )
-            encoded.append(_file_round(fv))
-        if len(encoded) == 2:
-            encoded = [_file_round(fuse_features(*encoded, FusionWeights(), True))]
-        stream_vecs.append(encoded[0])
-    return fuse_features(stream_vecs[0], stream_vecs[1], cfg.beta, cfg.final_l2)
+            first += count
+    return models, futures
 
 
 def _write_local_features(
     manifest: Manifest, cfg: PipelineConfig, out: Path, features_dir: Path, threads: int
 ) -> None:
-    models = _fit_local_models(manifest, cfg, out / "models")
-    _write_features(
-        features_dir,
-        manifest.entries,
-        lambda e: _local_feature(e, cfg, models),
-        threads,
-    )
-    logger.info("stage=features kind=local images=%d", len(manifest.entries))
+    """Fit the local models stream by stream while a pool encodes every
+    image whose models exist, then join the encodings and write features."""
+    entries = manifest.entries
+    train = entries_for_role(manifest, "train")
+    # The channel variant's block always comes first.
+    variants = [v for v in VARIANTS if v in cfg.tdd_variants]
+    # Encodings wait here at the file dtype, one row per entry, until both
+    # streams are done.
+    dim = 2 * cfg.gmm_components * cfg.pca_dim
+    blocks = {
+        (stream, variant): np.empty((len(entries), dim), dtype=np.float32)
+        for stream in STREAMS
+        for variant in variants
+    }
+
+    def rows(stream: str, i: int) -> dict:
+        return {variant: blocks[stream, variant][i] for variant in variants}
+
+    train_at = [i for i, entry in enumerate(entries) if entry.role == "train"]
+    pending = [[] for _ in entries]  # each entry's encoding futures
+    # The calling thread fits; with it, at most ``threads`` threads work.
+    with ThreadPoolExecutor(threads - 1) if threads > 1 else _Inline() as pool:
+        for stream in STREAMS:
+            models, futures = _fit_stream(
+                stream, train, cfg, out / "models", pool,
+                [rows(stream, i) for i in train_at],
+            )
+            for i, entry_futures in zip(train_at, futures):
+                pending[i] += entry_futures
+            for i, entry in enumerate(entries):
+                if entry.role != "train":
+                    pending[i].append(
+                        pool.submit(_encode_entry, entry, stream, cfg, models, rows(stream, i))
+                    )
+
+    position = {entry.image_id: i for i, entry in enumerate(entries)}
+
+    def feature(entry: ManifestEntry) -> np.ndarray:
+        """Variant concat per stream, then stream concat."""
+        i = position[entry.image_id]
+        for future in pending[i]:
+            future.result()
+        stream_vecs = []
+        for stream in STREAMS:
+            parts = [blocks[stream, v][i].astype(np.float64) for v in variants]
+            if len(parts) == 2:
+                parts = [_file_round(fuse_features(*parts, FusionWeights(), True))]
+            stream_vecs.append(parts[0])
+        return fuse_features(stream_vecs[0], stream_vecs[1], cfg.beta, cfg.final_l2)
+
+    _write_features(features_dir, entries, feature, threads)
+    logger.info("stage=features kind=local images=%d", len(entries))
 
 
 def run_local_fv(

@@ -18,6 +18,8 @@ from fvforge.tensors import (
     write_tensor,
 )
 
+from conftest import arrays_at_blas_threads
+
 STREAMS = ("object", "scene")
 VARIANTS = ("channel", "spatial")
 
@@ -442,3 +444,56 @@ def test_scripted_chain_matches_run_byte_for_byte(
                     assert part.read_bytes() == (auto_dir / part.name).read_bytes()
     for part in sorted(svm_dir.iterdir()):
         assert part.read_bytes() == (auto / "models" / "svm" / part.name).read_bytes()
+
+
+_PCA_AND_ENCODE = """
+import sys
+from pathlib import Path
+import numpy as np
+from fvforge.cli import main
+from fvforge.gmm import GmmModel, save_gmm
+from fvforge.normalize import DescriptorSet, descriptors_to_map
+from fvforge.tensors import read_tensor, write_tensor
+
+out = Path(sys.argv[1])
+work = out.with_suffix("")
+work.mkdir()
+rng = np.random.default_rng(5)
+x = rng.normal(size=(2000, 512))
+write_tensor(descriptors_to_map(DescriptorSet(512, x)), work / "wide.fvt")
+assert main(["fit-pca", "--dim", "64", "--out", str(work / "pca"), str(work / "wide.fvt")]) == 0
+
+# A mixture symmetric about the origin, with two components at the origin,
+# and a bag of +/- pairs: those components' first-order blocks are pure
+# rounding residue, which intra-normalization scales to unit length, so
+# any change in summation order shows in the float32 output.
+K, d = 256, 64
+half = rng.normal(size=(K // 2 - 1, d))
+raw = rng.uniform(0.2, 1.0, K // 2 - 1)
+var = rng.uniform(0.5, 2.0, (K // 2 + 1, d))
+weights = np.concatenate([[0.5, 0.5], raw, raw])
+save_gmm(
+    GmmModel(
+        K=K, dim=d, weights=weights / weights.sum(),
+        means=np.vstack([np.zeros((2, d)), half, -half]),
+        variances=np.vstack([var, var[2:]]),
+    ),
+    work / "gmm",
+)
+pairs = rng.normal(size=(1000, d))
+write_tensor(descriptors_to_map(DescriptorSet(d, np.vstack([pairs, -pairs]))), work / "bag.fvt")
+assert main(["encode-fv", "--gmm", str(work / "gmm"), "--out", str(work / "fv.fvt"), str(work / "bag.fvt")]) == 0
+np.savez(
+    out,
+    basis=read_tensor(work / "pca" / "basis.fvt").data,
+    fv=read_tensor(work / "fv.fvt").data,
+)
+"""
+
+
+def test_cli_outputs_do_not_depend_on_blas_threads(tmp_path):
+    """A 512-dim PCA basis and a K = 256 Fisher vector written by the CLI
+    are bitwise equal at 1 and 2 BLAS threads."""
+    results = arrays_at_blas_threads(_PCA_AND_ENCODE, tmp_path)
+    for key in ("basis", "fv"):
+        np.testing.assert_array_equal(results[0][key], results[1][key])

@@ -3,7 +3,10 @@
 from __future__ import annotations
 
 import logging
+import sys
+from collections import Counter
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,9 +26,10 @@ from fvforge.fusion import FusionWeights, concat_features
 from fvforge.gmm import load_gmm
 from fvforge.normalize import extract_descriptors, normalize_variant
 from fvforge.pca import load_pca, project
+from fvforge import pipeline
 from fvforge.pipeline import derived_seed, run
 from fvforge.synth import SynthSpec, generate_dataset
-from fvforge.tensors import STREAMS, Manifest, read_tensor
+from fvforge.tensors import STREAMS, Manifest, read_as, read_tensor
 
 from oracles import concat_variant_fvs
 
@@ -154,10 +158,13 @@ def test_global_feature_rebuilds_exactly_from_fc7_views(dataset, tmp_path):
     np.testing.assert_array_equal(written.data, unit_norm(fused).astype(np.float32))
 
 
-def test_local_feature_recomputable_from_saved_models(dataset, local_run):
+@pytest.mark.parametrize("role", ["train", "test"])
+def test_local_feature_recomputable_from_saved_models(dataset, local_run, role):
+    """Train features come from the fitting stack, test features from a
+    fresh read; both equal an encoding rebuilt view by view."""
     out, _ = local_run
     cfg = make_cfg()
-    entry = dataset.split("test")[0]
+    entry = dataset.split(role)[0]
     stream_vecs = []
     for stream in STREAMS:
         encoded = {}
@@ -215,13 +222,50 @@ def test_models_never_see_test_entries(dataset, local_run, tmp_path):
 
 def test_thread_count_does_not_change_outputs(dataset, local_run, tmp_path):
     serial_out, _ = local_run
-    run(dataset, make_cfg(), tmp_path / "pooled", threads=3)
+    # More threads than cores, switching often: workers fill disjoint rows
+    # of shared encoding blocks while the calling thread fits.
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        run(dataset, make_cfg(), tmp_path / "pooled", threads=3)
+    finally:
+        sys.setswitchinterval(interval)
     assert (tmp_path / "pooled" / "scores.csv").read_bytes() == (
         serial_out / "scores.csv"
     ).read_bytes()
     assert _file_bytes(tmp_path / "pooled" / "features") == _file_bytes(
         serial_out / "features"
     )
+    models = sorted((serial_out / "models").iterdir())
+    assert [d.name for d in models] == sorted(
+        d.name for d in (tmp_path / "pooled" / "models").iterdir()
+    )
+    for model_dir in models:
+        assert _file_bytes(tmp_path / "pooled" / "models" / model_dir.name) == _file_bytes(
+            model_dir
+        )
+
+
+@pytest.mark.parametrize("threads", [1, 3])
+def test_local_run_reads_each_conv_view_once(dataset, tmp_path, monkeypatch, threads):
+    """Fitting and encoding share one read of every conv view file."""
+    reads = []
+
+    def counting_read_as(path, expect):
+        reads.append(Path(path))
+        return read_as(path, expect)
+
+    monkeypatch.setattr(pipeline, "read_as", counting_read_as)
+    cfg = make_cfg()
+    run(dataset, cfg, tmp_path / "run", threads=threads)
+    conv_views = [
+        path
+        for entry in dataset.entries
+        for stream in STREAMS
+        for path in entry.paths_for(stream, cfg.conv_layer)
+    ]
+    counts = Counter(reads)
+    assert {path: counts[path] for path in conv_views} == dict.fromkeys(conv_views, 1)
 
 
 def test_pooling_order_changes_multi_view_features(dataset, local_run, tmp_path):
