@@ -267,9 +267,9 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=max(1, os.cpu_count() or 1),
         help=(
-            "threads working at once (default: machine parallelism); local "
-            "encodings overlap the model fits, which, like BLAS, stay "
-            "single-threaded"
+            "threads working at once (default: machine parallelism): N - 1 "
+            "pool threads do the per-image work while the calling thread "
+            "fits, single-threaded like BLAS, or waits"
         ),
     )
     parser.add_argument(

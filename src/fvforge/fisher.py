@@ -79,9 +79,9 @@ def intra_normalize(fv: FisherVector, block_mode: str = "per_order") -> FisherVe
     return FisherVector(K=fv.K, d=fv.d, data=blocks.reshape(-1))
 
 
-def unit_norm(vec: np.ndarray, epsilon: float = 1e-12) -> np.ndarray:
-    """vec / max(||vec||, epsilon); the zero vector maps to itself."""
-    return vec / max(float(np.linalg.norm(vec)), epsilon)
+def unit_norm(vec: np.ndarray) -> np.ndarray:
+    """vec / max(||vec||, 1e-12); the zero vector maps to itself."""
+    return vec / max(float(np.linalg.norm(vec)), 1e-12)
 
 
 def power_l2_normalize(fv: FisherVector) -> FisherVector:

@@ -139,8 +139,6 @@ def fit_gmm(
     max_iters: int = 100,
     tol: float = 1e-5,
     *,
-    weight_floor: float = DEFAULT_WEIGHT_FLOOR,
-    variance_floor_frac: float = DEFAULT_VARIANCE_FLOOR_FRAC,
     max_points: int = DEFAULT_MAX_FIT_POINTS,
 ) -> GmmModel:
     """Fit a K-component diagonal mixture by EM.
@@ -171,7 +169,7 @@ def fit_gmm(
     n, d = x.shape
 
     global_var = x.var(axis=0)
-    var_floor = np.maximum(variance_floor_frac * global_var, 1e-12)
+    var_floor = np.maximum(DEFAULT_VARIANCE_FLOOR_FRAC * global_var, 1e-12)
     iso_var = np.maximum(np.full(d, global_var.mean()), var_floor)
 
     # k-means++ seeding, a short Lloyd refinement, then the moments of the
@@ -182,7 +180,7 @@ def fit_gmm(
         for j in np.flatnonzero(counts == 0):
             means[j] = x[rng.integers(n)]
             variances[j] = iso_var
-    weights = np.maximum(counts / n, weight_floor)
+    weights = np.maximum(counts / n, DEFAULT_WEIGHT_FLOOR)
     weights /= weights.sum()
 
     trace: list[float] = []  # per-point average log-likelihood at each E-step
@@ -202,7 +200,7 @@ def fit_gmm(
 
         nk, means, variances = _estimate(gamma, x, var_floor)
         new_weights = nk / n
-        collapsed = np.flatnonzero(new_weights < weight_floor)
+        collapsed = np.flatnonzero(new_weights < DEFAULT_WEIGHT_FLOOR)
         check_monotone = collapsed.size == 0
         for j in collapsed:
             # Collapsed component: restart it at a random data point.
@@ -212,7 +210,7 @@ def fit_gmm(
             logger.warning(
                 "stage=gmm-reset component=%d iteration=%d", j, iteration
             )
-        weights = np.maximum(new_weights, weight_floor)
+        weights = np.maximum(new_weights, DEFAULT_WEIGHT_FLOOR)
         weights /= weights.sum()
 
     return GmmModel(

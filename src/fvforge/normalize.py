@@ -50,51 +50,40 @@ class DescriptorSet:
         return self.descriptors.shape[0]
 
 
-def _check_epsilon(epsilon: float) -> None:
-    if not epsilon > 0.0:
-        raise ParameterError("epsilon must be positive")
+def _peak_normalize(fmap: FeatureMap, axis) -> FeatureMap:
+    """Divide the map by its max magnitude over ``axis``; an all-zero
+    slice stays zero thanks to the epsilon floor."""
+    data = fmap.data.astype(np.float64)
+    peak = np.maximum(data.max(axis, keepdims=True), -data.min(axis, keepdims=True))
+    data /= np.maximum(peak, DEFAULT_EPSILON, out=peak)
+    return FeatureMap(
+        height=fmap.height,
+        width=fmap.width,
+        channels=fmap.channels,
+        data=data,
+        nonnegative=fmap.nonnegative,
+    )
 
 
-def spatial_normalize(fmap: FeatureMap, epsilon: float = DEFAULT_EPSILON) -> FeatureMap:
+def spatial_normalize(fmap: FeatureMap) -> FeatureMap:
     """Divide each channel plane by its own spatial max magnitude.
 
-    Output values lie in [-1, 1]; all-zero channels stay zero thanks to
-    the epsilon floor.
+    Output values lie in [-1, 1]; all-zero channels stay zero.
     """
-    _check_epsilon(epsilon)
-    data = fmap.data.astype(np.float64)
-    denom = np.maximum(np.abs(data).max(axis=(0, 1)), epsilon)
-    return FeatureMap(
-        height=fmap.height,
-        width=fmap.width,
-        channels=fmap.channels,
-        data=data / denom,
-        nonnegative=fmap.nonnegative,
-    )
+    return _peak_normalize(fmap, (0, 1))
 
 
-def channel_normalize(fmap: FeatureMap, epsilon: float = DEFAULT_EPSILON) -> FeatureMap:
+def channel_normalize(fmap: FeatureMap) -> FeatureMap:
     """Divide each position's channel vector by its max-magnitude entry."""
-    _check_epsilon(epsilon)
-    data = fmap.data.astype(np.float64)
-    denom = np.maximum(np.abs(data).max(axis=2, keepdims=True), epsilon)
-    return FeatureMap(
-        height=fmap.height,
-        width=fmap.width,
-        channels=fmap.channels,
-        data=data / denom,
-        nonnegative=fmap.nonnegative,
-    )
+    return _peak_normalize(fmap, 2)
 
 
-def normalize_variant(
-    fmap: FeatureMap, variant: str, epsilon: float = DEFAULT_EPSILON
-) -> FeatureMap:
+def normalize_variant(fmap: FeatureMap, variant: str) -> FeatureMap:
     """Apply one named normalization variant to a feature map."""
     if variant == "channel":
-        return channel_normalize(fmap, epsilon)
+        return channel_normalize(fmap)
     if variant == "spatial":
-        return spatial_normalize(fmap, epsilon)
+        return spatial_normalize(fmap)
     raise ParameterError(f"unknown variant '{variant}'; choose from {VARIANTS}")
 
 

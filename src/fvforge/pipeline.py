@@ -17,6 +17,10 @@ on the stacked descriptors, then projects each view from its own rows
 and stacks the projections for the mixture, as ``apply-pca`` and
 ``fit-gmm`` do.
 
+``run`` builds the run's one worker pool: with ``threads`` N, N − 1
+pool threads do the per-image work of every stage, while the calling
+thread fits the models or waits on the pool.
+
 Outputs under the run directory: ``report.csv``, ``scores.csv`` for the
 evaluated images, per-image feature tensors under ``features*/``, and
 fitted models under ``models/``.
@@ -60,12 +64,17 @@ def derived_seed(base: int, stream: str, variant: str) -> int:
     return base * 4 + 2 * STREAMS.index(stream) + VARIANTS.index(variant)
 
 
-def _map_ordered(fn, items, threads: int) -> list:
-    """Apply fn over items preserving order, optionally on a thread pool."""
-    if threads > 1 and len(items) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(fn, items))
-    return [fn(item) for item in items]
+class _Inline(Executor):
+    """Executor for ``threads == 1``: runs each call when it is submitted
+    and keeps its outcome in the future, as a pool would."""
+
+    def submit(self, fn, /, *args):
+        future = Future()
+        try:
+            future.set_result(fn(*args))
+        except Exception as exc:
+            future.set_exception(exc)
+        return future
 
 
 def _file_round(vec: np.ndarray) -> np.ndarray:
@@ -255,7 +264,7 @@ def _pooled_vector(entry: ManifestEntry, stream: str, layer: str) -> np.ndarray:
     return _file_round(sum_pool([v.data for v in views]))
 
 
-def _write_features(features_dir: Path, entries, feature_fn, threads: int) -> None:
+def _write_features(features_dir: Path, entries, feature_fn, pool: Executor) -> None:
     """Compute one vector per entry and serialize each as a tensor file."""
     features_dir.mkdir(parents=True, exist_ok=True)
 
@@ -266,7 +275,7 @@ def _write_features(features_dir: Path, entries, feature_fn, threads: int) -> No
             features_dir / f"{entry.image_id}.fvt",
         )
 
-    _map_ordered(one, list(entries), threads)
+    list(pool.map(one, entries))
 
 
 def _train_predict_evaluate(
@@ -311,7 +320,7 @@ def _train_predict_evaluate(
 
 
 def run_scenario1(
-    manifest: Manifest, cfg: PipelineConfig, out_dir: str | Path, threads: int = 1
+    manifest: Manifest, cfg: PipelineConfig, out_dir: str | Path, pool: Executor
 ) -> EvalReport:
     """Score-level fusion of the streams' per-class score tensors.
 
@@ -334,7 +343,7 @@ def run_scenario1(
             per_stream.append(ScoreVector(pooled.size, pooled))
         return fuse_scores(per_stream[0], per_stream[1], cfg.alpha).scores
 
-    matrix = np.stack(_map_ordered(score_one, entries, threads))
+    matrix = np.stack(list(pool.map(score_one, entries)))
     return report_scores(
         matrix, entries, manifest.class_names, cfg.integrator,
         out / "report.csv", out / "scores.csv",
@@ -351,34 +360,21 @@ def _global_feature(entry: ManifestEntry, cfg: PipelineConfig) -> np.ndarray:
 
 
 def _write_global_features(
-    manifest: Manifest, cfg: PipelineConfig, features_dir: Path, threads: int
+    manifest: Manifest, cfg: PipelineConfig, features_dir: Path, pool: Executor
 ) -> None:
     _write_features(
-        features_dir, manifest.entries, lambda e: _global_feature(e, cfg), threads
+        features_dir, manifest.entries, lambda e: _global_feature(e, cfg), pool
     )
     logger.info("stage=features kind=global images=%d", len(manifest.entries))
 
 
 def run_global(
-    manifest: Manifest, cfg: PipelineConfig, out_dir: str | Path, threads: int = 1
+    manifest: Manifest, cfg: PipelineConfig, out_dir: str | Path, pool: Executor
 ) -> EvalReport:
     """Global-vector scenario; covers pre-trained and fine-tuned inputs alike."""
     out = Path(out_dir)
-    _write_global_features(manifest, cfg, out / "features", threads)
+    _write_global_features(manifest, cfg, out / "features", pool)
     return _train_predict_evaluate(manifest, cfg, out)
-
-
-class _Inline(Executor):
-    """Executor for ``threads == 1``: runs each call when it is submitted
-    and keeps its outcome in the future, as a pool would."""
-
-    def submit(self, fn, /, *args):
-        future = Future()
-        try:
-            future.set_result(fn(*args))
-        except Exception as exc:
-            future.set_exception(exc)
-        return future
 
 
 def _encode_into(row: np.ndarray, gmm_model: GmmModel, views, cfg: PipelineConfig) -> None:
@@ -400,24 +396,28 @@ def _encode_entry(
 
 
 def _fit_stream(
-    stream: str, train, cfg: PipelineConfig, models_dir: Path, pool: Executor, rows
-) -> tuple[dict, list[list[Future]]]:
-    """Fit + serialize + reload one stream's PCA and GMM per variant.
+    stream: str, entries, cfg: PipelineConfig, models_dir: Path, pool: Executor,
+    rows, pending,
+) -> None:
+    """Fit + serialize + reload one stream's PCA and GMM per variant, and
+    queue every entry's encodings of the stream on ``pool``.
 
     Each train view is read once and normalized once per variant.  The
     fits run here, in variant order; as soon as a variant's mixture
     exists, ``pool`` encodes every train entry into ``rows[i][variant]``
-    from the projected views the mixture was fit on.  Returns the models
-    by variant and each train entry's encoding futures.
+    from the projected views the mixture was fit on.  Once every model
+    exists, ``pool`` reads and encodes the other entries.  Entry ``i``'s
+    futures go to ``pending[i]``.
     """
+    train_at = [i for i, entry in enumerate(entries) if entry.role == "train"]
     sets = {variant: [] for variant in cfg.tdd_variants}
     view_counts = []
-    for entry in train:
-        fmaps = _load_views(entry, stream, cfg.conv_layer, FeatureMap)
+    for i in train_at:
+        fmaps = _load_views(entries[i], stream, cfg.conv_layer, FeatureMap)
         view_counts.append(len(fmaps))
         for variant, variant_sets in sets.items():
             variant_sets.extend(variant_descriptors(f, variant) for f in fmaps)
-    models, futures = {}, [[] for _ in train]
+    models = {}
     for variant in cfg.tdd_variants:
         variant_sets = sets.pop(variant)
         stacked = stack_descriptors(variant_sets)
@@ -443,22 +443,26 @@ def _fit_stream(
         )
         models[variant] = (pca_model, gmm_model)
         first = 0
-        for entry_futures, entry_rows, count in zip(futures, rows, view_counts):
+        for i, count in zip(train_at, view_counts):
             views = projected[first:first + count]
-            entry_futures.append(
-                pool.submit(_encode_into, entry_rows[variant], gmm_model, views, cfg)
+            pending[i].append(
+                pool.submit(_encode_into, rows[i][variant], gmm_model, views, cfg)
             )
             first += count
-    return models, futures
+    for i, entry in enumerate(entries):
+        if entry.role != "train":
+            pending[i].append(
+                pool.submit(_encode_entry, entry, stream, cfg, models, rows[i])
+            )
 
 
 def _write_local_features(
-    manifest: Manifest, cfg: PipelineConfig, out: Path, features_dir: Path, threads: int
+    manifest: Manifest, cfg: PipelineConfig, out: Path, features_dir: Path, pool: Executor
 ) -> None:
-    """Fit the local models stream by stream while a pool encodes every
+    """Fit the local models stream by stream while ``pool`` encodes every
     image whose models exist, then join the encodings and write features."""
     entries = manifest.entries
-    train = entries_for_role(manifest, "train")
+    entries_for_role(manifest, "train")  # raises when there is nothing to fit on
     # The channel variant's block always comes first.
     variants = [v for v in VARIANTS if v in cfg.tdd_variants]
     # Encodings wait here at the file dtype, one row per entry, until both
@@ -469,34 +473,24 @@ def _write_local_features(
         for stream in STREAMS
         for variant in variants
     }
-
-    def rows(stream: str, i: int) -> dict:
-        return {variant: blocks[stream, variant][i] for variant in variants}
-
-    train_at = [i for i, entry in enumerate(entries) if entry.role == "train"]
     pending = [[] for _ in entries]  # each entry's encoding futures
-    # The calling thread fits; with it, at most ``threads`` threads work.
-    with ThreadPoolExecutor(threads - 1) if threads > 1 else _Inline() as pool:
-        for stream in STREAMS:
-            models, futures = _fit_stream(
-                stream, train, cfg, out / "models", pool,
-                [rows(stream, i) for i in train_at],
-            )
-            for i, entry_futures in zip(train_at, futures):
-                pending[i] += entry_futures
-            for i, entry in enumerate(entries):
-                if entry.role != "train":
-                    pending[i].append(
-                        pool.submit(_encode_entry, entry, stream, cfg, models, rows(stream, i))
-                    )
+    for stream in STREAMS:
+        rows = [
+            {variant: blocks[stream, variant][i] for variant in variants}
+            for i in range(len(entries))
+        ]
+        _fit_stream(stream, entries, cfg, out / "models", pool, rows, pending)
+    # The calling thread waits, in manifest order, so the first failing
+    # entry is the one reported and no pool task waits on another.
+    for entry_futures in pending:
+        for future in entry_futures:
+            future.result()
 
     position = {entry.image_id: i for i, entry in enumerate(entries)}
 
     def feature(entry: ManifestEntry) -> np.ndarray:
         """Variant concat per stream, then stream concat."""
         i = position[entry.image_id]
-        for future in pending[i]:
-            future.result()
         stream_vecs = []
         for stream in STREAMS:
             parts = [blocks[stream, v][i].astype(np.float64) for v in variants]
@@ -505,28 +499,28 @@ def _write_local_features(
             stream_vecs.append(parts[0])
         return fuse_features(stream_vecs[0], stream_vecs[1], cfg.beta, cfg.final_l2)
 
-    _write_features(features_dir, entries, feature, threads)
+    _write_features(features_dir, entries, feature, pool)
     logger.info("stage=features kind=local images=%d", len(entries))
 
 
 def run_local_fv(
-    manifest: Manifest, cfg: PipelineConfig, out_dir: str | Path, threads: int = 1
+    manifest: Manifest, cfg: PipelineConfig, out_dir: str | Path, pool: Executor
 ) -> EvalReport:
     """Local-descriptor scenario: normalize, project, encode, pool, fuse."""
     out = Path(out_dir)
-    _write_local_features(manifest, cfg, out, out / "features", threads)
+    _write_local_features(manifest, cfg, out, out / "features", pool)
     return _train_predict_evaluate(manifest, cfg, out)
 
 
 def run_layer_fusion(
-    manifest: Manifest, cfg: PipelineConfig, out_dir: str | Path, threads: int = 1
+    manifest: Manifest, cfg: PipelineConfig, out_dir: str | Path, pool: Executor
 ) -> EvalReport:
     """Combine the global and local representations of the same images."""
     out = Path(out_dir)
     global_dir = out / "features_global"
     local_dir = out / "features_local"
-    _write_global_features(manifest, cfg, global_dir, threads)
-    _write_local_features(manifest, cfg, out, local_dir, threads)
+    _write_global_features(manifest, cfg, global_dir, pool)
+    _write_local_features(manifest, cfg, out, local_dir, pool)
 
     if cfg.layer_mode == "features":
 
@@ -539,7 +533,7 @@ def run_layer_fusion(
                 cfg.final_l2,
             )
 
-        _write_features(out / "features", manifest.entries, combined, threads)
+        _write_features(out / "features", manifest.entries, combined, pool)
         return _train_predict_evaluate(manifest, cfg, out)
 
     # Score-level combination: one classifier bank per representation.
@@ -562,10 +556,11 @@ def run(
     out_dir: str | Path,
     threads: int = 1,
 ) -> EvalReport:
-    """Dispatch to the configured scenario runner."""
+    """Dispatch to the configured scenario runner on the run's one pool."""
     if not isinstance(manifest, Manifest):
         manifest = load_manifest(manifest)
     if threads < 1:
         raise ParameterError("threads must be positive")
     runner = _RUNNERS[cfg.scenario]
-    return runner(manifest, cfg, out_dir, threads)
+    with ThreadPoolExecutor(threads - 1) if threads > 1 else _Inline() as pool:
+        return runner(manifest, cfg, out_dir, pool)

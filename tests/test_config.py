@@ -14,6 +14,7 @@ from oracles import write_default_config
 
 def test_defaults_without_a_file():
     cfg = load_config()
+    assert PipelineConfig() == cfg
     assert cfg.scenario == "local_fv"
     assert cfg.score_layer == "prob"
     assert cfg.global_layer == "fc7"

@@ -72,8 +72,6 @@ def test_normalize_variant_rejects_unknown():
     fmap = FeatureMap(2, 2, 2, np.ones((2, 2, 2)))
     with pytest.raises(ParameterError):
         normalize_variant(fmap, "global")
-    with pytest.raises(ParameterError):
-        spatial_normalize(fmap, epsilon=0.0)
 
 
 def test_extract_descriptors_row_major_order(rng):

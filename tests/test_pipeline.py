@@ -13,7 +13,7 @@ import pytest
 
 from fvforge.augment import sum_pool
 from fvforge.config import PipelineConfig
-from fvforge.errors import ParameterError, ShapeError, ValidationError
+from fvforge.errors import FormatError, ParameterError, ShapeError, ValidationError
 from fvforge.evaluation import evaluate, read_scores_csv
 from fvforge.fisher import (
     FisherVector,
@@ -339,6 +339,18 @@ def test_missing_conv_views_are_named(dataset, tmp_path):
     broken = Manifest(class_names=dataset.class_names, entries=entries)
     with pytest.raises(ValidationError, match="conv5_3"):
         run(broken, make_cfg(), tmp_path / "run")
+
+
+@pytest.mark.parametrize("threads", [1, 3])
+def test_first_failing_entry_in_manifest_order_is_reported(tmp_path, threads):
+    """The object stream encodes first, so the second test entry fails
+    first in time; the error still names the first entry."""
+    corpus = generate_dataset(tmp_path / "data", SPEC)
+    first, second = corpus.split("test")[:2]
+    second.paths_for("object", "conv5_3")[0].write_bytes(b"JUNK")
+    first.paths_for("scene", "conv5_3")[0].write_bytes(b"JUNK")
+    with pytest.raises(FormatError, match=f"{first.image_id}\\."):
+        run(corpus, make_cfg(), tmp_path / "run", threads=threads)
 
 
 def test_run_accepts_a_manifest_path_and_checks_threads(dataset, tmp_path):
