@@ -23,9 +23,10 @@ import numpy as np
 from . import __version__, pipeline
 from .augment import plan_views
 from .classify import load_svm, predict_matrix
-from .config import load_config
+from .config import POOLING_ORDERS, PipelineConfig, load_config
 from .errors import FvForgeError, ParameterError, ValidationError
-from .evaluation import read_scores_csv, write_scores_csv
+from .evaluation import INTEGRATORS, read_scores_csv, write_scores_csv
+from .fisher import BLOCK_MODES
 from .fusion import FusionWeights, fuse_scores
 from .gmm import load_gmm
 from .normalize import VARIANTS, descriptors_to_map, extract_descriptors, variant_descriptors
@@ -253,6 +254,7 @@ def _cmd_synth(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    cfg, spec = PipelineConfig(), SynthSpec()  # each stage default has one home
     parser = argparse.ArgumentParser(
         prog="fvforge",
         description=(
@@ -269,7 +271,8 @@ def build_parser() -> argparse.ArgumentParser:
         help=(
             "threads working at once (default: machine parallelism): N - 1 "
             "pool threads do the per-image work while the calling thread "
-            "fits, single-threaded like BLAS, or waits"
+            "fits, single-threaded like BLAS, joins and writes the local "
+            "features, or waits"
         ),
     )
     parser.add_argument(
@@ -312,8 +315,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fit-gmm", help="fit a diagonal mixture on descriptor files")
     p.add_argument("--k", type=int, required=True, help="component count")
     p.add_argument("--seed", type=int, default=7)
-    p.add_argument("--max-iters", type=int, default=100)
-    p.add_argument("--tol", type=float, default=1e-5)
+    p.add_argument("--max-iters", type=int, default=cfg.gmm_max_iterations)
+    p.add_argument("--tol", type=float, default=cfg.gmm_tol)
     p.add_argument("--out", required=True, help="model directory")
     p.add_argument("inputs", nargs="+", help="descriptor tensor files")
     p.set_defaults(func=_cmd_fit_gmm)
@@ -323,12 +326,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--gmm", required=True, help="mixture model directory")
     p.add_argument("--norm", default="intra,power", help="comma list: none,intra,power,l2")
-    p.add_argument("--intra-mode", default="per_order", choices=("per_order", "per_gaussian"))
-    p.add_argument(
-        "--pooling-order",
-        default="pool_then_normalize",
-        choices=("pool_then_normalize", "normalize_then_pool"),
-    )
+    p.add_argument("--intra-mode", default=cfg.intra_block_mode, choices=BLOCK_MODES)
+    p.add_argument("--pooling-order", default=cfg.pooling_order, choices=POOLING_ORDERS)
     p.add_argument("--out", required=True, help="rank-1 tensor file")
     p.add_argument("inputs", nargs="+", help="projected descriptor files (views)")
     p.set_defaults(func=_cmd_encode_fv)
@@ -344,10 +343,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train-svm", help="train one-vs-rest linear classifiers")
     p.add_argument("--manifest", required=True)
     p.add_argument("--features", required=True, help="directory of <image_id>.fvt")
-    p.add_argument("--c", type=float, default=1.0, help="loss/regularizer trade-off")
-    p.add_argument("--seed", type=int, default=7)
-    p.add_argument("--max-epochs", type=int, default=1000)
-    p.add_argument("--tol", type=float, default=1e-4)
+    p.add_argument("--c", type=float, default=cfg.svm_c, help="loss/regularizer trade-off")
+    p.add_argument("--seed", type=int, default=cfg.svm_seed)
+    p.add_argument("--max-epochs", type=int, default=cfg.svm_max_epochs)
+    p.add_argument("--tol", type=float, default=cfg.svm_tol)
     p.add_argument("--out", required=True, help="model directory")
     p.set_defaults(func=_cmd_train_svm)
 
@@ -362,7 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("evaluate", help="AP/mAP/top-1 from a scores CSV")
     p.add_argument("--scores", required=True)
     p.add_argument("--manifest", required=True)
-    p.add_argument("--integrator", default="step", choices=("step", "trapezoid"))
+    p.add_argument("--integrator", default=cfg.integrator, choices=INTEGRATORS)
     p.add_argument("--out", help="report CSV path")
     p.set_defaults(func=_cmd_evaluate)
 
@@ -374,16 +373,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", help="generate a seeded synthetic dataset")
     p.add_argument("--out", required=True)
-    p.add_argument("--classes", type=int, default=10)
-    p.add_argument("--images-per-class", type=int, default=20)
-    p.add_argument("--seed", type=int, default=7)
-    p.add_argument("--views", type=int, default=1)
-    p.add_argument("--test-fraction", type=float, default=0.25)
-    p.add_argument("--fc-dim", type=int, default=32)
-    p.add_argument("--map-size", type=int, default=6)
-    p.add_argument("--map-channels", type=int, default=16)
-    p.add_argument("--class-scale", type=float, default=2.0)
-    p.add_argument("--noise-scale", type=float, default=0.5)
+    p.add_argument("--classes", type=int, default=spec.classes)
+    p.add_argument("--images-per-class", type=int, default=spec.images_per_class)
+    p.add_argument("--seed", type=int, default=spec.seed)
+    p.add_argument("--views", type=int, default=spec.views)
+    p.add_argument("--test-fraction", type=float, default=spec.test_fraction)
+    p.add_argument("--fc-dim", type=int, default=spec.fc_dim)
+    p.add_argument("--map-size", type=int, default=spec.map_size)
+    p.add_argument("--map-channels", type=int, default=spec.map_channels)
+    p.add_argument("--class-scale", type=float, default=spec.class_scale)
+    p.add_argument("--noise-scale", type=float, default=spec.noise_scale)
     p.set_defaults(func=_cmd_synth)
 
     return parser

@@ -15,6 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError, FormatError, ParameterError
+from .evaluation import INTEGRATORS
 from .fisher import BLOCK_MODES
 from .fusion import FusionWeights
 from .normalize import VARIANTS
@@ -138,8 +139,8 @@ class PipelineConfig:
             raise ParameterError(
                 f"pooling_order must be one of {POOLING_ORDERS}"
             )
-        if self.integrator not in ("step", "trapezoid"):
-            raise ParameterError("integrator must be 'step' or 'trapezoid'")
+        if self.integrator not in INTEGRATORS:
+            raise ParameterError(f"integrator must be one of {INTEGRATORS}")
         object.__setattr__(
             self, "tdd_variants", tuple(str(v) for v in self.tdd_variants)
         )

@@ -19,7 +19,9 @@ and stacks the projections for the mixture, as ``apply-pca`` and
 
 ``run`` builds the run's one worker pool: with ``threads`` N, N − 1
 pool threads do the per-image work of every stage, while the calling
-thread fits the models or waits on the pool.
+thread fits the models or waits on the pool.  Local encodings come back
+from the pool as futures; the calling thread joins them and writes the
+local features.
 
 Outputs under the run directory: ``report.csv``, ``scores.csv`` for the
 evaluated images, per-image feature tensors under ``features*/``, and
@@ -36,7 +38,7 @@ import numpy as np
 
 from .augment import sum_pool
 from .classify import LinearModel, load_svm, predict_matrix, save_svm, train_ovr
-from .config import PipelineConfig
+from .config import POOLING_ORDERS, PipelineConfig
 from .errors import ParameterError, ShapeError, ValidationError
 from .evaluation import EvalReport, evaluate, write_report_csv, write_scores_csv
 from .fisher import FisherVector, encode_fv, intra_normalize, power_l2_normalize, unit_norm
@@ -171,6 +173,8 @@ def encode_views(
     ``norms`` is applied in order, from "intra", "power" and "l2", either
     to the pooled encoding or to each view's before pooling.
     """
+    if pooling_order not in POOLING_ORDERS:
+        raise ParameterError(f"unknown pooling_order '{pooling_order}'")
 
     def normalized(fv: FisherVector) -> np.ndarray:
         for token in norms:
@@ -264,18 +268,19 @@ def _pooled_vector(entry: ManifestEntry, stream: str, layer: str) -> np.ndarray:
     return _file_round(sum_pool([v.data for v in views]))
 
 
-def _write_features(features_dir: Path, entries, feature_fn, pool: Executor) -> None:
-    """Compute one vector per entry and serialize each as a tensor file."""
+def _write_features(features_dir: Path, entries, feature_fn, pool: Executor, *extra) -> None:
+    """Compute one vector per entry (and its items of ``extra``) and
+    serialize each as a tensor file."""
     features_dir.mkdir(parents=True, exist_ok=True)
 
-    def one(entry: ManifestEntry) -> None:
-        vec = feature_fn(entry)
+    def one(entry: ManifestEntry, *args) -> None:
+        vec = feature_fn(entry, *args)
         write_tensor(
             GlobalVector(dim=vec.size, data=vec),
             features_dir / f"{entry.image_id}.fvt",
         )
 
-    list(pool.map(one, entries))
+    list(pool.map(one, entries, *extra))
 
 
 def _train_predict_evaluate(
@@ -377,37 +382,38 @@ def run_global(
     return _train_predict_evaluate(manifest, cfg, out)
 
 
-def _encode_into(row: np.ndarray, gmm_model: GmmModel, views, cfg: PipelineConfig) -> None:
-    """Write one variant's pooled encoding of projected views into its
-    float32 row, which rounds it as the feature file would."""
-    row[:] = encode_views(
+def _encode_variant(variant: str, gmm_model: GmmModel, views, cfg: PipelineConfig) -> dict:
+    """One variant's pooled encoding of projected views, keyed by the
+    variant and rounded to float32 as the feature file would."""
+    fv = encode_views(
         gmm_model, views, ("intra", "power"), cfg.intra_block_mode, cfg.pooling_order
     )
+    return {variant: fv.astype(np.float32)}
 
 
 def _encode_entry(
-    entry: ManifestEntry, stream: str, cfg: PipelineConfig, models: dict, rows: dict
-) -> None:
+    entry: ManifestEntry, stream: str, cfg: PipelineConfig, models: dict
+) -> dict:
     """Read an entry's views of one stream once and encode every variant."""
     fmaps = _load_views(entry, stream, cfg.conv_layer, FeatureMap)
+    encodings = {}
     for variant, (pca_model, gmm_model) in models.items():
         views = [project(pca_model, variant_descriptors(f, variant)) for f in fmaps]
-        _encode_into(rows[variant], gmm_model, views, cfg)
+        encodings |= _encode_variant(variant, gmm_model, views, cfg)
+    return encodings
 
 
 def _fit_stream(
-    stream: str, entries, cfg: PipelineConfig, models_dir: Path, pool: Executor,
-    rows, pending,
-) -> None:
+    stream: str, entries, cfg: PipelineConfig, models_dir: Path, pool: Executor
+) -> list:
     """Fit + serialize + reload one stream's PCA and GMM per variant, and
-    queue every entry's encodings of the stream on ``pool``.
+    return each entry's futures of its encodings of the stream.
 
     Each train view is read once and normalized once per variant.  The
     fits run here, in variant order; as soon as a variant's mixture
-    exists, ``pool`` encodes every train entry into ``rows[i][variant]``
-    from the projected views the mixture was fit on.  Once every model
-    exists, ``pool`` reads and encodes the other entries.  Entry ``i``'s
-    futures go to ``pending[i]``.
+    exists, ``pool`` encodes every train entry from the projected views
+    the mixture was fit on.  Once every model exists, ``pool`` reads and
+    encodes the other entries.
     """
     train_at = [i for i, entry in enumerate(entries) if entry.role == "train"]
     sets = {variant: [] for variant in cfg.tdd_variants}
@@ -417,6 +423,7 @@ def _fit_stream(
         view_counts.append(len(fmaps))
         for variant, variant_sets in sets.items():
             variant_sets.extend(variant_descriptors(f, variant) for f in fmaps)
+    futures = [[] for _ in entries]
     models = {}
     for variant in cfg.tdd_variants:
         variant_sets = sets.pop(variant)
@@ -445,61 +452,43 @@ def _fit_stream(
         first = 0
         for i, count in zip(train_at, view_counts):
             views = projected[first:first + count]
-            pending[i].append(
-                pool.submit(_encode_into, rows[i][variant], gmm_model, views, cfg)
+            futures[i].append(
+                pool.submit(_encode_variant, variant, gmm_model, views, cfg)
             )
             first += count
     for i, entry in enumerate(entries):
         if entry.role != "train":
-            pending[i].append(
-                pool.submit(_encode_entry, entry, stream, cfg, models, rows[i])
-            )
+            futures[i].append(pool.submit(_encode_entry, entry, stream, cfg, models))
+    return futures
 
 
 def _write_local_features(
     manifest: Manifest, cfg: PipelineConfig, out: Path, features_dir: Path, pool: Executor
 ) -> None:
     """Fit the local models stream by stream while ``pool`` encodes every
-    image whose models exist, then join the encodings and write features."""
+    image whose models exist; the calling thread then joins each entry's
+    encodings, in manifest order, and writes its feature."""
     entries = manifest.entries
     entries_for_role(manifest, "train")  # raises when there is nothing to fit on
-    # The channel variant's block always comes first.
-    variants = [v for v in VARIANTS if v in cfg.tdd_variants]
-    # Encodings wait here at the file dtype, one row per entry, until both
-    # streams are done.
-    dim = 2 * cfg.gmm_components * cfg.pca_dim
-    blocks = {
-        (stream, variant): np.empty((len(entries), dim), dtype=np.float32)
-        for stream in STREAMS
-        for variant in variants
-    }
-    pending = [[] for _ in entries]  # each entry's encoding futures
-    for stream in STREAMS:
-        rows = [
-            {variant: blocks[stream, variant][i] for variant in variants}
-            for i in range(len(entries))
-        ]
-        _fit_stream(stream, entries, cfg, out / "models", pool, rows, pending)
-    # The calling thread waits, in manifest order, so the first failing
-    # entry is the one reported and no pool task waits on another.
-    for entry_futures in pending:
-        for future in entry_futures:
-            future.result()
+    futures = [_fit_stream(s, entries, cfg, out / "models", pool) for s in STREAMS]
 
-    position = {entry.image_id: i for i, entry in enumerate(entries)}
-
-    def feature(entry: ManifestEntry) -> np.ndarray:
-        """Variant concat per stream, then stream concat."""
-        i = position[entry.image_id]
+    def feature(entry: ManifestEntry, stream_futures) -> np.ndarray:
+        """Variant concat per stream, the channel variant first, then
+        stream concat."""
         stream_vecs = []
-        for stream in STREAMS:
-            parts = [blocks[stream, v][i].astype(np.float64) for v in variants]
+        for entry_futures in stream_futures:
+            encodings = {v: e for f in entry_futures for v, e in f.result().items()}
+            parts = [
+                encodings[v].astype(np.float64) for v in VARIANTS if v in encodings
+            ]
             if len(parts) == 2:
                 parts = [_file_round(fuse_features(*parts, FusionWeights(), True))]
             stream_vecs.append(parts[0])
         return fuse_features(stream_vecs[0], stream_vecs[1], cfg.beta, cfg.final_l2)
 
-    _write_features(features_dir, entries, feature, pool)
+    # Inline, so no pool task waits on a future and the first failing
+    # entry in manifest order is the one reported.
+    _write_features(features_dir, entries, feature, _Inline(), zip(*futures))
     logger.info("stage=features kind=local images=%d", len(entries))
 
 

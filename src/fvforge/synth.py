@@ -31,13 +31,6 @@ SCORE_LAYER = "prob"
 GLOBAL_LAYER = "fc7"
 CONV_LAYER = "conv5_3"
 
-DEFAULT_FC_DIM = 32
-DEFAULT_MAP_SIZE = 6
-DEFAULT_MAP_CHANNELS = 16
-DEFAULT_CLASS_SCALE = 2.0
-DEFAULT_NOISE_SCALE = 0.5
-DEFAULT_TEST_FRACTION = 0.25
-
 
 @dataclass(frozen=True)
 class SynthSpec:
@@ -47,12 +40,12 @@ class SynthSpec:
     images_per_class: int = 20
     seed: int = 7
     views: int = 1
-    test_fraction: float = DEFAULT_TEST_FRACTION
-    fc_dim: int = DEFAULT_FC_DIM
-    map_size: int = DEFAULT_MAP_SIZE
-    map_channels: int = DEFAULT_MAP_CHANNELS
-    class_scale: float = DEFAULT_CLASS_SCALE
-    noise_scale: float = DEFAULT_NOISE_SCALE
+    test_fraction: float = 0.25
+    fc_dim: int = 32
+    map_size: int = 6
+    map_channels: int = 16
+    class_scale: float = 2.0
+    noise_scale: float = 0.5
 
     def __post_init__(self):
         if self.classes < 2:

@@ -6,10 +6,12 @@ import numpy as np
 import pytest
 
 from fvforge.classify import LinearModel, save_svm
-from fvforge.cli import main
+from fvforge.cli import build_parser, main
+from fvforge.config import PipelineConfig
 from fvforge.gmm import GmmModel, save_gmm
 from fvforge.pca import PcaModel, save_pca
 from fvforge.pipeline import derived_seed
+from fvforge.synth import SynthSpec
 from fvforge.tensors import (
     FeatureMap,
     GlobalVector,
@@ -52,6 +54,48 @@ def test_help_exits_zero(capsys):
     out = capsys.readouterr().out
     for name in ("plan-views", "encode-fv", "train-svm", "synth"):
         assert name in out
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (
+            ["fit-gmm", "--k", "2", "--out", "m", "in.fvt"],
+            {"max_iters": "gmm_max_iterations", "tol": "gmm_tol"},
+        ),
+        (
+            ["train-svm", "--manifest", "x", "--features", "f", "--out", "m"],
+            {
+                "c": "svm_c",
+                "seed": "svm_seed",
+                "max_epochs": "svm_max_epochs",
+                "tol": "svm_tol",
+            },
+        ),
+        (
+            ["encode-fv", "--gmm", "g", "--out", "o", "in.fvt"],
+            {"intra_mode": "intra_block_mode", "pooling_order": "pooling_order"},
+        ),
+        (
+            ["evaluate", "--scores", "s", "--manifest", "x"],
+            {"integrator": "integrator"},
+        ),
+    ],
+    ids=["fit-gmm", "train-svm", "encode-fv", "evaluate"],
+)
+def test_stage_flag_defaults_are_the_default_config(argv, expected):
+    """Default flags reproduce `run` with the default config."""
+    args = build_parser().parse_args(argv)
+    cfg = PipelineConfig()
+    assert {flag: getattr(args, flag) for flag in expected} == {
+        flag: getattr(cfg, key) for flag, key in expected.items()
+    }
+
+
+def test_synth_flag_defaults_are_the_spec_defaults():
+    args = vars(build_parser().parse_args(["synth", "--out", "d"]))
+    spec = SynthSpec()
+    assert {name: args[name] for name in spec.__dataclass_fields__} == vars(spec)
 
 
 def test_unknown_subcommand_exits_two():

@@ -31,6 +31,7 @@ from fvforge.pipeline import derived_seed, run
 from fvforge.synth import SynthSpec, generate_dataset
 from fvforge.tensors import STREAMS, Manifest, read_as, read_tensor
 
+from conftest import random_descriptors, random_gmm
 from oracles import concat_variant_fvs
 
 SPEC = SynthSpec(
@@ -65,6 +66,16 @@ def local_run(tmp_path_factory, dataset):
 
 def _file_bytes(directory):
     return {p.name: p.read_bytes() for p in sorted(directory.iterdir()) if p.is_file()}
+
+
+def _run_bytes(out):
+    """Every file of a run directory — scores, report, features, models —
+    by its path relative to the directory."""
+    return {
+        p.relative_to(out).as_posix(): p.read_bytes()
+        for p in sorted(out.rglob("*"))
+        if p.is_file()
+    }
 
 
 def _pooled_views(entry, stream, layer):
@@ -222,28 +233,27 @@ def test_models_never_see_test_entries(dataset, local_run, tmp_path):
 
 def test_thread_count_does_not_change_outputs(dataset, local_run, tmp_path):
     serial_out, _ = local_run
-    # More threads than cores, switching often: workers fill disjoint rows
-    # of shared encoding blocks while the calling thread fits.
+    # More threads than cores, switching often: workers return encodings
+    # while the calling thread fits, then it joins them in manifest order.
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         run(dataset, make_cfg(), tmp_path / "pooled", threads=3)
     finally:
         sys.setswitchinterval(interval)
-    assert (tmp_path / "pooled" / "scores.csv").read_bytes() == (
-        serial_out / "scores.csv"
-    ).read_bytes()
-    assert _file_bytes(tmp_path / "pooled" / "features") == _file_bytes(
-        serial_out / "features"
-    )
-    models = sorted((serial_out / "models").iterdir())
-    assert [d.name for d in models] == sorted(
-        d.name for d in (tmp_path / "pooled" / "models").iterdir()
-    )
-    for model_dir in models:
-        assert _file_bytes(tmp_path / "pooled" / "models" / model_dir.name) == _file_bytes(
-            model_dir
-        )
+    assert _run_bytes(tmp_path / "pooled") == _run_bytes(serial_out)
+
+
+@pytest.mark.parametrize("threads", [1, 3])
+def test_variant_order_does_not_change_a_local_run(
+    dataset, local_run, tmp_path, threads
+):
+    """Fits follow the config's variant order, but encodings are keyed by
+    variant and joined channel first."""
+    default_out, _ = local_run
+    out = tmp_path / "reversed"
+    run(dataset, make_cfg(tdd_variants=("spatial", "channel")), out, threads=threads)
+    assert _run_bytes(out) == _run_bytes(default_out)
 
 
 @pytest.mark.parametrize("threads", [1, 3])
@@ -266,6 +276,14 @@ def test_local_run_reads_each_conv_view_once(dataset, tmp_path, monkeypatch, thr
     ]
     counts = Counter(reads)
     assert {path: counts[path] for path in conv_views} == dict.fromkeys(conv_views, 1)
+
+
+def test_encode_views_rejects_an_unknown_pooling_order(rng):
+    model = random_gmm(rng, 2, 3)
+    with pytest.raises(ParameterError, match="pooling_order"):
+        pipeline.encode_views(
+            model, [random_descriptors(rng, 5, 3)], ("intra",), "per_order", "pooled"
+        )
 
 
 def test_pooling_order_changes_multi_view_features(dataset, local_run, tmp_path):
