@@ -267,12 +267,14 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--threads",
         type=int,
-        default=max(1, os.cpu_count() or 1),
+        default=min(max(1, os.cpu_count() or 1), pipeline.MAX_THREADS),
         help=(
-            "threads working at once (default: machine parallelism): N - 1 "
-            "pool threads do the per-image work while the calling thread "
-            "fits, single-threaded like BLAS, joins and writes the local "
-            "features, or waits"
+            f"threads working at once, at most {pipeline.MAX_THREADS} "
+            "(default: machine parallelism): N - 1 pool threads do the "
+            "per-image work while the calling thread fits, single-threaded "
+            "like BLAS, or waits; after the fits it runs the local encodes "
+            "no worker has started, from the back of the queue, then joins "
+            "them and writes the local features"
         ),
     )
     parser.add_argument(
@@ -414,8 +416,11 @@ def main(argv=None) -> int:
         format="%(message)s",
     )
     _pin_blas()
-    if args.threads < 1:
-        print("error: --threads must be positive", file=sys.stderr)
+    if not 1 <= args.threads <= pipeline.MAX_THREADS:
+        print(
+            f"error: --threads must be between 1 and {pipeline.MAX_THREADS}",
+            file=sys.stderr,
+        )
         return 2
     try:
         return args.func(args)

@@ -36,7 +36,9 @@ def logsumexp(a: np.ndarray, axis: int | None = None) -> np.ndarray:
     """Stable log(sum(exp(a))) along ``axis``."""
     amax = np.max(a, axis=axis, keepdims=True)
     amax = np.where(np.isfinite(amax), amax, 0.0)
-    out = np.log(np.sum(np.exp(a - amax), axis=axis, keepdims=True)) + amax
+    shifted = a - amax
+    np.exp(shifted, out=shifted)
+    out = np.log(np.sum(shifted, axis=axis, keepdims=True)) + amax
     return out if axis is None else np.squeeze(out, axis=axis)
 
 
@@ -70,38 +72,44 @@ class GmmModel:
             object.__setattr__(self, name, arr)
 
 
-def _log_density(x, weights, means, variances) -> np.ndarray:
-    """Per-point, per-component log(pi_k * N(x; mu_k, var_k)), shape (N, K).
+def _log_density(x, x2, weights, means, variances) -> np.ndarray:
+    """Per-point, per-component log(pi_k * N(x; mu_k, var_k)), shape (N, K),
+    with ``x2`` the elementwise square of ``x``.
 
-    sum_d (x - mu_k)^2 / var_k is expanded into one quadratic form in x.
+    sum_d (x - mu_k)^2 / var_k is expanded into one quadratic form in x,
+    built in place in one (N, K) array.
     """
     inv_var = 1.0 / variances
-    mahal = (
-        (x * x) @ inv_var.T
-        - 2.0 * x @ (means * inv_var).T
-        + np.sum(means * means * inv_var, axis=1)
-    )
     log_norm = np.log(weights) - 0.5 * (
         means.shape[1] * np.log(2.0 * np.pi) + np.sum(np.log(variances), axis=1)
     )
-    return log_norm - 0.5 * mahal
+    out = x2 @ inv_var.T
+    out -= x @ (2.0 * (means * inv_var)).T
+    out += np.sum(means * means * inv_var, axis=1)
+    out *= -0.5
+    out += log_norm
+    return out
 
 
-def _posterior(x, weights, means, variances) -> tuple[np.ndarray, np.ndarray]:
+def _posterior(x, x2, weights, means, variances) -> tuple[np.ndarray, np.ndarray]:
     """Responsibilities gamma (N, K), rows summing to 1, and log p(x) (N,)."""
-    log_joint = _log_density(x, weights, means, variances)
+    log_joint = _log_density(x, x2, weights, means, variances)
     log_px = logsumexp(log_joint, axis=1)
-    return np.exp(log_joint - log_px[:, None]), log_px
+    log_joint -= log_px[:, None]
+    return np.exp(log_joint, out=log_joint), log_px
 
 
-def moments(gamma: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """S0 = sum_n gamma_nk (K,), S1 = gamma^T x and S2 = gamma^T x^2, both (K, d)."""
-    return gamma.sum(axis=0), gamma.T @ x, gamma.T @ (x * x)
+def moments(
+    gamma: np.ndarray, x: np.ndarray, x2: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """S0 = sum_n gamma_nk (K,), S1 = gamma^T x and S2 = gamma^T x2, both
+    (K, d), where ``x2`` is the elementwise square of ``x``."""
+    return gamma.sum(axis=0), gamma.T @ x, gamma.T @ x2
 
 
-def _estimate(gamma: np.ndarray, x: np.ndarray, var_floor: np.ndarray):
+def _estimate(gamma: np.ndarray, x: np.ndarray, x2: np.ndarray, var_floor: np.ndarray):
     """S0, means S1/S0 and floored variances S2/S0 - mean^2 (non-finite where S0 = 0)."""
-    s0, s1, s2 = moments(gamma, x)
+    s0, s1, s2 = moments(gamma, x, x2)
     with np.errstate(divide="ignore", invalid="ignore"):
         means = s1 / s0[:, None]
         variances = np.maximum(s2 / s0[:, None] - means * means, var_floor)
@@ -124,11 +132,11 @@ def _kmeans_plus_plus(x: np.ndarray, k: int, rng: np.random.Generator) -> np.nda
     return centers
 
 
-def _assign(x: np.ndarray, centers: np.ndarray) -> np.ndarray:
+def _assign(x: np.ndarray, x2: np.ndarray, centers: np.ndarray) -> np.ndarray:
     """One-hot nearest-center assignment, (N, K); ties go to the lowest index."""
     k = centers.shape[0]
     # Equal weights and unit variances: log-density = const - ||x - c||^2 / 2.
-    log_joint = _log_density(x, np.ones(k), centers, np.ones_like(centers))
+    log_joint = _log_density(x, x2, np.ones(k), centers, np.ones_like(centers))
     return np.eye(k)[np.argmax(log_joint, axis=1)]
 
 
@@ -175,8 +183,9 @@ def fit_gmm(
     # k-means++ seeding, a short Lloyd refinement, then the moments of the
     # final hard assignment; an empty cluster restarts at a random point.
     means = _kmeans_plus_plus(x, K, rng)
+    x2 = x * x  # squared only now, so it never coexists with the seeding's temporaries
     for _ in range(KMEANS_REFINE_ITERS + 1):
-        counts, means, variances = _estimate(_assign(x, means), x, var_floor)
+        counts, means, variances = _estimate(_assign(x, x2, means), x, x2, var_floor)
         for j in np.flatnonzero(counts == 0):
             means[j] = x[rng.integers(n)]
             variances[j] = iso_var
@@ -184,8 +193,9 @@ def fit_gmm(
     weights /= weights.sum()
 
     trace: list[float] = []  # per-point average log-likelihood at each E-step
+    check_monotone = True  # False after an iteration that reset a component
     for iteration in range(max_iters):
-        gamma, log_px = _posterior(x, weights, means, variances)
+        gamma, log_px = _posterior(x, x2, weights, means, variances)
         avg_ll = float(log_px.mean())
         if not np.isfinite(avg_ll):
             raise NumericError("log-likelihood became non-finite during EM")
@@ -198,7 +208,8 @@ def fit_gmm(
         if len(trace) > 1 and avg_ll - trace[-2] < tol:
             break
 
-        nk, means, variances = _estimate(gamma, x, var_floor)
+        nk, means, variances = _estimate(gamma, x, x2, var_floor)
+        del gamma  # so the next E-step's (N, K) arrays do not coexist with it
         new_weights = nk / n
         collapsed = np.flatnonzero(new_weights < DEFAULT_WEIGHT_FLOOR)
         check_monotone = collapsed.size == 0
@@ -225,7 +236,7 @@ def responsibilities(model: GmmModel, x) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != model.dim:
         raise ShapeError(f"descriptors of shape {x.shape} for model dim {model.dim}")
-    return _posterior(x, model.weights, model.means, model.variances)[0]
+    return _posterior(x, x * x, model.weights, model.means, model.variances)[0]
 
 
 def save_gmm(model: GmmModel, model_dir: str | Path) -> None:

@@ -17,11 +17,13 @@ on the stacked descriptors, then projects each view from its own rows
 and stacks the projections for the mixture, as ``apply-pca`` and
 ``fit-gmm`` do.
 
-``run`` builds the run's one worker pool: with ``threads`` N, N − 1
-pool threads do the per-image work of every stage, while the calling
-thread fits the models or waits on the pool.  Local encodings come back
-from the pool as futures; the calling thread joins them and writes the
-local features.
+``run`` builds the run's one worker pool: with ``threads`` N (at most
+``MAX_THREADS``), N − 1 pool threads do the per-image work of every
+stage, while the calling thread fits the models or waits on the pool.
+Local encodings are queued as tasks that either thread may run: once
+both streams are fit, the calling thread runs every encode no worker
+has started, from the back of the queue, and only then joins the
+encodings in manifest order and writes the local features.
 
 Outputs under the run directory: ``report.csv``, ``scores.csv`` for the
 evaluated images, per-image feature tensors under ``features*/``, and
@@ -31,6 +33,7 @@ fitted models under ``models/``.
 from __future__ import annotations
 
 import logging
+import threading
 from concurrent.futures import Executor, Future, ThreadPoolExecutor
 from pathlib import Path
 
@@ -60,6 +63,8 @@ from .tensors import (
 
 logger = logging.getLogger(__name__)
 
+MAX_THREADS = 256
+
 
 def derived_seed(base: int, stream: str, variant: str) -> int:
     """Distinct per-(stream, variant) seed for local-encoding models."""
@@ -77,6 +82,30 @@ class _Inline(Executor):
         except Exception as exc:
             future.set_exception(exc)
         return future
+
+
+class _Task:
+    """A call queued on ``pool`` that runs once, on whichever thread
+    claims it first: a pool worker, or a caller of ``run`` or ``result``."""
+
+    def __init__(self, pool: Executor, fn, *args):
+        self._call = (fn, args)
+        self._claim = threading.Lock()
+        self._future = Future()
+        pool.submit(self.run)
+
+    def run(self) -> None:
+        if not self._claim.acquire(blocking=False):
+            return
+        (fn, args), self._call = self._call, None  # free the inputs once run
+        try:
+            self._future.set_result(fn(*args))
+        except Exception as exc:
+            self._future.set_exception(exc)
+
+    def result(self):
+        self.run()
+        return self._future.result()
 
 
 def _file_round(vec: np.ndarray) -> np.ndarray:
@@ -405,15 +434,16 @@ def _encode_entry(
 
 def _fit_stream(
     stream: str, entries, cfg: PipelineConfig, models_dir: Path, pool: Executor
-) -> list:
+) -> tuple[list, list]:
     """Fit + serialize + reload one stream's PCA and GMM per variant, and
-    return each entry's futures of its encodings of the stream.
+    return each entry's tasks that encode it in the stream, plus every
+    task in the order it was queued.
 
     Each train view is read once and normalized once per variant.  The
     fits run here, in variant order; as soon as a variant's mixture
-    exists, ``pool`` encodes every train entry from the projected views
-    the mixture was fit on.  Once every model exists, ``pool`` reads and
-    encodes the other entries.
+    exists, a task on ``pool`` is queued per train entry to encode it from
+    the projected views the mixture was fit on.  Once every model exists,
+    one task per other entry is queued to read and encode it.
     """
     train_at = [i for i, entry in enumerate(entries) if entry.role == "train"]
     sets = {variant: [] for variant in cfg.tdd_variants}
@@ -423,7 +453,8 @@ def _fit_stream(
         view_counts.append(len(fmaps))
         for variant, variant_sets in sets.items():
             variant_sets.extend(variant_descriptors(f, variant) for f in fmaps)
-    futures = [[] for _ in entries]
+    tasks = [[] for _ in entries]
+    queued = []
     models = {}
     for variant in cfg.tdd_variants:
         variant_sets = sets.pop(variant)
@@ -452,32 +483,38 @@ def _fit_stream(
         first = 0
         for i, count in zip(train_at, view_counts):
             views = projected[first:first + count]
-            futures[i].append(
-                pool.submit(_encode_variant, variant, gmm_model, views, cfg)
-            )
+            queued.append(_Task(pool, _encode_variant, variant, gmm_model, views, cfg))
+            tasks[i].append(queued[-1])
             first += count
     for i, entry in enumerate(entries):
         if entry.role != "train":
-            futures[i].append(pool.submit(_encode_entry, entry, stream, cfg, models))
-    return futures
+            queued.append(_Task(pool, _encode_entry, entry, stream, cfg, models))
+            tasks[i].append(queued[-1])
+    return tasks, queued
 
 
 def _write_local_features(
     manifest: Manifest, cfg: PipelineConfig, out: Path, features_dir: Path, pool: Executor
 ) -> None:
     """Fit the local models stream by stream while ``pool`` encodes every
-    image whose models exist; the calling thread then joins each entry's
-    encodings, in manifest order, and writes its feature."""
+    image whose models exist.  The calling thread then runs, from the back,
+    every encode no worker has started, and joins each entry's encodings,
+    in manifest order, and writes its feature."""
     entries = manifest.entries
     entries_for_role(manifest, "train")  # raises when there is nothing to fit on
-    futures = [_fit_stream(s, entries, cfg, out / "models", pool) for s in STREAMS]
+    fitted = [_fit_stream(s, entries, cfg, out / "models", pool) for s in STREAMS]
+    tasks, queued = zip(*fitted)
+    # Workers take the queue from the front, so this walk meets them in
+    # the middle and never waits on a task a worker has claimed.
+    for task in reversed([t for stream_queue in queued for t in stream_queue]):
+        task.run()
 
-    def feature(entry: ManifestEntry, stream_futures) -> np.ndarray:
+    def feature(entry: ManifestEntry, stream_tasks) -> np.ndarray:
         """Variant concat per stream, the channel variant first, then
         stream concat."""
         stream_vecs = []
-        for entry_futures in stream_futures:
-            encodings = {v: e for f in entry_futures for v, e in f.result().items()}
+        for entry_tasks in stream_tasks:
+            encodings = {v: e for t in entry_tasks for v, e in t.result().items()}
             parts = [
                 encodings[v].astype(np.float64) for v in VARIANTS if v in encodings
             ]
@@ -488,7 +525,7 @@ def _write_local_features(
 
     # Inline, so no pool task waits on a future and the first failing
     # entry in manifest order is the one reported.
-    _write_features(features_dir, entries, feature, _Inline(), zip(*futures))
+    _write_features(features_dir, entries, feature, _Inline(), zip(*tasks))
     logger.info("stage=features kind=local images=%d", len(entries))
 
 
@@ -548,8 +585,8 @@ def run(
     """Dispatch to the configured scenario runner on the run's one pool."""
     if not isinstance(manifest, Manifest):
         manifest = load_manifest(manifest)
-    if threads < 1:
-        raise ParameterError("threads must be positive")
+    if not 1 <= threads <= MAX_THREADS:
+        raise ParameterError(f"threads must be between 1 and {MAX_THREADS}")
     runner = _RUNNERS[cfg.scenario]
     with ThreadPoolExecutor(threads - 1) if threads > 1 else _Inline() as pool:
         return runner(manifest, cfg, out_dir, pool)

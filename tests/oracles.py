@@ -410,6 +410,35 @@ def concat_variant_fvs(channel_fv, spatial_fv):
     return joined / max(float(np.linalg.norm(joined)), 1e-12)
 
 
+def log_density_expanded(x, weights, means, variances):
+    """The (N, K) log(pi_k * N(x; mu_k, var_k)) as one expression with a
+    fresh array per term; ``gmm._log_density`` computes it in place and
+    must match it bit for bit."""
+    inv_var = 1.0 / variances
+    mahal = (
+        (x * x) @ inv_var.T
+        - 2.0 * x @ (means * inv_var).T
+        + np.sum(means * means * inv_var, axis=1)
+    )
+    log_norm = np.log(weights) - 0.5 * (
+        means.shape[1] * np.log(2.0 * np.pi) + np.sum(np.log(variances), axis=1)
+    )
+    return log_norm - 0.5 * mahal
+
+
+def posterior_expanded(x, weights, means, variances):
+    """Responsibilities (N, K) and log p(x) (N,) with a fresh array for
+    every step; ``gmm._posterior`` computes them in place and must match
+    them bit for bit."""
+    log_joint = log_density_expanded(x, weights, means, variances)
+    amax = np.max(log_joint, axis=1, keepdims=True)
+    amax = np.where(np.isfinite(amax), amax, 0.0)
+    log_px = np.squeeze(
+        np.log(np.sum(np.exp(log_joint - amax), axis=1, keepdims=True)) + amax, axis=1
+    )
+    return np.exp(log_joint - log_px[:, None]), log_px
+
+
 def write_default_config(path):
     """Write the default configuration text to ``path``."""
     Path(path).write_text(DEFAULT_CONFIG_TEXT, encoding="utf-8")

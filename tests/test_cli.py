@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,7 @@ from fvforge.cli import build_parser, main
 from fvforge.config import PipelineConfig
 from fvforge.gmm import GmmModel, save_gmm
 from fvforge.pca import PcaModel, save_pca
-from fvforge.pipeline import derived_seed
+from fvforge.pipeline import MAX_THREADS, derived_seed
 from fvforge.synth import SynthSpec
 from fvforge.tensors import (
     FeatureMap,
@@ -124,6 +126,25 @@ def test_missing_scores_file_exits_three(tiny, tmp_path):
 
 def test_nonpositive_threads_exit_two():
     assert main(["--threads", "0", "plan-views", "--width", "8", "--height", "8"]) == 2
+
+
+def test_threads_above_the_bound_exit_two_without_starting_one(tiny, tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("[pipeline]\nscenario = softmax_fusion\n")
+    before = threading.active_count()
+    code = main(
+        [
+            "--threads", "100000",
+            "run",
+            "--config", str(cfg),
+            "--manifest", str(tiny / "data.manifest"),
+            "--out", str(tmp_path / "out"),
+        ]
+    )
+    assert code == 2
+    assert threading.active_count() == before
+    assert str(MAX_THREADS) in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_plan_views_stdout(capsys):

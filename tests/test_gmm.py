@@ -11,6 +11,8 @@ from fvforge.errors import NumericError, ParameterError, ShapeError
 from fvforge.gmm import (
     DEFAULT_VARIANCE_FLOOR_FRAC,
     GmmModel,
+    _log_density,
+    _posterior,
     fit_gmm,
     load_gmm,
     logsumexp,
@@ -24,8 +26,10 @@ from conftest import arrays_at_blas_threads, random_descriptors, random_gmm
 from oracles import (
     gmm_moments_reference,
     gmm_responsibilities_reference,
+    log_density_expanded,
     log_likelihood,
     logsumexp_reference,
+    posterior_expanded,
 )
 
 
@@ -67,8 +71,21 @@ def test_moments_match_loop_reference(rng):
     x = ds.descriptors.astype(np.float64)
     gamma = responsibilities(model, x)
     ref = gmm_moments_reference(gamma.tolist(), x.tolist())
-    for ours, expected in zip(moments(gamma, x), ref):
+    for ours, expected in zip(moments(gamma, x, x * x), ref):
         np.testing.assert_allclose(ours, np.asarray(expected), rtol=0.0, atol=1e-10)
+
+
+@pytest.mark.parametrize("n, K, d", [(3840, 16, 32), (11760, 4, 64), (5000, 256, 64)])
+def test_in_place_log_density_is_bitwise_the_expanded_formula(rng, n, K, d):
+    """Doubling the weights instead of the points and negating before the
+    add are exact in floating point, and so is computing in place, so no
+    bit of a fit or an encoding may move."""
+    model = random_gmm(rng, K, d)
+    x = rng.normal(0.0, 2.0, (n, d))
+    params = (model.weights, model.means, model.variances)
+    assert np.array_equal(_log_density(x, x * x, *params), log_density_expanded(x, *params))
+    for ours, expected in zip(_posterior(x, x * x, *params), posterior_expanded(x, *params)):
+        assert np.array_equal(ours, expected)
 
 
 def test_fit_recovers_two_separated_blobs(rng):

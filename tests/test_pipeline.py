@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import logging
 import sys
+import threading
 from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
@@ -233,8 +235,9 @@ def test_models_never_see_test_entries(dataset, local_run, tmp_path):
 
 def test_thread_count_does_not_change_outputs(dataset, local_run, tmp_path):
     serial_out, _ = local_run
-    # More threads than cores, switching often: workers return encodings
-    # while the calling thread fits, then it joins them in manifest order.
+    # More threads than cores, switching often: workers encode while the
+    # calling thread fits; then it runs the encodes no worker has started,
+    # from the back of the queue, and joins them in manifest order.
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -377,6 +380,66 @@ def test_run_accepts_a_manifest_path_and_checks_threads(dataset, tmp_path):
     assert 0.0 <= report.map_score <= 1.0
     with pytest.raises(ParameterError):
         run(dataset, cfg, tmp_path / "bad", threads=0)
+
+
+def test_run_rejects_too_many_threads_before_starting_one(dataset, tmp_path):
+    before = threading.active_count()
+    with pytest.raises(ParameterError, match=str(pipeline.MAX_THREADS)):
+        run(dataset, make_cfg(), tmp_path / "bad", threads=100000)
+    assert threading.active_count() == before
+    assert not (tmp_path / "bad").exists()
+
+
+@pytest.fixture
+def busy_pool():
+    """A one-worker pool whose worker is held until ``release`` is set."""
+    release = threading.Event()
+    with ThreadPoolExecutor(1) as pool:
+        pool.submit(release.wait, 30)
+        yield pool, release
+        release.set()
+
+
+def test_task_no_worker_started_runs_on_the_joining_thread(busy_pool):
+    pool, _ = busy_pool
+    task = pipeline._Task(pool, threading.get_ident)
+    assert task.result() == threading.get_ident()
+
+
+def test_task_runs_once_even_after_a_worker_reaches_it(busy_pool):
+    pool, release = busy_pool
+    calls = []
+
+    def call() -> int:
+        calls.append(threading.get_ident())
+        return len(calls)
+
+    task = pipeline._Task(pool, call)
+    assert task.result() == 1
+    release.set()
+    pool.shutdown(wait=True)  # the worker reaches the claimed task and skips it
+    assert task.result() == 1
+    assert calls == [threading.get_ident()]
+
+
+def test_task_that_a_worker_ran_is_not_run_again():
+    calls = []
+    with ThreadPoolExecutor(1) as pool:
+        task = pipeline._Task(pool, lambda: calls.append(threading.get_ident()))
+    task.run()
+    assert task.result() is None
+    assert len(calls) == 1 and calls[0] != threading.get_ident()
+
+
+def test_task_exception_surfaces_from_result(busy_pool):
+    pool, _ = busy_pool
+
+    def fail():
+        raise ValidationError("encode failed")
+
+    task = pipeline._Task(pool, fail)
+    with pytest.raises(ValidationError, match="encode failed"):
+        task.result()
 
 
 def test_derived_seeds_are_distinct():
