@@ -47,7 +47,7 @@ def encode_fv(model: gmm_mod.GmmModel, descriptors: DescriptorSet) -> FisherVect
     """Encode a descriptor bag into an unnormalized Fisher vector.
 
     From S0, S1, S2 = gmm.moments(gamma, x, x * x) of the responsibilities
-    gamma, with sigma_k = sqrt(var_k):
+    gamma, which are computed from the same x * x, with sigma_k = sqrt(var_k):
 
         u_k = (S1 - S0 mu_k) / (N sigma_k sqrt(pi_k))
         v_k = ((S2 - 2 mu_k S1 + mu_k^2 S0) / var_k - S0) / (N sqrt(2 pi_k))
@@ -55,7 +55,8 @@ def encode_fv(model: gmm_mod.GmmModel, descriptors: DescriptorSet) -> FisherVect
     if descriptors.count < 1:
         raise ParameterError("cannot encode an empty descriptor set")
     x = descriptors.descriptors.astype(np.float64)
-    s0, s1, s2 = gmm_mod.moments(gmm_mod.responsibilities(model, x), x, x * x)
+    x2 = x * x
+    s0, s1, s2 = gmm_mod.moments(gmm_mod.responsibilities(model, x, x2), x, x2)
     s0, n, w = s0[:, None], x.shape[0], model.weights[:, None]
     mu, var = model.means, model.variances
     u = (s1 - s0 * mu) / (np.sqrt(var) * n * np.sqrt(w))

@@ -230,13 +230,13 @@ def fit_gmm(
     )
 
 
-def responsibilities(model: GmmModel, x) -> np.ndarray:
-    """Posterior component probabilities (N, K) of an (N, dim) descriptor
-    array, via log-sum-exp; a float64 array is used without a copy."""
-    x = np.asarray(x, dtype=np.float64)
+def responsibilities(model: GmmModel, x: np.ndarray, x2: np.ndarray) -> np.ndarray:
+    """Posterior component probabilities (N, K) of a float64 (N, dim)
+    descriptor array ``x``, given ``x2``, its elementwise square, via
+    log-sum-exp."""
     if x.ndim != 2 or x.shape[1] != model.dim:
         raise ShapeError(f"descriptors of shape {x.shape} for model dim {model.dim}")
-    return _posterior(x, x * x, model.weights, model.means, model.variances)[0]
+    return _posterior(x, x2, model.weights, model.means, model.variances)[0]
 
 
 def save_gmm(model: GmmModel, model_dir: str | Path) -> None:

@@ -12,10 +12,11 @@ dtype, and all randomness derives from config seeds — so a run's
 serialized outputs are bit-reproducible.  Models are serialized and
 reloaded before use.  Local descriptors and encodings pass between
 stages in memory, but as float32 arrays, so they hold exactly what a
-file in between would: ``run`` reads each train conv view once, fits
-on the stacked descriptors, then projects each view from its own rows
-and stacks the projections for the mixture, as ``apply-pca`` and
-``fit-gmm`` do.
+file in between would: ``run`` sizes one descriptor stack per variant
+from the train conv views' headers, reads each view once and normalizes
+it into its rows of every stack, fits PCA on each stack as it stands,
+then projects each view from its own rows and stacks the projections
+for the mixture, as ``apply-pca`` and ``fit-gmm`` do.
 
 ``run`` builds the run's one worker pool: with ``threads`` N (at most
 ``MAX_THREADS``), N − 1 pool threads do the per-image work of every
@@ -42,7 +43,7 @@ import numpy as np
 from .augment import sum_pool
 from .classify import LinearModel, load_svm, predict_matrix, save_svm, train_ovr
 from .config import POOLING_ORDERS, PipelineConfig
-from .errors import ParameterError, ShapeError, ValidationError
+from .errors import CorruptionError, ParameterError, ShapeError, ValidationError
 from .evaluation import EvalReport, evaluate, write_report_csv, write_scores_csv
 from .fisher import FisherVector, encode_fv, intra_normalize, power_l2_normalize, unit_norm
 from .fusion import FusionWeights, concat_features, fuse_scores
@@ -58,6 +59,7 @@ from .tensors import (
     ScoreVector,
     load_manifest,
     read_as,
+    read_dims,
     write_tensor,
 )
 
@@ -282,13 +284,25 @@ def report_scores(
 # ---------------------------------------------------------------- scenarios
 
 
-def _load_views(entry: ManifestEntry, stream: str, layer: str, expect):
+def _view_paths(entry: ManifestEntry, stream: str, layer: str):
     paths = entry.paths_for(stream, layer)
     if not paths:
         raise ValidationError(
             f"image '{entry.image_id}' lists no {stream}:{layer} view files"
         )
-    return [read_as(p, expect) for p in paths]
+    return paths
+
+
+def _load_views(entry: ManifestEntry, stream: str, layer: str, expect):
+    return [read_as(p, expect) for p in _view_paths(entry, stream, layer)]
+
+
+def _map_shape(path: Path) -> tuple[int, int, int]:
+    """(height, width, channels) from a conv view file's header."""
+    dims = read_dims(path)
+    if len(dims) != 3:
+        raise ValidationError(f"{path}: expected a FeatureMap tensor")
+    return dims
 
 
 def _pooled_vector(entry: ManifestEntry, stream: str, layer: str) -> np.ndarray:
@@ -439,35 +453,49 @@ def _fit_stream(
     return each entry's tasks that encode it in the stream, plus every
     task in the order it was queued.
 
-    Each train view is read once and normalized once per variant.  The
-    fits run here, in variant order; as soon as a variant's mixture
-    exists, a task on ``pool`` is queued per train entry to encode it from
-    the projected views the mixture was fit on.  Once every model exists,
-    one task per other entry is queued to read and encode it.
+    The train views' headers size one float32 (positions, channels) stack
+    per variant, so no per-view descriptor set outlives its view and no
+    stack is copied.  Each train view is then read once and normalized
+    once per variant into its rows of that variant's stack.  The fits run
+    here, in variant order, each PCA on its stack as it stands; as soon as
+    a variant's mixture exists, a task on ``pool`` is queued per train
+    entry to encode it from the projected views the mixture was fit on.
+    Once every model exists, one task per other entry is queued to read
+    and encode it.
     """
     train_at = [i for i, entry in enumerate(entries) if entry.role == "train"]
-    sets = {variant: [] for variant in cfg.tdd_variants}
+    train_views = []  # (path, (height, width, channels)) per train view
     view_counts = []
     for i in train_at:
-        fmaps = _load_views(entries[i], stream, cfg.conv_layer, FeatureMap)
-        view_counts.append(len(fmaps))
-        for variant, variant_sets in sets.items():
-            variant_sets.extend(variant_descriptors(f, variant) for f in fmaps)
+        paths = _view_paths(entries[i], stream, cfg.conv_layer)
+        view_counts.append(len(paths))
+        train_views.extend((p, _map_shape(p)) for p in paths)
+    dim = train_views[0][1][2]
+    for path, (_, _, channels) in train_views:
+        if channels != dim:
+            raise ShapeError(
+                f"{path}: {channels} channels, the first {stream} train view has {dim}"
+            )
+    spans = np.cumsum([0] + [h * w for _, (h, w, _) in train_views]).tolist()
+    stacks = {v: np.empty((spans[-1], dim), np.float32) for v in cfg.tdd_variants}
+    for (path, shape), a, b in zip(train_views, spans[:-1], spans[1:]):
+        fmap = read_as(path, FeatureMap)
+        if fmap.data.shape != shape:
+            raise CorruptionError(f"{path}: changed while it was read")
+        for variant, stack in stacks.items():
+            stack[a:b] = variant_descriptors(fmap, variant).descriptors
     tasks = [[] for _ in entries]
     queued = []
     models = {}
     for variant in cfg.tdd_variants:
-        variant_sets = sets.pop(variant)
-        stacked = stack_descriptors(variant_sets)
-        spans = np.cumsum([0] + [ds.count for ds in variant_sets]).tolist()
-        del variant_sets
+        stacked = DescriptorSet(dim, stacks.pop(variant))
         pca_model = fit_pca_model(
             stacked, cfg.pca_dim, models_dir / f"pca_{stream}_{variant}"
         )
         # Each view is projected from its own rows, as apply-pca projects
         # one view file, so the mixture below sees what fit-gmm would.
         projected = [
-            project(pca_model, DescriptorSet(stacked.dim, stacked.descriptors[a:b]))
+            project(pca_model, DescriptorSet(dim, stacked.descriptors[a:b]))
             for a, b in zip(spans[:-1], spans[1:])
         ]
         del stacked

@@ -28,6 +28,7 @@ where stream is "object" or "scene" and the optional role field is "train"
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 import tempfile
@@ -186,21 +187,15 @@ def write_tensor(tensor: FeatureMap | GlobalVector, path: str | Path) -> None:
     atomic_write_bytes(path, header + payload)
 
 
-def read_tensor(path: str | Path) -> FeatureMap | GlobalVector:
-    """Parse an FVT1 file into a FeatureMap (rank 3) or GlobalVector (rank 1).
-
-    Any malformed byte stream raises a typed error: FormatError for a bad
-    magic/version/dtype/rank, CorruptionError when the declared shape and
-    the payload size disagree, DataError for non-finite values or a
-    violated nonnegativity flag.
-    """
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if len(blob) < 4 or blob[:4] != MAGIC:
+def _tensor_header(fh, path) -> tuple[tuple[int, ...], int]:
+    """Read and check the header at the start of the open file ``fh``;
+    return its dims and flags, with ``fh`` left at the payload."""
+    head = fh.read(_HEADER.size)
+    if len(head) < 4 or head[:4] != MAGIC:
         raise FormatError(f"{path}: not an FVT1 tensor file")
-    if len(blob) < _HEADER.size:
+    if len(head) < _HEADER.size:
         raise CorruptionError(f"{path}: truncated header")
-    _, version, dtype, rank, flags = _HEADER.unpack_from(blob)
+    _, version, dtype, rank, flags = _HEADER.unpack(head)
     if version != VERSION:
         raise FormatError(f"{path}: unsupported version {version}")
     if dtype != DTYPE_FLOAT32:
@@ -209,24 +204,46 @@ def read_tensor(path: str | Path) -> FeatureMap | GlobalVector:
         raise FormatError(f"{path}: unsupported rank {rank}")
     if flags & ~FLAG_NONNEGATIVE:
         raise FormatError(f"{path}: unknown flag bits 0x{flags:02x}")
-    dims_end = _HEADER.size + 4 * rank
-    if len(blob) < dims_end:
+    raw = fh.read(4 * rank)
+    if len(raw) < 4 * rank:
         raise CorruptionError(f"{path}: truncated dimension list")
-    dims = struct.unpack_from(f"<{rank}I", blob, _HEADER.size)
+    dims = struct.unpack(f"<{rank}I", raw)
     if any(d == 0 for d in dims):
         raise FormatError(f"{path}: zero dimension in {dims}")
-    count = 1
-    for d in dims:
-        count *= d
-    if len(blob) - dims_end != 4 * count:
-        raise CorruptionError(
-            f"{path}: payload is {len(blob) - dims_end} bytes, "
-            f"shape {dims} requires {4 * count}"
-        )
-    data = np.frombuffer(blob, dtype="<f4", offset=dims_end).copy()
+    return dims, flags
+
+
+def read_dims(path: str | Path) -> tuple[int, ...]:
+    """The dims an FVT1 file's header declares, (height, width, channels)
+    or (dim,), read without its payload; a malformed header raises what
+    ``read_tensor`` raises for it."""
+    with open(path, "rb") as fh:
+        return _tensor_header(fh, path)[0]
+
+
+def read_tensor(path: str | Path) -> FeatureMap | GlobalVector:
+    """Parse an FVT1 file into a FeatureMap (rank 3) or GlobalVector (rank 1).
+
+    Any malformed byte stream raises a typed error: FormatError for a bad
+    magic/version/dtype/rank, CorruptionError when the declared shape and
+    the payload size disagree, DataError for non-finite values or a
+    violated nonnegativity flag.  The payload is read straight into the
+    returned array.
+    """
+    with open(path, "rb") as fh:
+        dims, flags = _tensor_header(fh, path)
+        nbytes = 4 * math.prod(dims)
+        size = os.fstat(fh.fileno()).st_size - fh.tell()
+        if size == nbytes:
+            data = np.empty(nbytes // 4, dtype="<f4")
+            size = fh.readinto(data)  # short only if the file shrank meanwhile
+        if size != nbytes:
+            raise CorruptionError(
+                f"{path}: payload is {size} bytes, shape {dims} requires {nbytes}"
+            )
     nonneg = bool(flags & FLAG_NONNEGATIVE)
     try:
-        if rank == 1:
+        if len(dims) == 1:
             return GlobalVector(dim=dims[0], data=data, nonnegative=nonneg)
         return FeatureMap(
             height=dims[0], width=dims[1], channels=dims[2],

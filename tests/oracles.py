@@ -5,7 +5,8 @@ Everything here is deliberately written in plain Python scalar loops
 function is an independent derivation of the same math.  Slow is fine;
 these run on tiny inputs.  The last section holds small helpers that
 only tests need; they build the package's containers and raise its
-error types.
+error types, and one keeps a composition of package stages that a
+faster ``run`` path must reproduce byte for byte.
 """
 
 from __future__ import annotations
@@ -15,9 +16,12 @@ from pathlib import Path
 
 import numpy as np
 
+from fvforge import pipeline
 from fvforge.config import DEFAULT_CONFIG_TEXT
 from fvforge.errors import ParameterError, ShapeError
-from fvforge.normalize import DescriptorSet
+from fvforge.normalize import DescriptorSet, variant_descriptors
+from fvforge.pca import project
+from fvforge.tensors import read_tensor
 
 
 # ------------------------------------------------------------ geometry
@@ -408,6 +412,35 @@ def concat_variant_fvs(channel_fv, spatial_fv):
             raise ParameterError(f"{name} Fisher vector is not normalized")
     joined = np.concatenate([channel_fv, spatial_fv])
     return joined / max(float(np.linalg.norm(joined)), 1e-12)
+
+
+def fit_local_models_by_view(entries, stream, cfg, models_dir):
+    """Fit one stream's PCA and GMM per variant from one descriptor set
+    per train view, stacked with ``pipeline.stack_descriptors``, and save
+    them under ``models_dir`` as ``run`` names them.  ``run`` normalizes
+    each view into its rows of one stack per variant and must write the
+    same model bytes."""
+    fmaps = [
+        read_tensor(path)
+        for entry in entries
+        if entry.role == "train"
+        for path in entry.paths_for(stream, cfg.conv_layer)
+    ]
+    for variant in cfg.tdd_variants:
+        sets = [variant_descriptors(fmap, variant) for fmap in fmaps]
+        pca = pipeline.fit_pca_model(
+            pipeline.stack_descriptors(sets),
+            cfg.pca_dim,
+            Path(models_dir) / f"pca_{stream}_{variant}",
+        )
+        pipeline.fit_gmm_model(
+            pipeline.stack_descriptors([project(pca, ds) for ds in sets]),
+            cfg.gmm_components,
+            Path(models_dir) / f"gmm_{stream}_{variant}",
+            seed=pipeline.derived_seed(cfg.gmm_seed, stream, variant),
+            max_iters=cfg.gmm_max_iterations,
+            tol=cfg.gmm_tol,
+        )
 
 
 def log_density_expanded(x, weights, means, variances):

@@ -53,13 +53,13 @@ def test_logsumexp_handles_extreme_magnitudes():
 
 def test_responsibilities_match_density_ratio_reference(rng):
     model = random_gmm(rng, 3, 4)
-    ds = random_descriptors(rng, 40, 4)
-    ours = responsibilities(model, ds.descriptors)
+    x = random_descriptors(rng, 40, 4).descriptors.astype(np.float64)
+    ours = responsibilities(model, x, x * x)
     ref = gmm_responsibilities_reference(
         model.weights.tolist(),
         model.means.tolist(),
         model.variances.tolist(),
-        ds.descriptors.astype(np.float64).tolist(),
+        x.tolist(),
     )
     np.testing.assert_allclose(ours, np.asarray(ref), atol=1e-10)
     np.testing.assert_allclose(ours.sum(axis=1), 1.0, atol=1e-12)
@@ -69,7 +69,7 @@ def test_moments_match_loop_reference(rng):
     model = random_gmm(rng, 3, 4)
     ds = random_descriptors(rng, 40, 4)
     x = ds.descriptors.astype(np.float64)
-    gamma = responsibilities(model, x)
+    gamma = responsibilities(model, x, x * x)
     ref = gmm_moments_reference(gamma.tolist(), x.tolist())
     for ours, expected in zip(moments(gamma, x, x * x), ref):
         np.testing.assert_allclose(ours, np.asarray(expected), rtol=0.0, atol=1e-10)
@@ -183,8 +183,9 @@ def test_fit_preconditions(rng):
 
 def test_responsibilities_dim_mismatch(rng):
     model = random_gmm(rng, 2, 4)
+    x = random_descriptors(rng, 5, 3).descriptors.astype(np.float64)
     with pytest.raises(ShapeError):
-        responsibilities(model, random_descriptors(rng, 5, 3).descriptors)
+        responsibilities(model, x, x * x)
 
 
 def test_model_invariants():

@@ -15,7 +15,13 @@ import pytest
 
 from fvforge.augment import sum_pool
 from fvforge.config import PipelineConfig
-from fvforge.errors import FormatError, ParameterError, ShapeError, ValidationError
+from fvforge.errors import (
+    CorruptionError,
+    FormatError,
+    ParameterError,
+    ShapeError,
+    ValidationError,
+)
 from fvforge.evaluation import evaluate, read_scores_csv
 from fvforge.fisher import (
     FisherVector,
@@ -31,10 +37,18 @@ from fvforge.pca import load_pca, project
 from fvforge import pipeline
 from fvforge.pipeline import derived_seed, run
 from fvforge.synth import SynthSpec, generate_dataset
-from fvforge.tensors import STREAMS, Manifest, read_as, read_tensor
+from fvforge.tensors import (
+    STREAMS,
+    FeatureMap,
+    GlobalVector,
+    Manifest,
+    read_as,
+    read_tensor,
+    write_tensor,
+)
 
 from conftest import random_descriptors, random_gmm
-from oracles import concat_variant_fvs
+from oracles import concat_variant_fvs, fit_local_models_by_view
 
 SPEC = SynthSpec(
     classes=4,
@@ -279,6 +293,70 @@ def test_local_run_reads_each_conv_view_once(dataset, tmp_path, monkeypatch, thr
     ]
     counts = Counter(reads)
     assert {path: counts[path] for path in conv_views} == dict.fromkeys(conv_views, 1)
+
+
+def test_local_models_equal_a_fit_on_stacked_view_sets(dataset, tmp_path):
+    """Train entries with one or two views and 5x5 or 3x3 maps: the
+    stacks ``run`` fills in place give the models of stacking one
+    descriptor set per view."""
+    small = generate_dataset(
+        tmp_path / "small", replace(SPEC, images_per_class=3, views=1, map_size=3, seed=12)
+    )
+    mixed = Manifest(
+        class_names=dataset.class_names,
+        entries=dataset.entries
+        + tuple(replace(e, image_id=f"small_{e.image_id}") for e in small.entries),
+    )
+    cfg = make_cfg()
+    run(mixed, cfg, tmp_path / "run")
+    for stream in STREAMS:
+        fit_local_models_by_view(mixed.entries, stream, cfg, tmp_path / "oracle")
+    written = _run_bytes(tmp_path / "run" / "models")
+    expected = _run_bytes(tmp_path / "oracle")
+    assert len(expected) == 2 * 2 * 2 * 4  # (stream, variant, model) x 4 files
+    assert {name: written[name] for name in expected} == expected
+
+
+def _with_conv_views(manifest, entry, stream, paths):
+    """The manifest with ``entry``'s ``stream`` conv views set to ``paths``."""
+    views = tuple(v for v in entry.views if v[:2] != (stream, "conv5_3"))
+    views += tuple((stream, "conv5_3", path) for path in paths)
+    entries = tuple(replace(e, views=views) if e is entry else e for e in manifest.entries)
+    return Manifest(class_names=manifest.class_names, entries=entries)
+
+
+@pytest.mark.parametrize(
+    "tensor, error, match",
+    [
+        (FeatureMap(5, 5, 7, np.ones((5, 5, 7))), ShapeError, "7 channels"),
+        (GlobalVector(10, np.ones(10)), ValidationError, "expected a FeatureMap"),
+    ],
+)
+def test_train_view_of_another_shape_is_rejected(
+    dataset, tmp_path, tensor, error, match
+):
+    path = tmp_path / "odd.fvt"
+    write_tensor(tensor, path)
+    entry = dataset.split("train")[1]
+    broken = _with_conv_views(dataset, entry, "scene", [path])
+    with pytest.raises(error, match=match):
+        run(broken, make_cfg(), tmp_path / "run")
+
+
+def test_train_view_that_disagrees_with_its_header_is_rejected(
+    dataset, tmp_path, monkeypatch
+):
+    """A view file rewritten between its header read and its full read."""
+    monkeypatch.setattr(pipeline, "read_dims", lambda path: (4, 5, SPEC.map_channels))
+    with pytest.raises(CorruptionError, match="changed while it was read"):
+        run(dataset, make_cfg(), tmp_path / "run")
+
+
+def test_train_entry_without_conv_views_is_named(dataset, tmp_path):
+    entry = dataset.split("train")[1]
+    broken = _with_conv_views(dataset, entry, "object", [])
+    with pytest.raises(ValidationError, match=f"'{entry.image_id}'.*conv5_3"):
+        run(broken, make_cfg(), tmp_path / "run")
 
 
 def test_encode_views_rejects_an_unknown_pooling_order(rng):

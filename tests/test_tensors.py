@@ -27,6 +27,7 @@ from fvforge.tensors import (
     GlobalVector,
     ScoreVector,
     load_manifest,
+    read_dims,
     read_tensor,
     write_manifest,
     write_tensor,
@@ -113,6 +114,40 @@ def test_read_rejects_unknown_version_rank_dtype(tmp_path):
         path.write_bytes(blob)
         with pytest.raises(FormatError):
             read_tensor(path)
+
+
+def test_read_dims_returns_the_dims_read_tensor_returns(rng, tmp_path):
+    fmap, vec = tmp_path / "m.fvt", tmp_path / "v.fvt"
+    write_tensor(FeatureMap(4, 5, 3, rng.normal(size=(4, 5, 3))), fmap)
+    write_tensor(GlobalVector(7, rng.normal(size=7)), vec)
+    back = read_tensor(fmap)
+    assert read_dims(fmap) == (back.height, back.width, back.channels) == (4, 5, 3)
+    assert read_dims(vec) == (read_tensor(vec).dim,) == (7,)
+
+
+_FVT_HEAD = struct.pack("<4sBBBB", b"FVT1", 1, 1, 3, 0)
+
+
+@pytest.mark.parametrize(
+    "blob, error",
+    [
+        (b"NOPE" + bytes(16), FormatError),
+        (b"FV", FormatError),
+        (struct.pack("<4sBBBB", b"FVT1", 9, 1, 1, 0) + bytes(8), FormatError),
+        (struct.pack("<4sBBBB", b"FVT1", 1, 1, 2, 0) + bytes(16), FormatError),
+        (b"FVT1\x01\x01", CorruptionError),
+        (_FVT_HEAD + struct.pack("<2I", 2, 2), CorruptionError),
+    ],
+    ids=["magic", "short-magic", "version", "rank", "header", "dimension-list"],
+)
+def test_read_dims_raises_what_read_tensor_raises(tmp_path, blob, error):
+    path = tmp_path / "bad.fvt"
+    path.write_bytes(blob)
+    with pytest.raises(error) as from_tensor:
+        read_tensor(path)
+    with pytest.raises(error) as from_dims:
+        read_dims(path)
+    assert str(from_dims.value) == str(from_tensor.value)
 
 
 def test_read_rejects_nonfinite_payload(tmp_path):
