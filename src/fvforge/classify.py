@@ -12,10 +12,24 @@ constraint.
 All classes are solved in lock-step by dual coordinate descent (Hsieh
 et al., ICML 2008) over the Gram matrix Q = X X^T of the n augmented
 training vectors; keeping the margins w_k . x_i current makes one update
-O(n) instead of O(dim).  Memory: n^2 float64 for Q plus a few K n for
-duals and margins, no more than the features while n <= dim + 1.  Q and
-the weights come from ``np.einsum``, not ``@``: BLAS products round
-differently at different thread counts, and models must not.
+O(n) instead of O(dim).
+
+Memory: the caller's float64 feature matrix is the only copy of the
+training data; no bias column is appended to it.  The finiteness
+check, the norms and Q work on ``TILE_ROWS``-row tiles, and only the
+tiles Q multiplies carry the constant 1.  Q (n^2 float64) is built from
+its upper triangle one tile pair at a time, each block mirrored.  The
+weights combine the unaugmented rows, and each bias sums its class's
+signed duals in sample order.  Beyond the matrix the stage holds Q, two
+tiles and a few K n for duals and margins.
+
+Q and the weights come from ``np.einsum``, not ``@``: BLAS products
+round differently at different thread counts, and models must not.
+``einsum`` reduces each entry in the same order at any tile height, so
+all of this is bitwise one ``einsum`` over the augmented matrix, except
+the weights at width 1, where ``einsum`` changes its loop order; that
+case augments its (n, 1) matrix whole.  The tile height is a constant,
+never a function of the thread count.
 """
 
 from __future__ import annotations
@@ -35,6 +49,7 @@ DEFAULT_C = 1.0
 DEFAULT_MAX_EPOCHS = 1000
 DEFAULT_TOL = 1e-4
 NORM_WARN_FRACTION = 0.1
+TILE_ROWS = 16
 
 _HEADER_NAME = "svm.model"
 
@@ -82,22 +97,57 @@ class LinearModel:
         )
 
 
+def _tile(x: np.ndarray, start: int, bias: bool) -> np.ndarray:
+    """Rows ``start`` to ``start + TILE_ROWS`` of ``x``, with a constant-1
+    column appended when ``bias``."""
+    rows = x[start:start + TILE_ROWS]
+    if not bias:
+        return rows
+    tile = np.empty((rows.shape[0], x.shape[1] + 1))
+    tile[:, :-1] = rows
+    tile[:, -1] = 1.0
+    return tile
+
+
+def _gram(x: np.ndarray, bias: bool) -> np.ndarray:
+    """Q = X X^T of the (bias-augmented) rows, from its upper triangle."""
+    n = x.shape[0]
+    q = np.empty((n, n))
+    for i in range(0, n, TILE_ROWS):
+        a = _tile(x, i, bias)
+        for j in range(i, n, TILE_ROWS):
+            block = np.einsum("id,jd->ij", a, a if j == i else _tile(x, j, bias))
+            q[i:i + TILE_ROWS, j:j + TILE_ROWS] = block
+            q[j:j + TILE_ROWS, i:i + TILE_ROWS] = block.T
+    return q
+
+
 def _train_dual(
-    x: np.ndarray, y: np.ndarray, C: float, rngs, max_epochs: int, tol: float
+    x: np.ndarray,
+    y: np.ndarray,
+    C: float,
+    rngs,
+    max_epochs: int,
+    tol: float,
+    bias: bool,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Lock-step dual coordinate descent for m binary l2-reg L1-hinge SVMs.
 
-    ``x`` is the (n, dim) feature matrix with the constant-1 bias column,
-    ``y`` the (m, n) +-1 labels of each problem and ``rngs`` one generator
-    per problem, which draws that problem's visiting order once per epoch.
-    A problem stops after the first epoch whose largest projected gradient
-    is below ``tol``, or after ``max_epochs``.  Returns the (m, dim) primal
-    weights (last coordinate is the bias), the (m, n) dual variables,
-    which stay inside [0, C] by construction, and each problem's
-    last-epoch violation.
+    ``x`` is the (n, dim) feature matrix, which the problems see with a
+    constant-1 bias column appended when ``bias``; ``y`` holds the (m, n)
+    +-1 labels of each problem and ``rngs`` one generator per problem,
+    which draws that problem's visiting order once per epoch.  A problem
+    stops after the first epoch whose largest projected gradient is below
+    ``tol``, or after ``max_epochs``.  Returns the (m, dim + bias) primal
+    weights (with ``bias``, the last coordinate is the bias), the (m, n)
+    dual variables, which stay inside [0, C] by construction, and each
+    problem's last-epoch violation.
     """
     m, n = y.shape
-    q = np.einsum("id,jd->ij", x, x)
+    if bias and x.shape[1] == 1:
+        # At width 1 the unaugmented weight einsum rounds differently.
+        x, bias = np.hstack([x, np.ones((n, 1))]), False
+    q = _gram(x, bias)
     alpha, violation = np.zeros((m, n)), np.zeros(m)
     # The problems still running, with their duals, labels and margins
     # f[k, i] = w_k . x_i, which each update keeps current through q.
@@ -126,7 +176,11 @@ def _train_dual(
         if not going.any():
             break
         run, a_run, y_run, f_run = run[going], a_run[going], y_run[going], f_run[going]
-    return np.einsum("kn,nd->kd", alpha * y, x), alpha, violation
+    signed = alpha * y
+    w = np.einsum("kn,nd->kd", signed, x)
+    if bias:
+        w = np.hstack([w, np.cumsum(signed, axis=1)[:, -1:]])
+    return w, alpha, violation
 
 
 def _train_binary(
@@ -137,8 +191,12 @@ def _train_binary(
     max_epochs: int,
     tol: float,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """One binary problem through ``_train_dual``: returns (w, alpha)."""
-    w, alpha, _ = _train_dual(x, y[None, :], C, [rng], max_epochs, tol)
+    """One binary problem through ``_train_dual``: returns (w, alpha).
+
+    ``x`` is used as given, so a bias column must already be in it; ``w``
+    has one weight per column of ``x``.
+    """
+    w, alpha, _ = _train_dual(x, y[None, :], C, [rng], max_epochs, tol, bias=False)
     return w[0], alpha[0]
 
 
@@ -164,7 +222,9 @@ def train_ovr(
     x = np.ascontiguousarray(features, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] < 1:
         raise ShapeError(f"features must be a nonempty 2-d array, got {x.shape}")
-    if not np.all(np.isfinite(x)):
+    n = x.shape[0]
+    tiles = [x[i:i + TILE_ROWS] for i in range(0, n, TILE_ROWS)]
+    if not all(np.isfinite(tile).all() for tile in tiles):
         raise DataError("features contain non-finite values")
     y = np.asarray(labels, dtype=np.int64).reshape(-1)
     if y.shape[0] != x.shape[0]:
@@ -181,22 +241,20 @@ def train_ovr(
     if max_epochs < 1 or tol <= 0.0:
         raise ParameterError("max_epochs must be >= 1 and tol > 0")
 
-    norms = np.linalg.norm(x, axis=1)
+    norms = np.concatenate([np.linalg.norm(tile, axis=1) for tile in tiles])
     off = np.abs(norms - 1.0) > NORM_WARN_FRACTION
     if np.any(off):
         logger.warning(
-            "stage=train-svm event=norm-check off_unit=%d total=%d",
-            int(off.sum()), x.shape[0],
+            "stage=train-svm event=norm-check off_unit=%d total=%d", int(off.sum()), n
         )
 
-    n = x.shape[0]
-    aug = np.hstack([x, np.ones((n, 1))])
     present = np.bincount(y, minlength=class_count) > 0
     trained = np.flatnonzero(present)
-    w_aug = np.zeros((class_count, aug.shape[1]))
+    w_aug = np.zeros((class_count, x.shape[1] + 1))
     rngs = [np.random.default_rng([seed, k]) for k in trained]
     w_aug[trained], _, violation = _train_dual(
-        aug, np.where(y == trained[:, None], 1.0, -1.0), C, rngs, max_epochs, tol
+        x, np.where(y == trained[:, None], 1.0, -1.0), C, rngs, max_epochs, tol,
+        bias=True,
     )
     late = violation >= tol
     if late.any():
@@ -222,7 +280,11 @@ def train_ovr(
 
 
 def predict_matrix(model: LinearModel, features: np.ndarray) -> np.ndarray:
-    """Score many features at once; rows of the result follow input rows."""
+    """Score many features at once; rows of the result follow input rows.
+
+    One BLAS product over every row: scoring in row blocks rounds
+    differently whenever a block has only a few rows.
+    """
     x = np.ascontiguousarray(features, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != model.feature_dim:
         raise ShapeError(

@@ -137,17 +137,28 @@ def labels_of(entries) -> np.ndarray:
 
 
 def read_features(features_dir: str | Path, entries) -> np.ndarray:
-    """Stack the entries' ``<image_id>.fvt`` feature vectors, in order."""
-    rows = []
-    for entry in entries:
+    """The entries' ``<image_id>.fvt`` feature vectors as the rows of one
+    float64 matrix, in entry order.
+
+    The matrix is allocated once, sized from the first vector, and each
+    vector is cast into its row as it is read, so the result is the only
+    copy held.  Every vector must have the first one's dim; no entries
+    is a ``ValidationError``.
+    """
+    if not entries:
+        raise ValidationError("no feature entries to read")
+    matrix = None
+    for row, entry in enumerate(entries):
         vec = read_as(Path(features_dir) / f"{entry.image_id}.fvt", GlobalVector)
-        if rows and vec.dim != rows[0].size:
+        if matrix is None:
+            matrix = np.empty((len(entries), vec.dim))
+        elif vec.dim != matrix.shape[1]:
             raise ShapeError(
                 f"feature dim mismatch: '{entry.image_id}' has {vec.dim}, "
-                f"expected {rows[0].size}"
+                f"expected {matrix.shape[1]}"
             )
-        rows.append(vec.data.astype(np.float64))
-    return np.stack(rows)
+        matrix[row] = vec.data
+    return matrix
 
 
 def stack_descriptors(sets) -> DescriptorSet:

@@ -331,6 +331,41 @@ def svm_dcd_reference(x, y, C, rng, max_epochs, tol):
     return w, alpha, epoch
 
 
+def train_dual_full_einsum(aug, y, C, rngs, max_epochs, tol):
+    """The lock-step dual solver with Q and the weights each from one
+    ``np.einsum`` over the whole bias-augmented matrix ``aug``.
+
+    ``classify._train_dual`` builds Q from row tiles and the weights from
+    the unaugmented rows plus a sequential bias sum; its (w, alpha,
+    violation) must match these bit for bit.
+    """
+    m, n = y.shape
+    q = np.einsum("id,jd->ij", aug, aug)
+    alpha, violation = np.zeros((m, n)), np.zeros(m)
+    run, a_run, y_run, f_run = np.arange(m), alpha.copy(), y, np.zeros((m, n))
+    for _ in range(max_epochs):
+        order = np.stack([rngs[k].permutation(n) for k in run], axis=1)
+        flat = order + n * np.arange(run.size)
+        signs, steps = y_run.take(flat), q.diagonal()[order]
+        grads, before = np.empty(flat.shape), np.empty(flat.shape)
+        for t, i in enumerate(order):
+            a = a_run.take(flat[t])
+            g = signs[t] * f_run.take(flat[t]) - 1.0
+            new = np.minimum(np.maximum(a - g / steps[t], 0.0), C)
+            a_run.put(flat[t], new)
+            f_run += ((new - a) * signs[t])[:, None] * q[i]
+            grads[t], before[t] = g, a
+        pg = np.where(before <= 0.0, np.minimum(grads, 0.0), grads)
+        pg = np.where(before >= C, np.maximum(grads, 0.0), pg)
+        epoch_violation = np.abs(pg).max(axis=0)
+        alpha[run], violation[run] = a_run, epoch_violation
+        going = epoch_violation >= tol
+        if not going.any():
+            break
+        run, a_run, y_run, f_run = run[going], a_run[going], y_run[going], f_run[going]
+    return np.einsum("kn,nd->kd", alpha * y, aug), alpha, violation
+
+
 def svm_subgradient_reference(x, y, C, epochs=2000):
     """Full-batch subgradient descent on 1/2||w||^2 + C sum hinge.
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import logging
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from oracles import (
     primal_objective,
     svm_dcd_reference,
     svm_ovr_accuracy_reference,
+    train_dual_full_einsum,
 )
 
 
@@ -93,6 +95,57 @@ def test_lock_step_solver_matches_per_sample_reference(rng, max_epochs):
         assert max(epochs) == max_epochs
     assert model.degenerate_classes == (3,)
     assert not model.weights[3].any() and model.biases[3] == 0.0
+
+
+def _near_unit_rows(rng, n, dim):
+    """Rows of expected unit norm; not normalized, so at width 1 they are
+    not all +-1 and every product rounds."""
+    return rng.normal(size=(n, dim)) / np.sqrt(dim)
+
+
+@pytest.mark.parametrize(
+    "n, dim",
+    [(n, dim) for n in (1, 15, 16, 17, 250) for dim in (1, 2, 31, 4096)] + [(3, 131072)],
+)
+def test_tiled_training_is_bitwise_the_full_einsum_solver(n, dim):
+    """Weights, biases and duals equal the solver over one augmented matrix
+    with one einsum each for Q and w; n straddles the 16-row tile and
+    width 1 is where the unaugmented weight einsum would round differently."""
+    rng = np.random.default_rng([n, dim])
+    x = _near_unit_rows(rng, n, dim)
+    y = np.arange(n) % 3
+    model = train_ovr(x, y, class_count=3, seed=7, max_epochs=50, tol=1e-6)
+    aug = np.hstack([x, np.ones((n, 1))])
+    trained = np.unique(y)
+    w, _, _ = train_dual_full_einsum(
+        aug, np.where(y == trained[:, None], 1.0, -1.0), 1.0,
+        [np.random.default_rng([7, k]) for k in trained], 50, 1e-6,
+    )
+    assert np.array_equal(model.weights[trained], w[:, :-1])
+    assert np.array_equal(model.biases[trained], w[:, -1])
+
+    signs = np.where(y == 0, 1.0, -1.0)
+    w_bin, alpha_bin = _train_binary(aug, signs, 1.0, np.random.default_rng(3), 50, 1e-6)
+    w_ref, alpha_ref, _ = train_dual_full_einsum(
+        aug, signs[None, :], 1.0, [np.random.default_rng(3)], 50, 1e-6
+    )
+    assert np.array_equal(w_bin, w_ref[0])
+    assert np.array_equal(alpha_bin, alpha_ref[0])
+
+
+def test_training_holds_no_copy_of_the_features():
+    """train_ovr on 250 x 4096 float64 peaks below 0.75x the matrix: no
+    bias-augmented copy, no whole-matrix temporaries."""
+    rng = np.random.default_rng(4)
+    x = _near_unit_rows(rng, 250, 4096)
+    y = np.arange(250) % 25
+    tracemalloc.start()
+    try:
+        train_ovr(x, y, class_count=25, max_epochs=20)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.75 * x.nbytes
 
 
 def test_thread_count_does_not_change_the_model(rng, tmp_path):

@@ -511,14 +511,14 @@ def test_scripted_chain_matches_run_byte_for_byte(
         assert part.read_bytes() == (auto / "models" / "svm" / part.name).read_bytes()
 
 
-_PCA_AND_ENCODE = """
+_CLI_OUTPUTS = r"""
 import sys
 from pathlib import Path
 import numpy as np
 from fvforge.cli import main
 from fvforge.gmm import GmmModel, save_gmm
 from fvforge.normalize import DescriptorSet, descriptors_to_map
-from fvforge.tensors import read_tensor, write_tensor
+from fvforge.tensors import GlobalVector, read_tensor, write_tensor
 
 out = Path(sys.argv[1])
 work = out.with_suffix("")
@@ -548,17 +548,34 @@ save_gmm(
 pairs = rng.normal(size=(1000, d))
 write_tensor(descriptors_to_map(DescriptorSet(d, np.vstack([pairs, -pairs]))), work / "bag.fvt")
 assert main(["encode-fv", "--gmm", str(work / "gmm"), "--out", str(work / "fv.fvt"), str(work / "bag.fvt")]) == 0
+
+# One-vs-rest SVMs on 160 unit vectors of 3000 dims, scored on 40 more.
+features = work / "features"
+features.mkdir()
+lines = ["classes: " + ",".join(f"c{k}" for k in range(8))]
+for i, row in enumerate(rng.normal(size=(200, 3000))):
+    write_tensor(GlobalVector(3000, row / np.linalg.norm(row)), features / f"img{i}.fvt")
+    role = "test" if i >= 160 else "train"
+    lines.append(f"img{i}\t{i % 8}\tobject:fc7=img{i}.fvt\t{role}")
+(work / "data.manifest").write_text("\n".join(lines) + "\n")
+svm_args = ["--manifest", str(work / "data.manifest")]
+assert main(["train-svm", *svm_args, "--features", str(features), "--out", str(work / "svm")]) == 0
+assert main(["predict", *svm_args, "--model", str(work / "svm"), "--in", str(features), "--out", str(work / "scores.csv")]) == 0
 np.savez(
     out,
     basis=read_tensor(work / "pca" / "basis.fvt").data,
     fv=read_tensor(work / "fv.fvt").data,
+    weights=read_tensor(work / "svm" / "weights.fvt").data,
+    biases=read_tensor(work / "svm" / "biases.fvt").data,
+    scores=np.frombuffer((work / "scores.csv").read_bytes(), dtype=np.uint8),
 )
 """
 
 
 def test_cli_outputs_do_not_depend_on_blas_threads(tmp_path):
-    """A 512-dim PCA basis and a K = 256 Fisher vector written by the CLI
-    are bitwise equal at 1 and 2 BLAS threads."""
-    results = arrays_at_blas_threads(_PCA_AND_ENCODE, tmp_path)
-    for key in ("basis", "fv"):
+    """A 512-dim PCA basis, a K = 256 Fisher vector, an SVM's weights and
+    biases and its scores CSV, written by the CLI, are bitwise equal at 1
+    and 2 BLAS threads."""
+    results = arrays_at_blas_threads(_CLI_OUTPUTS, tmp_path)
+    for key in ("basis", "fv", "weights", "biases", "scores"):
         np.testing.assert_array_equal(results[0][key], results[1][key])

@@ -5,6 +5,7 @@ from __future__ import annotations
 import logging
 import sys
 import threading
+import tracemalloc
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
@@ -42,6 +43,7 @@ from fvforge.tensors import (
     FeatureMap,
     GlobalVector,
     Manifest,
+    ManifestEntry,
     read_as,
     read_tensor,
     write_tensor,
@@ -419,6 +421,41 @@ def test_wrong_score_layer_dim_is_rejected(dataset, tmp_path):
     cfg = make_cfg(scenario="softmax_fusion", score_layer="fc7")
     with pytest.raises(ShapeError, match="classes"):
         run(dataset, cfg, tmp_path / "run")
+
+
+def _write_features(directory, rows):
+    """One ``<image_id>.fvt`` per row; returns their manifest entries."""
+    directory.mkdir()
+    for i, row in enumerate(rows):
+        write_tensor(GlobalVector(row.size, row), directory / f"img{i}.fvt")
+    return [ManifestEntry(f"img{i}", 0, ()) for i in range(len(rows))]
+
+
+def test_read_features_holds_one_matrix(tmp_path):
+    """250 vectors come back as float64 rows, in order, with no second copy
+    alive at the peak."""
+    rows = np.random.default_rng(8).normal(size=(250, 4096)).astype(np.float32)
+    entries = _write_features(tmp_path / "features", rows)
+    tracemalloc.start()
+    try:
+        matrix = pipeline.read_features(tmp_path / "features", entries)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert matrix.dtype == np.float64
+    assert np.array_equal(matrix, rows)
+    assert peak < 1.25 * matrix.nbytes
+
+
+def test_read_features_rejects_no_entries_and_mixed_dims(tmp_path):
+    with pytest.raises(ValidationError, match="no feature entries"):
+        pipeline.read_features(tmp_path, [])
+    entries = _write_features(
+        tmp_path / "features", [np.ones(4, np.float32), np.ones(5, np.float32)]
+    )
+    with pytest.raises(ShapeError) as exc:
+        pipeline.read_features(tmp_path / "features", entries)
+    assert str(exc.value) == "feature dim mismatch: 'img1' has 5, expected 4"
 
 
 def test_unlabeled_entries_are_rejected(dataset, tmp_path):
