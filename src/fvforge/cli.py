@@ -316,7 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fit-gmm", help="fit a diagonal mixture on descriptor files")
     p.add_argument("--k", type=int, required=True, help="component count")
-    p.add_argument("--seed", type=int, default=7)
+    p.add_argument("--seed", type=int, default=cfg.gmm_seed)
     p.add_argument("--max-iters", type=int, default=cfg.gmm_max_iterations)
     p.add_argument("--tol", type=float, default=cfg.gmm_tol)
     p.add_argument("--out", required=True, help="model directory")
@@ -327,7 +327,10 @@ def build_parser() -> argparse.ArgumentParser:
         "encode-fv", help="encode descriptor files of one image, pooling views"
     )
     p.add_argument("--gmm", required=True, help="mixture model directory")
-    p.add_argument("--norm", default="intra,power", help="comma list: none,intra,power,l2")
+    p.add_argument(
+        "--norm", default=",".join(pipeline.LOCAL_FV_NORMS),
+        help="comma list: none,intra,power,l2",
+    )
     p.add_argument("--intra-mode", default=cfg.intra_block_mode, choices=BLOCK_MODES)
     p.add_argument("--pooling-order", default=cfg.pooling_order, choices=POOLING_ORDERS)
     p.add_argument("--out", required=True, help="rank-1 tensor file")

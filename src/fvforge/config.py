@@ -1,15 +1,18 @@
 """Declarative run configuration: one INI file drives every pipeline stage.
 
-The shipped defaults (also written to ``configs/default.cfg``) spell out
-the reference setup explicitly — mixture size 256, projection dim 64,
-C = 1, equal fusion weights — so a config file only needs the keys it
-overrides, and a section or key the defaults do not name is rejected.
+Each key is declared once, as a ``PipelineConfig`` field made by ``_key``
+with its section, key, default INI text, kind and choices.  The default
+text (also shipped as ``configs/default.cfg``), the parser, the
+known-key check and the choice checks all come from those fields.  The
+defaults spell out the reference setup — mixture size 256, projection
+dim 64, C = 1, equal fusion weights — so a config file only needs the
+keys it overrides, and a section or key they do not name is rejected.
 """
 
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -30,95 +33,81 @@ SCENARIOS = (
 POOLING_ORDERS = ("pool_then_normalize", "normalize_then_pool")
 LAYER_FUSION_MODES = ("features", "scores")
 
-DEFAULT_CONFIG_TEXT = """\
-# Reference configuration; class count always follows the manifest.
+_BOOLEANS = configparser.ConfigParser.BOOLEAN_STATES
 
-[pipeline]
-scenario = local_fv
 
-[layers]
-score_layer = prob
-global_layer = fc7
-conv_layer = conv5_3
+def _value(kind: type, texts: tuple[str, ...]):
+    """A field's value from its INI text(s); ``tuple`` is a comma list and
+    ``FusionWeights`` a pair of keys.  Raises ValueError if unparsable."""
+    if kind is FusionWeights:
+        return FusionWeights(*(float(t) for t in texts))
+    (text,) = texts
+    if kind is tuple:
+        return tuple(t.strip() for t in text.split(",") if t.strip())
+    if kind is bool:
+        if text.lower() not in _BOOLEANS:
+            raise ValueError(f"not a boolean: {text}")
+        return _BOOLEANS[text.lower()]
+    return kind(text)
 
-[fusion]
-alpha_object = 1.0
-alpha_scene = 1.0
-beta_object = 1.0
-beta_scene = 1.0
-layer_mode = features
-layer_weight_global = 1.0
-layer_weight_local = 1.0
 
-[tdd]
-variants = channel,spatial
-
-[pca]
-dim = 64
-
-[gmm]
-components = 256
-seed = 7
-tol = 1e-6
-max_iterations = 100
-
-[svm]
-c = 1.0
-seed = 7
-max_epochs = 1000
-tol = 1e-4
-
-[normalize]
-intra_block_mode = per_order
-pooling_order = pool_then_normalize
-final_l2 = true
-
-[eval]
-integrator = step
-"""
+def _key(section: str, key, default, kind: type = str, choices: tuple = ()):
+    """Declare one config field: ``key`` and ``default`` are one INI key
+    and its text, or a pair of each for a ``FusionWeights`` field."""
+    keys, texts = ((key,), (default,)) if isinstance(key, str) else (key, default)
+    meta = dict(section=section, keys=keys, texts=texts, kind=kind, choices=choices)
+    return field(default=_value(kind, texts), metadata=meta)
 
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    scenario: str = "local_fv"
-    score_layer: str = "prob"
-    global_layer: str = "fc7"
-    conv_layer: str = "conv5_3"
-    alpha: FusionWeights = FusionWeights()
-    beta: FusionWeights = FusionWeights()
-    layer_mode: str = "features"
-    layer_weights: FusionWeights = FusionWeights()
-    tdd_variants: tuple[str, ...] = ("channel", "spatial")
-    pca_dim: int = 64
-    gmm_components: int = 256
-    gmm_seed: int = 7
-    gmm_tol: float = 1e-6
-    gmm_max_iterations: int = 100
-    svm_c: float = 1.0
-    svm_seed: int = 7
-    svm_max_epochs: int = 1000
-    svm_tol: float = 1e-4
-    intra_block_mode: str = "per_order"
-    pooling_order: str = "pool_then_normalize"
-    final_l2: bool = True
-    integrator: str = "step"
+    scenario: str = _key("pipeline", "scenario", "local_fv", choices=SCENARIOS)
+    score_layer: str = _key("layers", "score_layer", "prob")
+    global_layer: str = _key("layers", "global_layer", "fc7")
+    conv_layer: str = _key("layers", "conv_layer", "conv5_3")
+    alpha: FusionWeights = _key(
+        "fusion", ("alpha_object", "alpha_scene"), ("1.0", "1.0"), FusionWeights
+    )
+    beta: FusionWeights = _key(
+        "fusion", ("beta_object", "beta_scene"), ("1.0", "1.0"), FusionWeights
+    )
+    layer_mode: str = _key("fusion", "layer_mode", "features", choices=LAYER_FUSION_MODES)
+    layer_weights: FusionWeights = _key(
+        "fusion", ("layer_weight_global", "layer_weight_local"), ("1.0", "1.0"),
+        FusionWeights,
+    )
+    tdd_variants: tuple[str, ...] = _key(
+        "tdd", "variants", "channel,spatial", tuple, choices=VARIANTS
+    )
+    pca_dim: int = _key("pca", "dim", "64", int)
+    gmm_components: int = _key("gmm", "components", "256", int)
+    gmm_seed: int = _key("gmm", "seed", "7", int)
+    gmm_tol: float = _key("gmm", "tol", "1e-6", float)
+    gmm_max_iterations: int = _key("gmm", "max_iterations", "100", int)
+    svm_c: float = _key("svm", "c", "1.0", float)
+    svm_seed: int = _key("svm", "seed", "7", int)
+    svm_max_epochs: int = _key("svm", "max_epochs", "1000", int)
+    svm_tol: float = _key("svm", "tol", "1e-4", float)
+    intra_block_mode: str = _key(
+        "normalize", "intra_block_mode", "per_order", choices=BLOCK_MODES
+    )
+    pooling_order: str = _key(
+        "normalize", "pooling_order", "pool_then_normalize", choices=POOLING_ORDERS
+    )
+    final_l2: bool = _key("normalize", "final_l2", "true", bool)
+    integrator: str = _key("eval", "integrator", "step", choices=INTEGRATORS)
 
     def __post_init__(self):
-        if self.scenario not in SCENARIOS:
-            raise ParameterError(
-                f"unknown scenario '{self.scenario}'; choose from {SCENARIOS}"
-            )
-        if self.layer_mode not in LAYER_FUSION_MODES:
-            raise ParameterError(
-                f"layer_mode must be one of {LAYER_FUSION_MODES}"
-            )
+        for f in fields(self):
+            meta, value = f.metadata, getattr(self, f.name)
+            if meta["kind"] is tuple:
+                value = tuple(str(v) for v in value)
+                object.__setattr__(self, f.name, value)
+            for item in value if meta["kind"] is tuple else (value,):
+                if meta["choices"] and item not in meta["choices"]:
+                    raise ParameterError(f"{f.name} '{item}' is not one of {meta['choices']}")
         if not self.tdd_variants:
             raise ParameterError("at least one tdd variant is required")
-        for variant in self.tdd_variants:
-            if variant not in VARIANTS:
-                raise ParameterError(
-                    f"unknown tdd variant '{variant}'; choose from {VARIANTS}"
-                )
         if len(set(self.tdd_variants)) != len(self.tdd_variants):
             raise ParameterError("tdd variants must be distinct")
         if self.pca_dim < 1:
@@ -131,62 +120,33 @@ class PipelineConfig:
             raise ParameterError("svm c must be a positive real")
         if self.svm_max_epochs < 1 or self.svm_tol <= 0.0:
             raise ParameterError("svm max_epochs must be >= 1 and tol > 0")
-        if self.intra_block_mode not in BLOCK_MODES:
-            raise ParameterError(
-                f"intra_block_mode must be one of {BLOCK_MODES}"
-            )
-        if self.pooling_order not in POOLING_ORDERS:
-            raise ParameterError(
-                f"pooling_order must be one of {POOLING_ORDERS}"
-            )
-        if self.integrator not in INTEGRATORS:
-            raise ParameterError(f"integrator must be one of {INTEGRATORS}")
-        object.__setattr__(
-            self, "tdd_variants", tuple(str(v) for v in self.tdd_variants)
-        )
+
+
+def _render() -> str:
+    """The default INI text: the header, then each section's keys in field order."""
+    sections: dict[str, list[str]] = {}
+    for f in fields(PipelineConfig):
+        meta = f.metadata
+        lines = sections.setdefault(meta["section"], [])
+        lines += [f"{k} = {t}" for k, t in zip(meta["keys"], meta["texts"])]
+    body = "\n\n".join(f"[{s}]\n" + "\n".join(ls) for s, ls in sections.items())
+    header = "# Reference configuration; class count always follows the manifest."
+    return f"{header}\n\n{body}\n"
+
+
+DEFAULT_CONFIG_TEXT = _render()
 
 
 def _parse(parser: configparser.ConfigParser) -> PipelineConfig:
+    values = {}
     try:
-        return PipelineConfig(
-            scenario=parser.get("pipeline", "scenario"),
-            score_layer=parser.get("layers", "score_layer"),
-            global_layer=parser.get("layers", "global_layer"),
-            conv_layer=parser.get("layers", "conv_layer"),
-            alpha=FusionWeights(
-                parser.getfloat("fusion", "alpha_object"),
-                parser.getfloat("fusion", "alpha_scene"),
-            ),
-            beta=FusionWeights(
-                parser.getfloat("fusion", "beta_object"),
-                parser.getfloat("fusion", "beta_scene"),
-            ),
-            layer_mode=parser.get("fusion", "layer_mode"),
-            layer_weights=FusionWeights(
-                parser.getfloat("fusion", "layer_weight_global"),
-                parser.getfloat("fusion", "layer_weight_local"),
-            ),
-            tdd_variants=tuple(
-                t.strip()
-                for t in parser.get("tdd", "variants").split(",")
-                if t.strip()
-            ),
-            pca_dim=parser.getint("pca", "dim"),
-            gmm_components=parser.getint("gmm", "components"),
-            gmm_seed=parser.getint("gmm", "seed"),
-            gmm_tol=parser.getfloat("gmm", "tol"),
-            gmm_max_iterations=parser.getint("gmm", "max_iterations"),
-            svm_c=parser.getfloat("svm", "c"),
-            svm_seed=parser.getint("svm", "seed"),
-            svm_max_epochs=parser.getint("svm", "max_epochs"),
-            svm_tol=parser.getfloat("svm", "tol"),
-            intra_block_mode=parser.get("normalize", "intra_block_mode"),
-            pooling_order=parser.get("normalize", "pooling_order"),
-            final_l2=parser.getboolean("normalize", "final_l2"),
-            integrator=parser.get("eval", "integrator"),
-        )
+        for f in fields(PipelineConfig):
+            meta = f.metadata
+            texts = tuple(parser.get(meta["section"], k) for k in meta["keys"])
+            values[f.name] = _value(meta["kind"], texts)
     except (configparser.Error, ValueError) as exc:
         raise FormatError(f"bad config value: {exc}") from exc
+    return PipelineConfig(**values)
 
 
 def load_config(path: str | Path | None = None) -> PipelineConfig:

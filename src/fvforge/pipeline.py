@@ -66,6 +66,8 @@ from .tensors import (
 logger = logging.getLogger(__name__)
 
 MAX_THREADS = 256
+# Normalizations of each local Fisher vector, in order; ``encode-fv`` defaults to them.
+LOCAL_FV_NORMS = ("intra", "power")
 
 
 def derived_seed(base: int, stream: str, variant: str) -> int:
@@ -440,7 +442,7 @@ def _encode_variant(variant: str, gmm_model: GmmModel, views, cfg: PipelineConfi
     """One variant's pooled encoding of projected views, keyed by the
     variant and rounded to float32 as the feature file would."""
     fv = encode_views(
-        gmm_model, views, ("intra", "power"), cfg.intra_block_mode, cfg.pooling_order
+        gmm_model, views, LOCAL_FV_NORMS, cfg.intra_block_mode, cfg.pooling_order
     )
     return {variant: fv.astype(np.float32)}
 

@@ -15,6 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .config import PipelineConfig
 from .errors import ParameterError
 from .tensors import (
     STREAMS,
@@ -26,10 +27,6 @@ from .tensors import (
     write_manifest,
     write_tensor,
 )
-
-SCORE_LAYER = "prob"
-GLOBAL_LAYER = "fc7"
-CONV_LAYER = "conv5_3"
 
 
 @dataclass(frozen=True)
@@ -85,6 +82,7 @@ def generate_dataset(out_dir: str | Path, spec: SynthSpec | None = None) -> Mani
     tensor_dir = out / "tensors"
     tensor_dir.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(spec.seed)
+    layers = PipelineConfig()  # the layers a default run reads
 
     class_names = [f"class{k:02d}" for k in range(spec.classes)]
     # Per-stream class prototypes; streams get independent draws so the
@@ -116,25 +114,25 @@ def generate_dataset(out_dir: str | Path, spec: SynthSpec | None = None) -> Mani
                         data=_softmax(logits),
                         nonnegative=True,
                     )
-                    prob_path = tensor_dir / f"{tag}.{SCORE_LAYER}.fvt"
+                    prob_path = tensor_dir / f"{tag}.{layers.score_layer}.fvt"
                     write_tensor(prob, prob_path)
-                    views.append((stream, SCORE_LAYER, prob_path))
+                    views.append((stream, layers.score_layer, prob_path))
 
                     fc = fc_means[stream][k] + spec.noise_scale * rng.standard_normal(
                         spec.fc_dim
                     )
-                    fc_path = tensor_dir / f"{tag}.{GLOBAL_LAYER}.fvt"
+                    fc_path = tensor_dir / f"{tag}.{layers.global_layer}.fvt"
                     write_tensor(
                         GlobalVector(dim=spec.fc_dim, data=fc), fc_path
                     )
-                    views.append((stream, GLOBAL_LAYER, fc_path))
+                    views.append((stream, layers.global_layer, fc_path))
 
                     conv = conv_means[stream][k] + spec.noise_scale * (
                         rng.standard_normal(
                             (spec.map_size, spec.map_size, spec.map_channels)
                         )
                     )
-                    conv_path = tensor_dir / f"{tag}.{CONV_LAYER}.fvt"
+                    conv_path = tensor_dir / f"{tag}.{layers.conv_layer}.fvt"
                     write_tensor(
                         FeatureMap(
                             height=spec.map_size,
@@ -144,7 +142,7 @@ def generate_dataset(out_dir: str | Path, spec: SynthSpec | None = None) -> Mani
                         ),
                         conv_path,
                     )
-                    views.append((stream, CONV_LAYER, conv_path))
+                    views.append((stream, layers.conv_layer, conv_path))
             entries.append(
                 ManifestEntry(
                     image_id=image_id,

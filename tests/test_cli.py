@@ -63,7 +63,7 @@ def test_help_exits_zero(capsys):
     [
         (
             ["fit-gmm", "--k", "2", "--out", "m", "in.fvt"],
-            {"max_iters": "gmm_max_iterations", "tol": "gmm_tol"},
+            {"seed": "gmm_seed", "max_iters": "gmm_max_iterations", "tol": "gmm_tol"},
         ),
         (
             ["train-svm", "--manifest", "x", "--features", "f", "--out", "m"],

@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import configparser
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
 from fvforge.config import DEFAULT_CONFIG_TEXT, PipelineConfig, load_config
 from fvforge.errors import DataError, FormatError, ParameterError
+from fvforge.fusion import FusionWeights
 
 from oracles import write_default_config
 
@@ -128,3 +131,73 @@ def test_config_object_validates_directly():
         PipelineConfig(scenario="unknown")
     with pytest.raises(ParameterError):
         PipelineConfig(tdd_variants=())
+
+
+# One valid non-default value per key, with the field it must set and the
+# value it must give; written out by hand so that a key wired to the wrong
+# field, or a weight pair read in the wrong order, fails.
+KEY_TO_FIELD = [
+    ("pipeline", "scenario", "global_pretrained", "scenario", "global_pretrained"),
+    ("layers", "score_layer", "softmax", "score_layer", "softmax"),
+    ("layers", "global_layer", "fc6", "global_layer", "fc6"),
+    ("layers", "conv_layer", "conv4_3", "conv_layer", "conv4_3"),
+    ("fusion", "alpha_object", "2.0", "alpha", FusionWeights(2.0, 1.0)),
+    ("fusion", "alpha_scene", "3.0", "alpha", FusionWeights(1.0, 3.0)),
+    ("fusion", "beta_object", "2.0", "beta", FusionWeights(2.0, 1.0)),
+    ("fusion", "beta_scene", "3.0", "beta", FusionWeights(1.0, 3.0)),
+    ("fusion", "layer_mode", "scores", "layer_mode", "scores"),
+    ("fusion", "layer_weight_global", "2.0", "layer_weights", FusionWeights(2.0, 1.0)),
+    ("fusion", "layer_weight_local", "3.0", "layer_weights", FusionWeights(1.0, 3.0)),
+    ("tdd", "variants", "spatial, channel", "tdd_variants", ("spatial", "channel")),
+    ("pca", "dim", "32", "pca_dim", 32),
+    ("gmm", "components", "16", "gmm_components", 16),
+    ("gmm", "seed", "8", "gmm_seed", 8),
+    ("gmm", "tol", "1e-5", "gmm_tol", 1e-5),
+    ("gmm", "max_iterations", "50", "gmm_max_iterations", 50),
+    ("svm", "c", "0.5", "svm_c", 0.5),
+    ("svm", "seed", "9", "svm_seed", 9),
+    ("svm", "max_epochs", "500", "svm_max_epochs", 500),
+    ("svm", "tol", "1e-3", "svm_tol", 1e-3),
+    ("normalize", "intra_block_mode", "per_gaussian", "intra_block_mode", "per_gaussian"),
+    ("normalize", "pooling_order", "normalize_then_pool", "pooling_order", "normalize_then_pool"),
+    ("normalize", "final_l2", "false", "final_l2", False),
+    ("eval", "integrator", "trapezoid", "integrator", "trapezoid"),
+]
+
+
+def _pairs(text: str) -> set[tuple[str, str]]:
+    parser = configparser.ConfigParser(interpolation=None)
+    parser.read_string(text)
+    return {(section, key) for section in parser.sections() for key in parser[section]}
+
+
+def test_default_text_names_exactly_the_keys_the_fields_read(monkeypatch):
+    read = set()
+    get = configparser.ConfigParser.get
+
+    def recording_get(self, section, option, **kwargs):
+        read.add((section, option))
+        return get(self, section, option, **kwargs)
+
+    monkeypatch.setattr(configparser.ConfigParser, "get", recording_get)
+    load_config()
+    monkeypatch.undo()
+    assert read == _pairs(DEFAULT_CONFIG_TEXT)
+    assert {(section, key) for section, key, *_ in KEY_TO_FIELD} == read
+
+
+@pytest.mark.parametrize(
+    "section, key, text, field, expected",
+    KEY_TO_FIELD,
+    ids=[f"{section}.{key}" for section, key, *_ in KEY_TO_FIELD],
+)
+def test_each_key_sets_exactly_its_field(tmp_path, section, key, text, field, expected):
+    path = tmp_path / "one.cfg"
+    path.write_text(f"[{section}]\n{key} = {text}\n")
+    cfg, base = load_config(path), load_config()
+    changed = {
+        f.name for f in fields(PipelineConfig) if getattr(cfg, f.name) != getattr(base, f.name)
+    }
+    assert changed == {field}
+    assert getattr(cfg, field) == expected
+    assert type(getattr(cfg, field)) is type(expected)
