@@ -16,6 +16,7 @@ import ctypes
 import logging
 import os
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -44,8 +45,6 @@ from .tensors import (
 )
 
 logger = logging.getLogger("fvforge")
-
-_NORM_TOKENS = ("none", "intra", "power", "l2")
 
 
 def _parse_ints(text: str) -> tuple[int, ...]:
@@ -144,23 +143,9 @@ def _cmd_fit_gmm(args) -> int:
 
 
 def _cmd_encode_fv(args) -> int:
-    tokens = tuple(t.strip() for t in args.norm.split(",") if t.strip())
-    for token in tokens:
-        if token not in _NORM_TOKENS:
-            raise ParameterError(
-                f"unknown --norm token '{token}'; choose from {_NORM_TOKENS}"
-            )
-    if "none" in tokens and len(tokens) > 1:
-        raise ParameterError("--norm none cannot be combined with other tokens")
-    if tokens.count("intra") > 1:
-        raise ParameterError("--norm intra can be applied only once")
-    effective = () if tokens == ("none",) else tokens
-
     model = load_gmm(args.gmm)
     views = [_read_descriptors(p) for p in args.inputs]
-    fv = pipeline.encode_views(
-        model, views, effective, args.intra_mode, args.pooling_order
-    )
+    fv = pipeline.encode_views(model, views, args.intra_mode, args.pooling_order)
     write_tensor(GlobalVector(dim=fv.size, data=fv), args.out)
     logger.info(
         "stage=encode-fv views=%d k=%d dim=%d out=%s",
@@ -230,18 +215,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_synth(args) -> int:
-    spec = SynthSpec(
-        classes=args.classes,
-        images_per_class=args.images_per_class,
-        seed=args.seed,
-        views=args.views,
-        test_fraction=args.test_fraction,
-        fc_dim=args.fc_dim,
-        map_size=args.map_size,
-        map_channels=args.map_channels,
-        class_scale=args.class_scale,
-        noise_scale=args.noise_scale,
-    )
+    spec = SynthSpec(**{f.name: getattr(args, f.name) for f in fields(SynthSpec)})
     manifest = generate_dataset(args.out, spec)
     logger.info(
         "stage=synth classes=%d images=%d out=%s",
@@ -254,7 +228,7 @@ def _cmd_synth(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    cfg, spec = PipelineConfig(), SynthSpec()  # each stage default has one home
+    cfg = PipelineConfig()  # each stage default has one home
     parser = argparse.ArgumentParser(
         prog="fvforge",
         description=(
@@ -327,10 +301,6 @@ def build_parser() -> argparse.ArgumentParser:
         "encode-fv", help="encode descriptor files of one image, pooling views"
     )
     p.add_argument("--gmm", required=True, help="mixture model directory")
-    p.add_argument(
-        "--norm", default=",".join(pipeline.LOCAL_FV_NORMS),
-        help="comma list: none,intra,power,l2",
-    )
     p.add_argument("--intra-mode", default=cfg.intra_block_mode, choices=BLOCK_MODES)
     p.add_argument("--pooling-order", default=cfg.pooling_order, choices=POOLING_ORDERS)
     p.add_argument("--out", required=True, help="rank-1 tensor file")
@@ -378,16 +348,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", help="generate a seeded synthetic dataset")
     p.add_argument("--out", required=True)
-    p.add_argument("--classes", type=int, default=spec.classes)
-    p.add_argument("--images-per-class", type=int, default=spec.images_per_class)
-    p.add_argument("--seed", type=int, default=spec.seed)
-    p.add_argument("--views", type=int, default=spec.views)
-    p.add_argument("--test-fraction", type=float, default=spec.test_fraction)
-    p.add_argument("--fc-dim", type=int, default=spec.fc_dim)
-    p.add_argument("--map-size", type=int, default=spec.map_size)
-    p.add_argument("--map-channels", type=int, default=spec.map_channels)
-    p.add_argument("--class-scale", type=float, default=spec.class_scale)
-    p.add_argument("--noise-scale", type=float, default=spec.noise_scale)
+    for f in fields(SynthSpec):  # one flag per spec field, typed by its default
+        flag = "--" + f.name.replace("_", "-")
+        p.add_argument(flag, type=type(f.default), default=f.default)
     p.set_defaults(func=_cmd_synth)
 
     return parser

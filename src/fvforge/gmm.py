@@ -165,7 +165,7 @@ def fit_gmm(
         raise ParameterError("max_iters must be positive")
     if tol <= 0.0:
         raise ParameterError("tol must be positive")
-    x = descriptors.descriptors.astype(np.float64)
+    x = descriptors.descriptors
     if x.shape[0] < K:
         raise ParameterError(f"{x.shape[0]} descriptors < K={K}")
     rng = np.random.default_rng(seed)
@@ -174,6 +174,7 @@ def fit_gmm(
         keep.sort()
         x = x[keep]
         logger.info("stage=gmm-subsample kept=%d of=%d", max_points, descriptors.count)
+    x = x.astype(np.float64)  # only the kept float32 rows are widened
     n, d = x.shape
 
     global_var = x.var(axis=0)

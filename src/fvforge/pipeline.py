@@ -66,8 +66,6 @@ from .tensors import (
 logger = logging.getLogger(__name__)
 
 MAX_THREADS = 256
-# Normalizations of each local Fisher vector, in order; ``encode-fv`` defaults to them.
-LOCAL_FV_NORMS = ("intra", "power")
 
 
 def derived_seed(base: int, stream: str, variant: str) -> int:
@@ -205,30 +203,18 @@ def fit_gmm_model(
     return load_gmm(model_dir)
 
 
-def encode_views(
-    model: GmmModel,
-    views,
-    norms: tuple[str, ...],
-    intra_mode: str,
-    pooling_order: str,
-) -> np.ndarray:
+def encode_views(model: GmmModel, views, intra_mode: str, pooling_order: str) -> np.ndarray:
     """Fisher-encode each view's descriptors, then sum-pool and normalize.
 
-    ``norms`` is applied in order, from "intra", "power" and "l2", either
-    to the pooled encoding or to each view's before pooling.
+    The normalization is intra-normalization, then power + l2 (Sanchez
+    et al., IJCV 2013), either of the pooled encoding or of each view's
+    before pooling.
     """
     if pooling_order not in POOLING_ORDERS:
         raise ParameterError(f"unknown pooling_order '{pooling_order}'")
 
     def normalized(fv: FisherVector) -> np.ndarray:
-        for token in norms:
-            if token == "intra":
-                fv = intra_normalize(fv, intra_mode)
-            elif token == "power":
-                fv = power_l2_normalize(fv)
-            elif token == "l2":
-                fv = FisherVector(K=fv.K, d=fv.d, data=unit_norm(fv.data))
-        return fv.data
+        return power_l2_normalize(intra_normalize(fv, intra_mode)).data
 
     fvs = [encode_fv(model, ds) for ds in views]
     if pooling_order == "pool_then_normalize":
@@ -324,19 +310,18 @@ def _pooled_vector(entry: ManifestEntry, stream: str, layer: str) -> np.ndarray:
     return _file_round(sum_pool([v.data for v in views]))
 
 
-def _write_features(features_dir: Path, entries, feature_fn, pool: Executor, *extra) -> None:
-    """Compute one vector per entry (and its items of ``extra``) and
-    serialize each as a tensor file."""
+def _write_features(features_dir: Path, entries, feature_fn, pool: Executor) -> None:
+    """Compute one vector per entry and serialize each as a tensor file."""
     features_dir.mkdir(parents=True, exist_ok=True)
 
-    def one(entry: ManifestEntry, *args) -> None:
-        vec = feature_fn(entry, *args)
+    def one(entry: ManifestEntry) -> None:
+        vec = feature_fn(entry)
         write_tensor(
             GlobalVector(dim=vec.size, data=vec),
             features_dir / f"{entry.image_id}.fvt",
         )
 
-    list(pool.map(one, entries, *extra))
+    list(pool.map(one, entries))
 
 
 def _train_predict_evaluate(
@@ -438,43 +423,42 @@ def run_global(
     return _train_predict_evaluate(manifest, cfg, out)
 
 
-def _encode_variant(variant: str, gmm_model: GmmModel, views, cfg: PipelineConfig) -> dict:
-    """One variant's pooled encoding of projected views, keyed by the
-    variant and rounded to float32 as the feature file would."""
-    fv = encode_views(
-        gmm_model, views, LOCAL_FV_NORMS, cfg.intra_block_mode, cfg.pooling_order
-    )
-    return {variant: fv.astype(np.float32)}
+def _encode_variant(gmm_model: GmmModel, views, cfg: PipelineConfig) -> list:
+    """One variant's pooled encoding of projected views, as a one-item
+    list, rounded to float32 as the feature file would."""
+    fv = encode_views(gmm_model, views, cfg.intra_block_mode, cfg.pooling_order)
+    return [fv.astype(np.float32)]
 
 
-def _encode_entry(
-    entry: ManifestEntry, stream: str, cfg: PipelineConfig, models: dict
-) -> dict:
-    """Read an entry's views of one stream once and encode every variant."""
+def _encode_entry(entry: ManifestEntry, stream: str, cfg: PipelineConfig, models) -> list:
+    """Read an entry's views of one stream once and encode every variant
+    of ``models``, (variant, PCA, mixture) triples, in their order."""
     fmaps = _load_views(entry, stream, cfg.conv_layer, FeatureMap)
-    encodings = {}
-    for variant, (pca_model, gmm_model) in models.items():
+    encodings = []
+    for variant, pca_model, gmm_model in models:
         views = [project(pca_model, variant_descriptors(f, variant)) for f in fmaps]
-        encodings |= _encode_variant(variant, gmm_model, views, cfg)
+        encodings += _encode_variant(gmm_model, views, cfg)
     return encodings
 
 
 def _fit_stream(
     stream: str, entries, cfg: PipelineConfig, models_dir: Path, pool: Executor
 ) -> tuple[list, list]:
-    """Fit + serialize + reload one stream's PCA and GMM per variant, and
-    return each entry's tasks that encode it in the stream, plus every
-    task in the order it was queued.
+    """Fit + serialize + reload one stream's PCA and GMM per configured
+    variant, in ``VARIANTS`` order, and return each entry's tasks that
+    encode it in the stream, plus every task in the order it was queued.
+    Each task returns a list of encodings, so an entry's tasks, in order,
+    return one encoding per variant, in ``VARIANTS`` order.
 
     The train views' headers size one float32 (positions, channels) stack
     per variant, so no per-view descriptor set outlives its view and no
     stack is copied.  Each train view is then read once and normalized
     once per variant into its rows of that variant's stack.  The fits run
-    here, in variant order, each PCA on its stack as it stands; as soon as
-    a variant's mixture exists, a task on ``pool`` is queued per train
-    entry to encode it from the projected views the mixture was fit on.
-    Once every model exists, one task per other entry is queued to read
-    and encode it.
+    here, each PCA on its stack as it stands; as soon as a variant's
+    mixture exists, a task on ``pool`` is queued per train entry to
+    encode it from the projected views the mixture was fit on.  Once
+    every model exists, one task per other entry is queued to read and
+    encode it.
     """
     train_at = [i for i, entry in enumerate(entries) if entry.role == "train"]
     train_views = []  # (path, (height, width, channels)) per train view
@@ -490,7 +474,8 @@ def _fit_stream(
                 f"{path}: {channels} channels, the first {stream} train view has {dim}"
             )
     spans = np.cumsum([0] + [h * w for _, (h, w, _) in train_views]).tolist()
-    stacks = {v: np.empty((spans[-1], dim), np.float32) for v in cfg.tdd_variants}
+    variants = [v for v in VARIANTS if v in cfg.tdd_variants]
+    stacks = {v: np.empty((spans[-1], dim), np.float32) for v in variants}
     for (path, shape), a, b in zip(train_views, spans[:-1], spans[1:]):
         fmap = read_as(path, FeatureMap)
         if fmap.data.shape != shape:
@@ -499,8 +484,8 @@ def _fit_stream(
             stack[a:b] = variant_descriptors(fmap, variant).descriptors
     tasks = [[] for _ in entries]
     queued = []
-    models = {}
-    for variant in cfg.tdd_variants:
+    models = []
+    for variant in variants:
         stacked = DescriptorSet(dim, stacks.pop(variant))
         pca_model = fit_pca_model(
             stacked, cfg.pca_dim, models_dir / f"pca_{stream}_{variant}"
@@ -520,11 +505,11 @@ def _fit_stream(
             max_iters=cfg.gmm_max_iterations,
             tol=cfg.gmm_tol,
         )
-        models[variant] = (pca_model, gmm_model)
+        models.append((variant, pca_model, gmm_model))
         first = 0
         for i, count in zip(train_at, view_counts):
             views = projected[first:first + count]
-            queued.append(_Task(pool, _encode_variant, variant, gmm_model, views, cfg))
+            queued.append(_Task(pool, _encode_variant, gmm_model, views, cfg))
             tasks[i].append(queued[-1])
             first += count
     for i, entry in enumerate(entries):
@@ -550,15 +535,14 @@ def _write_local_features(
     for task in reversed([t for stream_queue in queued for t in stream_queue]):
         task.run()
 
-    def feature(entry: ManifestEntry, stream_tasks) -> np.ndarray:
+    entry_tasks = dict(zip(entries, zip(*tasks)))  # per entry, per stream
+
+    def feature(entry: ManifestEntry) -> np.ndarray:
         """Variant concat per stream, the channel variant first, then
         stream concat."""
         stream_vecs = []
-        for entry_tasks in stream_tasks:
-            encodings = {v: e for t in entry_tasks for v, e in t.result().items()}
-            parts = [
-                encodings[v].astype(np.float64) for v in VARIANTS if v in encodings
-            ]
+        for stream_tasks in entry_tasks[entry]:
+            parts = [fv.astype(np.float64) for t in stream_tasks for fv in t.result()]
             if len(parts) == 2:
                 parts = [_file_round(fuse_features(*parts, FusionWeights(), True))]
             stream_vecs.append(parts[0])
@@ -566,7 +550,7 @@ def _write_local_features(
 
     # Inline, so no pool task waits on a future and the first failing
     # entry in manifest order is the one reported.
-    _write_features(features_dir, entries, feature, _Inline(), zip(*tasks))
+    _write_features(features_dir, entries, feature, _Inline())
     logger.info("stage=features kind=local images=%d", len(entries))
 
 

@@ -152,11 +152,7 @@ def generate_dataset(out_dir: str | Path, spec: SynthSpec | None = None) -> Mani
                 )
             )
 
-    manifest = Manifest(
-        class_names=tuple(class_names),
-        entries=tuple(entries),
-        path=out / "data.manifest",
-    )
+    manifest = Manifest(class_names=tuple(class_names), entries=tuple(entries))
     write_manifest(manifest, out / "data.manifest")
     # Reload so the returned value is exactly what later stages will read.
     return load_manifest(out / "data.manifest")

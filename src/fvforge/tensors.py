@@ -32,7 +32,7 @@ import math
 import os
 import struct
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -327,7 +327,6 @@ class ManifestEntry:
 class Manifest:
     class_names: tuple[str, ...]
     entries: tuple[ManifestEntry, ...]
-    path: Path | None = field(default=None, compare=False)
 
     @property
     def class_count(self) -> int:
@@ -407,7 +406,7 @@ def load_manifest(path: str | Path) -> Manifest:
         views = _parse_views(view_spec, base, lineno)
         entries.append(ManifestEntry(image_id, label, views, role))
 
-    return Manifest(class_names=class_names, entries=tuple(entries), path=path)
+    return Manifest(class_names=class_names, entries=tuple(entries))
 
 
 def write_manifest(manifest: Manifest, path: str | Path) -> None:

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import argparse
+import re
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -100,6 +103,20 @@ def test_synth_flag_defaults_are_the_spec_defaults():
     assert {name: args[name] for name in spec.__dataclass_fields__} == vars(spec)
 
 
+def test_readme_flags_are_parser_options():
+    """Every ``--flag`` the README names is an option of the parser or of
+    one of its subcommands; pip's ``--no-build-isolation`` is the exception."""
+    parsers = [build_parser()]
+    for action in parsers[0]._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            parsers += action.choices.values()
+    options = {flag for p in parsers for action in p._actions for flag in action.option_strings}
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    named = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", readme)) - {"--no-build-isolation"}
+    assert named, "the README names no flags"
+    assert named <= options, sorted(named - options)
+
+
 def test_unknown_subcommand_exits_two():
     with pytest.raises(SystemExit) as exc:
         main(["nonsense"])
@@ -175,6 +192,40 @@ def test_plan_views_file_output_and_bad_crop(tmp_path):
     ) == 2
 
 
+@pytest.mark.parametrize("scales", ["a", ","])
+def test_plan_views_bad_scales_exit_two(tmp_path, scales):
+    out = tmp_path / "views.csv"
+    argv = ["plan-views", "--width", "300", "--height", "200", "--scales", scales]
+    assert main(argv + ["--out", str(out)]) == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("alpha", ["1", "x,y"])
+def test_fuse_bad_alpha_exits_two(tmp_path, alpha):
+    a, b = tmp_path / "a.fvt", tmp_path / "b.fvt"
+    write_tensor(GlobalVector(3, np.ones(3)), a)
+    write_tensor(GlobalVector(3, np.ones(3)), b)
+    out = tmp_path / "fused.fvt"
+    assert main(
+        ["fuse", "--mode", "scores", "--alpha", alpha, "--out", str(out), str(a), str(b)]
+    ) == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command", [["fit-pca", "--dim", "2"], ["fit-gmm", "--k", "2"]], ids=["fit-pca", "fit-gmm"]
+)
+def test_fits_on_descriptor_files_of_two_widths_exit_three(tmp_path, command):
+    inputs = []
+    for width in (4, 5):
+        path = tmp_path / f"w{width}.fvt"
+        write_tensor(FeatureMap(6, 1, width, np.arange(6.0 * width)), path)
+        inputs.append(str(path))
+    model_dir = tmp_path / "model"
+    assert main(command + ["--out", str(model_dir), *inputs]) == 3
+    assert not model_dir.exists()
+
+
 def test_tdd_modes_and_suffixes(tiny, tmp_path):
     manifest = load_manifest(tiny / "data.manifest")
     conv = manifest.entries[0].paths_for("object", "conv5_3")[0]
@@ -196,44 +247,6 @@ def test_tdd_rejects_rank1_input_without_writing(tiny, tmp_path):
     out = tmp_path / "never.fvt"
     assert main(["tdd", "--in", str(vec), "--mode", "channel", "--out", str(out)]) == 3
     assert not out.exists()
-
-
-# The mixture directory does not exist, so only a check made before any
-# model is loaded can give exit 2.
-@pytest.mark.parametrize("norm", ["none,intra", "intra,power,intra"])
-def test_norm_token_validation_exits_two(tmp_path, norm):
-    code = main(
-        [
-            "encode-fv",
-            "--gmm", str(tmp_path / "gmm"),
-            "--norm", norm,
-            "--out", str(tmp_path / "fv.fvt"),
-            str(tmp_path / "in.fvt"),
-        ]
-    )
-    assert code == 2
-
-
-@pytest.mark.parametrize("norm", ["power,power", "intra,power,l2,l2"])
-def test_repeated_power_or_l2_is_accepted(tmp_path, caplog, rng, norm):
-    gmm_dir = tmp_path / "gmm"
-    save_gmm(
-        GmmModel(
-            K=2, dim=3, weights=np.array([0.4, 0.6]),
-            means=rng.normal(size=(2, 3)), variances=np.ones((2, 3)),
-        ),
-        gmm_dir,
-    )
-    views = tmp_path / "view.fvt"
-    write_tensor(FeatureMap(5, 1, 3, rng.normal(size=(5, 1, 3))), views)
-    out = tmp_path / "fv.fvt"
-    with caplog.at_level("INFO", logger="fvforge"):
-        code = main(
-            ["encode-fv", "--gmm", str(gmm_dir), "--norm", norm, "--out", str(out), str(views)]
-        )
-    assert code == 0
-    assert read_tensor(out).dim == 2 * 2 * 3
-    assert any("stage=encode-fv views=1 k=2 dim=12" in r.message for r in caplog.records)
 
 
 def test_corrupted_mixture_exits_four(tmp_path):
@@ -458,7 +471,6 @@ def test_scripted_chain_matches_run_byte_for_byte(
                     [
                         "encode-fv",
                         "--gmm", str(work / f"gmm_{stream}_{variant}"),
-                        "--norm", "intra,power",
                         *encode_flags,
                         "--out", str(fv_out),
                         *inputs,

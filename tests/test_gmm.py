@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import logging
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -147,6 +148,31 @@ def test_component_resets_keep_a_valid_deterministic_model(rng, caplog, K):
     np.testing.assert_array_equal(a.weights, b.weights)
     np.testing.assert_array_equal(a.means, b.means)
     np.testing.assert_array_equal(a.variances, b.variances)
+
+
+def test_subsampled_fit_is_logged_deterministic_and_widens_only_the_kept_rows(caplog):
+    """Above ``max_points`` the fit runs on a seeded subsample, and only
+    the kept float32 rows are converted to float64."""
+    n, d, kept = 20_000, 32, 500
+    data = np.random.default_rng(3).normal(size=(n, d)).astype(np.float32)
+    data[: n // 2] += 4.0
+    ds = DescriptorSet(d, data)
+    with caplog.at_level(logging.INFO, logger="fvforge.gmm"):
+        tracemalloc.start()
+        try:
+            a = fit_gmm(ds, 2, seed=5, max_iters=5, max_points=kept)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert any(
+        f"stage=gmm-subsample kept={kept} of={n}" in r.getMessage() for r in caplog.records
+    )
+    assert peak < 0.25 * n * d * 8
+    b = fit_gmm(ds, 2, seed=5, max_iters=5, max_points=kept)
+    np.testing.assert_array_equal(a.weights, b.weights)
+    np.testing.assert_array_equal(a.means, b.means)
+    np.testing.assert_array_equal(a.variances, b.variances)
+    assert a.fit_trace == b.fit_trace
 
 
 _FIT_AND_ENCODE = """

@@ -365,7 +365,7 @@ def test_encode_views_rejects_an_unknown_pooling_order(rng):
     model = random_gmm(rng, 2, 3)
     with pytest.raises(ParameterError, match="pooling_order"):
         pipeline.encode_views(
-            model, [random_descriptors(rng, 5, 3)], ("intra",), "per_order", "pooled"
+            model, [random_descriptors(rng, 5, 3)], "per_order", "pooled"
         )
 
 
@@ -491,7 +491,8 @@ def test_first_failing_entry_in_manifest_order_is_reported(tmp_path, threads):
 
 def test_run_accepts_a_manifest_path_and_checks_threads(dataset, tmp_path):
     cfg = make_cfg(scenario="softmax_fusion")
-    report = run(str(dataset.path), cfg, tmp_path / "run")
+    generate_dataset(tmp_path / "data", SPEC)
+    report = run(str(tmp_path / "data" / "data.manifest"), cfg, tmp_path / "run")
     assert 0.0 <= report.map_score <= 1.0
     with pytest.raises(ParameterError):
         run(dataset, cfg, tmp_path / "bad", threads=0)
