@@ -238,8 +238,8 @@ def train_ovr(
         )
     if C <= 0.0:
         raise ParameterError(f"C must be positive, got {C}")
-    if max_epochs < 1 or tol <= 0.0:
-        raise ParameterError("max_epochs must be >= 1 and tol > 0")
+    if max_epochs < 1 or not tol > 0.0 or seed < 0:
+        raise ParameterError("max_epochs must be >= 1, tol > 0 and seed >= 0")
 
     norms = np.concatenate([np.linalg.norm(tile, axis=1) for tile in tiles])
     off = np.abs(norms - 1.0) > NORM_WARN_FRACTION

@@ -26,8 +26,7 @@ from .augment import plan_views
 from .classify import load_svm, predict_matrix
 from .config import POOLING_ORDERS, PipelineConfig, load_config
 from .errors import FvForgeError, ParameterError, ValidationError
-from .evaluation import INTEGRATORS, read_scores_csv, write_scores_csv
-from .fisher import BLOCK_MODES
+from .evaluation import read_scores_csv, write_scores_csv
 from .fusion import FusionWeights, fuse_scores
 from .gmm import load_gmm
 from .normalize import VARIANTS, descriptors_to_map, extract_descriptors, variant_descriptors
@@ -98,22 +97,14 @@ def _cmd_plan_views(args) -> int:
     return 0
 
 
-def _suffixed(path: str, tag: str) -> Path:
-    p = Path(path)
-    return p.with_name(f"{p.stem}.{tag}{p.suffix}" if p.suffix else f"{p.name}.{tag}")
-
-
 def _cmd_tdd(args) -> int:
     fmap = read_as(args.infile, FeatureMap)
-    modes = VARIANTS if args.mode == "both" else (args.mode,)
-    for mode in modes:
-        container = descriptors_to_map(variant_descriptors(fmap, mode))
-        out = _suffixed(args.out, mode) if args.mode == "both" else Path(args.out)
-        write_tensor(container, out)
-        logger.info(
-            "stage=tdd mode=%s descriptors=%d out=%s",
-            mode, container.height, out,
-        )
+    container = descriptors_to_map(variant_descriptors(fmap, args.mode))
+    write_tensor(container, args.out)
+    logger.info(
+        "stage=tdd mode=%s descriptors=%d out=%s",
+        args.mode, container.height, args.out,
+    )
     return 0
 
 
@@ -145,7 +136,7 @@ def _cmd_fit_gmm(args) -> int:
 def _cmd_encode_fv(args) -> int:
     model = load_gmm(args.gmm)
     views = [_read_descriptors(p) for p in args.inputs]
-    fv = pipeline.encode_views(model, views, args.intra_mode, args.pooling_order)
+    fv = pipeline.encode_views(model, views, args.pooling_order)
     write_tensor(GlobalVector(dim=fv.size, data=fv), args.out)
     logger.info(
         "stage=encode-fv views=%d k=%d dim=%d out=%s",
@@ -164,7 +155,7 @@ def _cmd_fuse(args) -> int:
             weights,
         ).scores
     else:
-        fused = pipeline.fuse_features(first.data, second.data, weights, args.l2)
+        fused = pipeline.fuse_features(first.data, second.data, weights)
     write_tensor(GlobalVector(dim=fused.size, data=fused), args.out)
     logger.info("stage=fuse mode=%s dim=%d out=%s", args.mode, fused.size, args.out)
     return 0
@@ -200,7 +191,7 @@ def _cmd_evaluate(args) -> int:
         raise ValidationError(f"image '{missing[0]}' not present in manifest")
     report = pipeline.report_scores(
         matrix, [by_id[image_id] for image_id in ids], manifest.class_names,
-        args.integrator, report_path=args.out,
+        report_path=args.out,
     )
     sys.stdout.write(f"mAP={report.map_score!r} top1={report.top1_accuracy!r}\n")
     return 0
@@ -272,7 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
         "tdd", help="normalize a conv map and write its descriptor container"
     )
     p.add_argument("--in", dest="infile", required=True, help="rank-3 tensor file")
-    p.add_argument("--mode", choices=VARIANTS + ("both",), required=True)
+    p.add_argument("--mode", choices=VARIANTS, required=True)
     p.add_argument("--out", required=True, help="descriptor tensor (count x 1 x dim)")
     p.set_defaults(func=_cmd_tdd)
 
@@ -301,7 +292,6 @@ def build_parser() -> argparse.ArgumentParser:
         "encode-fv", help="encode descriptor files of one image, pooling views"
     )
     p.add_argument("--gmm", required=True, help="mixture model directory")
-    p.add_argument("--intra-mode", default=cfg.intra_block_mode, choices=BLOCK_MODES)
     p.add_argument("--pooling-order", default=cfg.pooling_order, choices=POOLING_ORDERS)
     p.add_argument("--out", required=True, help="rank-1 tensor file")
     p.add_argument("inputs", nargs="+", help="projected descriptor files (views)")
@@ -310,7 +300,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fuse", help="combine two streams' scores or features")
     p.add_argument("--mode", choices=("scores", "features"), required=True)
     p.add_argument("--alpha", default="1,1", help="object,scene weights")
-    p.add_argument("--l2", action="store_true", help="unit-normalize fused features")
     p.add_argument("--out", required=True)
     p.add_argument("inputs", nargs=2, help="object tensor, scene tensor")
     p.set_defaults(func=_cmd_fuse)
@@ -336,7 +325,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("evaluate", help="AP/mAP/top-1 from a scores CSV")
     p.add_argument("--scores", required=True)
     p.add_argument("--manifest", required=True)
-    p.add_argument("--integrator", default=cfg.integrator, choices=INTEGRATORS)
     p.add_argument("--out", help="report CSV path")
     p.set_defaults(func=_cmd_evaluate)
 

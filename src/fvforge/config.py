@@ -18,8 +18,6 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError, FormatError, ParameterError
-from .evaluation import INTEGRATORS
-from .fisher import BLOCK_MODES
 from .fusion import FusionWeights
 from .normalize import VARIANTS
 
@@ -33,8 +31,6 @@ SCENARIOS = (
 POOLING_ORDERS = ("pool_then_normalize", "normalize_then_pool")
 LAYER_FUSION_MODES = ("features", "scores")
 
-_BOOLEANS = configparser.ConfigParser.BOOLEAN_STATES
-
 
 def _value(kind: type, texts: tuple[str, ...]):
     """A field's value from its INI text(s); ``tuple`` is a comma list and
@@ -44,10 +40,6 @@ def _value(kind: type, texts: tuple[str, ...]):
     (text,) = texts
     if kind is tuple:
         return tuple(t.strip() for t in text.split(",") if t.strip())
-    if kind is bool:
-        if text.lower() not in _BOOLEANS:
-            raise ValueError(f"not a boolean: {text}")
-        return _BOOLEANS[text.lower()]
     return kind(text)
 
 
@@ -88,14 +80,9 @@ class PipelineConfig:
     svm_seed: int = _key("svm", "seed", "7", int)
     svm_max_epochs: int = _key("svm", "max_epochs", "1000", int)
     svm_tol: float = _key("svm", "tol", "1e-4", float)
-    intra_block_mode: str = _key(
-        "normalize", "intra_block_mode", "per_order", choices=BLOCK_MODES
-    )
     pooling_order: str = _key(
         "normalize", "pooling_order", "pool_then_normalize", choices=POOLING_ORDERS
     )
-    final_l2: bool = _key("normalize", "final_l2", "true", bool)
-    integrator: str = _key("eval", "integrator", "step", choices=INTEGRATORS)
 
     def __post_init__(self):
         for f in fields(self):
@@ -114,11 +101,13 @@ class PipelineConfig:
             raise ParameterError("pca dim must be positive")
         if self.gmm_components < 1:
             raise ParameterError("gmm components must be positive")
-        if self.gmm_tol <= 0.0 or self.gmm_max_iterations < 1:
+        if self.gmm_seed < 0 or self.svm_seed < 0:
+            raise ParameterError("gmm and svm seeds must be non-negative")
+        if not self.gmm_tol > 0.0 or self.gmm_max_iterations < 1:
             raise ParameterError("gmm tol must be > 0 and max_iterations >= 1")
         if self.svm_c <= 0.0 or not np.isfinite(self.svm_c):
             raise ParameterError("svm c must be a positive real")
-        if self.svm_max_epochs < 1 or self.svm_tol <= 0.0:
+        if self.svm_max_epochs < 1 or not self.svm_tol > 0.0:
             raise ParameterError("svm max_epochs must be >= 1 and tol > 0")
 
 

@@ -2,10 +2,9 @@
 
 AP uses step-wise precision-recall integration: sort images by score
 descending (ties break by input order via a stable sort), then average
-the precision measured at each positive's rank.  A trapezoidal
-integrator is available behind a flag.  Classes with no positive images
-have undefined AP; ``evaluate`` excludes them from the mean and lists
-them in the report.
+the precision measured at each positive's rank.  Classes with no
+positive images have undefined AP; ``evaluate`` excludes them from the
+mean and lists them in the report.
 """
 
 from __future__ import annotations
@@ -24,8 +23,6 @@ from .errors import (
     ValidationError,
 )
 from .tensors import atomic_write_text
-
-INTEGRATORS = ("step", "trapezoid")
 
 _REPORT_COMMENT = (
     "# ties break by input order (stable sort); "
@@ -82,12 +79,8 @@ def _ranked_labels(scores: np.ndarray, labels: np.ndarray) -> np.ndarray:
     return labels[order]
 
 
-def average_precision(
-    scores, labels, integrator: str = "step"
-) -> float:
+def average_precision(scores, labels) -> float:
     """Area under the precision-recall curve of one ranked class."""
-    if integrator not in INTEGRATORS:
-        raise ParameterError(f"unknown integrator '{integrator}'")
     s = np.ascontiguousarray(scores, dtype=np.float64).reshape(-1)
     y = np.asarray(labels, dtype=bool).reshape(-1)
     if s.shape != y.shape:
@@ -104,13 +97,7 @@ def average_precision(
     hits = np.cumsum(ranked)
     ranks = np.arange(1, ranked.size + 1)
     precision = hits / ranks
-    if integrator == "step":
-        return float(precision[ranked].sum() / positives)
-    # Trapezoid: average consecutive precisions at each recall step,
-    # seeding the curve at precision 1 for recall 0.
-    prec_at_hits = precision[ranked]
-    prev = np.concatenate([[1.0], prec_at_hits[:-1]])
-    return float(((prec_at_hits + prev) / 2.0).sum() / positives)
+    return float(precision[ranked].sum() / positives)
 
 
 def top1_accuracy(score_matrix: np.ndarray, labels: np.ndarray) -> float:
@@ -119,9 +106,7 @@ def top1_accuracy(score_matrix: np.ndarray, labels: np.ndarray) -> float:
     return float(np.mean(predicted == labels))
 
 
-def evaluate(
-    score_matrix, labels, integrator: str = "step", class_names=()
-) -> EvalReport:
+def evaluate(score_matrix, labels, class_names=()) -> EvalReport:
     """One-vs-rest AP per class, mAP over defined classes, and top-1."""
     scores = np.ascontiguousarray(score_matrix, dtype=np.float64)
     y = np.asarray(labels, dtype=np.int64).reshape(-1)
@@ -155,7 +140,7 @@ def evaluate(
         if counts[k] == 0:
             excluded.append(k)
             continue
-        ap[k] = average_precision(scores[:, k], positives, integrator)
+        ap[k] = average_precision(scores[:, k], positives)
     defined = [k for k in range(class_count) if k not in set(excluded)]
     if not defined:
         raise UndefinedApError("every class has zero positives")

@@ -18,8 +18,6 @@ from . import gmm as gmm_mod
 from .errors import DataError, ParameterError, ShapeError
 from .normalize import DescriptorSet
 
-BLOCK_MODES = ("per_order", "per_gaussian")
-
 
 @dataclass(frozen=True)
 class FisherVector:
@@ -64,17 +62,12 @@ def encode_fv(model: gmm_mod.GmmModel, descriptors: DescriptorSet) -> FisherVect
     return FisherVector(K=model.K, d=model.dim, data=np.hstack([u, v]))
 
 
-def intra_normalize(fv: FisherVector, block_mode: str = "per_order") -> FisherVector:
-    """Independently l2-normalize each block of the Fisher vector.
-
-    ``per_order`` treats every u_k and v_k (length d) as its own block;
-    ``per_gaussian`` joins each component's pair into one length-2d
-    block.  Zero blocks stay zero.
+def intra_normalize(fv: FisherVector) -> FisherVector:
+    """Independently l2-normalize each per-order block of the Fisher
+    vector: every u_k and every v_k (length d) is its own block.  Zero
+    blocks stay zero.
     """
-    if block_mode not in BLOCK_MODES:
-        raise ParameterError(f"unknown block_mode '{block_mode}'")
-    block_len = fv.d if block_mode == "per_order" else 2 * fv.d
-    blocks = fv.data.reshape(-1, block_len).copy()
+    blocks = fv.data.reshape(-1, fv.d).copy()
     norms = np.linalg.norm(blocks, axis=1, keepdims=True)
     np.divide(blocks, norms, out=blocks, where=norms > 0.0)
     return FisherVector(K=fv.K, d=fv.d, data=blocks.reshape(-1))

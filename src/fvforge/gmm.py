@@ -163,8 +163,8 @@ def fit_gmm(
         raise ParameterError("K must be positive")
     if max_iters < 1:
         raise ParameterError("max_iters must be positive")
-    if tol <= 0.0:
-        raise ParameterError("tol must be positive")
+    if not tol > 0.0 or seed < 0:
+        raise ParameterError("tol must be positive and seed non-negative")
     x = descriptors.descriptors
     if x.shape[0] < K:
         raise ParameterError(f"{x.shape[0]} descriptors < K={K}")

@@ -203,7 +203,7 @@ def fit_gmm_model(
     return load_gmm(model_dir)
 
 
-def encode_views(model: GmmModel, views, intra_mode: str, pooling_order: str) -> np.ndarray:
+def encode_views(model: GmmModel, views, pooling_order: str) -> np.ndarray:
     """Fisher-encode each view's descriptors, then sum-pool and normalize.
 
     The normalization is intra-normalization, then power + l2 (Sanchez
@@ -214,7 +214,7 @@ def encode_views(model: GmmModel, views, intra_mode: str, pooling_order: str) ->
         raise ParameterError(f"unknown pooling_order '{pooling_order}'")
 
     def normalized(fv: FisherVector) -> np.ndarray:
-        return power_l2_normalize(intra_normalize(fv, intra_mode)).data
+        return power_l2_normalize(intra_normalize(fv)).data
 
     fvs = [encode_fv(model, ds) for ds in views]
     if pooling_order == "pool_then_normalize":
@@ -223,10 +223,9 @@ def encode_views(model: GmmModel, views, intra_mode: str, pooling_order: str) ->
     return sum_pool([normalized(fv) for fv in fvs])
 
 
-def fuse_features(first, second, weights: FusionWeights, l2: bool) -> np.ndarray:
-    """Weighted concatenation of two feature vectors, optionally unit-normalized."""
-    fused = concat_features(first, second, weights).data
-    return unit_norm(fused) if l2 else fused
+def fuse_features(first, second, weights: FusionWeights) -> np.ndarray:
+    """Weighted concatenation of two feature vectors, unit-normalized."""
+    return unit_norm(concat_features(first, second, weights).data)
 
 
 def train_svm_model(
@@ -263,12 +262,11 @@ def report_scores(
     matrix: np.ndarray,
     entries,
     class_names,
-    integrator: str,
     report_path: str | Path | None = None,
     scores_path: str | Path | None = None,
 ) -> EvalReport:
     """Evaluate a score matrix against the entries' labels; write and log it."""
-    report = evaluate(matrix, labels_of(entries), integrator, class_names)
+    report = evaluate(matrix, labels_of(entries), class_names)
     if scores_path is not None:
         write_scores_csv(scores_path, [e.image_id for e in entries], matrix)
     if report_path is not None:
@@ -360,7 +358,7 @@ def _train_predict_evaluate(
             )
         ]
     return report_scores(
-        matrices[0], test, manifest.class_names, cfg.integrator,
+        matrices[0], test, manifest.class_names,
         out / "report.csv", out / "scores.csv",
     )
 
@@ -391,7 +389,7 @@ def run_scenario1(
 
     matrix = np.stack(list(pool.map(score_one, entries)))
     return report_scores(
-        matrix, entries, manifest.class_names, cfg.integrator,
+        matrix, entries, manifest.class_names,
         out / "report.csv", out / "scores.csv",
     )
 
@@ -402,7 +400,7 @@ def _global_feature(entry: ManifestEntry, cfg: PipelineConfig) -> np.ndarray:
         _file_round(unit_norm(_pooled_vector(entry, stream, cfg.global_layer)))
         for stream in STREAMS
     ]
-    return fuse_features(parts[0], parts[1], cfg.beta, cfg.final_l2)
+    return fuse_features(parts[0], parts[1], cfg.beta)
 
 
 def _write_global_features(
@@ -426,7 +424,7 @@ def run_global(
 def _encode_variant(gmm_model: GmmModel, views, cfg: PipelineConfig) -> list:
     """One variant's pooled encoding of projected views, as a one-item
     list, rounded to float32 as the feature file would."""
-    fv = encode_views(gmm_model, views, cfg.intra_block_mode, cfg.pooling_order)
+    fv = encode_views(gmm_model, views, cfg.pooling_order)
     return [fv.astype(np.float32)]
 
 
@@ -544,9 +542,9 @@ def _write_local_features(
         for stream_tasks in entry_tasks[entry]:
             parts = [fv.astype(np.float64) for t in stream_tasks for fv in t.result()]
             if len(parts) == 2:
-                parts = [_file_round(fuse_features(*parts, FusionWeights(), True))]
+                parts = [_file_round(fuse_features(*parts, FusionWeights()))]
             stream_vecs.append(parts[0])
-        return fuse_features(stream_vecs[0], stream_vecs[1], cfg.beta, cfg.final_l2)
+        return fuse_features(stream_vecs[0], stream_vecs[1], cfg.beta)
 
     # Inline, so no pool task waits on a future and the first failing
     # entry in manifest order is the one reported.
@@ -581,7 +579,6 @@ def run_layer_fusion(
                 read_as(global_dir / name, GlobalVector).data,
                 read_as(local_dir / name, GlobalVector).data,
                 cfg.layer_weights,
-                cfg.final_l2,
             )
 
         _write_features(out / "features", manifest.entries, combined, pool)

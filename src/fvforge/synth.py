@@ -49,6 +49,8 @@ class SynthSpec:
             raise ParameterError("need at least 2 classes")
         if self.images_per_class < 2:
             raise ParameterError("need at least 2 images per class")
+        if self.seed < 0:
+            raise ParameterError("seed must be non-negative")
         if self.views < 1:
             raise ParameterError("views must be positive")
         if not 0.0 < self.test_fraction < 1.0:

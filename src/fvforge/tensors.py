@@ -385,6 +385,11 @@ def load_manifest(path: str | Path) -> Manifest:
         role = fields[3].strip() if len(fields) == 4 else "train"
         if role not in ROLES:
             raise ValidationError(f"{path} line {lineno}: unknown role '{role}'")
+        if any(c in image_id for c in '/,"'):
+            # The id names a feature file and a scores.csv cell.
+            raise ValidationError(
+                f"{path} line {lineno}: image_id '{image_id}' contains '/', ',' or '\"'"
+            )
         if image_id in seen:
             raise ValidationError(f"{path} line {lineno}: duplicate image_id '{image_id}'")
         seen.add(image_id)

@@ -180,14 +180,13 @@ def fisher_vector_reference(weights, means, variances, points):
 # ------------------------------------------------------- fisher norms
 
 
-def intra_normalize_reference(fv, K, d, per_gaussian=False):
-    """Blockwise l2 normalization with explicit slicing."""
-    block = 2 * d if per_gaussian else d
+def intra_normalize_reference(fv, K, d):
+    """Per-order blockwise l2 normalization with explicit slicing."""
     out = list(fv)
-    for start in range(0, 2 * K * d, block):
-        norm = math.sqrt(sum(v * v for v in fv[start : start + block]))
+    for start in range(0, 2 * K * d, d):
+        norm = math.sqrt(sum(v * v for v in fv[start : start + d]))
         if norm > 0.0:
-            for i in range(start, start + block):
+            for i in range(start, start + d):
                 out[i] = fv[i] / norm
     return out
 
@@ -222,23 +221,6 @@ def average_precision_reference(scores, labels):
             recall_step = 1.0 / total_pos
             precision = hits / rank
             area += precision * recall_step
-    return area
-
-
-def average_precision_trapezoid_reference(scores, labels):
-    """Trapezoidal variant: average consecutive precisions per recall step."""
-    n = len(scores)
-    order = sorted(range(n), key=lambda i: (-scores[i], i))
-    total_pos = sum(1 for flag in labels if flag)
-    hits = 0
-    area = 0.0
-    prev_precision = 1.0
-    for rank, idx in enumerate(order, start=1):
-        if labels[idx]:
-            hits += 1
-            precision = hits / rank
-            area += 0.5 * (precision + prev_precision) / total_pos
-            prev_precision = precision
     return area
 
 

@@ -290,6 +290,15 @@ def test_training_preconditions(rng):
         train_ovr(bad, y, class_count=2)
 
 
+def test_nan_tol_and_negative_seed_are_rejected(rng):
+    """A NaN tol would stop after one epoch with no not-converged warning."""
+    x, y = make_blobs(rng, classes=2, per_class=5, dim=3)
+    with pytest.raises(ParameterError, match="tol"):
+        train_ovr(x, y, class_count=2, tol=float("nan"))
+    with pytest.raises(ParameterError, match="seed"):
+        train_ovr(x, y, class_count=2, seed=-1)
+
+
 def test_model_container_validation(rng):
     with pytest.raises(ShapeError):
         LinearModel(class_count=2, feature_dim=3, weights=np.zeros((2, 4)), biases=np.zeros(2))

@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import re
 import threading
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -22,6 +23,7 @@ from fvforge.tensors import (
     GlobalVector,
     load_manifest,
     read_tensor,
+    write_manifest,
     write_tensor,
 )
 
@@ -79,14 +81,10 @@ def test_help_exits_zero(capsys):
         ),
         (
             ["encode-fv", "--gmm", "g", "--out", "o", "in.fvt"],
-            {"intra_mode": "intra_block_mode", "pooling_order": "pooling_order"},
-        ),
-        (
-            ["evaluate", "--scores", "s", "--manifest", "x"],
-            {"integrator": "integrator"},
+            {"pooling_order": "pooling_order"},
         ),
     ],
-    ids=["fit-gmm", "train-svm", "encode-fv", "evaluate"],
+    ids=["fit-gmm", "train-svm", "encode-fv"],
 )
 def test_stage_flag_defaults_are_the_default_config(argv, expected):
     """Default flags reproduce `run` with the default config."""
@@ -234,12 +232,6 @@ def test_tdd_modes_and_suffixes(tiny, tmp_path):
     tensor = read_tensor(single)
     assert (tensor.height, tensor.width, tensor.channels) == (16, 1, 6)
 
-    both = tmp_path / "both.fvt"
-    assert main(["tdd", "--in", str(conv), "--mode", "both", "--out", str(both)]) == 0
-    assert not both.exists()
-    assert (tmp_path / "both.channel.fvt").is_file()
-    assert (tmp_path / "both.spatial.fvt").is_file()
-
 
 def test_tdd_rejects_rank1_input_without_writing(tiny, tmp_path):
     manifest = load_manifest(tiny / "data.manifest")
@@ -386,13 +378,74 @@ def test_run_prints_a_summary_line(tiny, tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "image_id, role",
+    [("../../escaped", "train"), ("x,y", "test"), ('"q', "test")],
+    ids=["slash", "comma", "quote"],
+)
+def test_manifest_image_ids_that_break_the_run_directory_exit_three(
+    tiny, tmp_path, capsys, image_id, role
+):
+    """An id names a feature file and a scores.csv cell, so a slash could
+    write outside the run directory and a comma or quote would make a
+    scores.csv that evaluate rejects."""
+    manifest = load_manifest(tiny / "data.manifest")
+    at = next(i for i, e in enumerate(manifest.entries) if e.role == role)
+    entries = list(manifest.entries)
+    entries[at] = replace(entries[at], image_id=image_id)
+    path = tmp_path / "m.manifest"
+    write_manifest(replace(manifest, entries=tuple(entries)), path)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("[pipeline]\nscenario = global_pretrained\n")
+    out = tmp_path / "deep" / "run"
+    capsys.readouterr()
+    code = main(["run", "--config", str(cfg), "--manifest", str(path), "--out", str(out)])
+    assert code == 3
+    assert f"line {at + 2}" in capsys.readouterr().err
+    assert not (tmp_path / "deep").exists()
+
+
+@pytest.mark.parametrize(
+    "seed_cfg", ["seed = -1\n", "\n[svm]\nseed = -3\n"], ids=["gmm", "svm"]
+)
+def test_run_with_a_negative_seed_exits_two_before_fitting(tiny, tmp_path, seed_cfg):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("[pca]\ndim = 4\n\n[gmm]\ncomponents = 2\n" + seed_cfg)
+    out = tmp_path / "run"
+    code = main(
+        ["run", "--config", str(cfg), "--manifest", str(tiny / "data.manifest"), "--out", str(out)]
+    )
+    assert code == 2
+    assert not (out / "models").exists()
+
+
+@pytest.mark.parametrize("command", ["synth", "fit-gmm", "train-svm"])
+def test_negative_seed_flag_exits_two_without_writing(tiny, tmp_path, command):
+    out = tmp_path / "out"
+    if command == "synth":
+        argv = ["synth", "--out", str(out), "--seed", "-1"]
+    elif command == "fit-gmm":
+        descriptors = tmp_path / "d.fvt"
+        write_tensor(FeatureMap(6, 1, 4, np.arange(24.0)), descriptors)
+        argv = ["fit-gmm", "--k", "2", "--seed", "-1", "--out", str(out), str(descriptors)]
+    else:
+        manifest = tiny / "data.manifest"
+        features = tmp_path / "features"
+        features.mkdir()
+        for entry in load_manifest(manifest).split("train"):
+            write_tensor(GlobalVector(4, np.full(4, 0.5)), features / f"{entry.image_id}.fvt")
+        argv = ["train-svm", "--manifest", str(manifest), "--features", str(features),
+                "--seed", "-1", "--out", str(out)]
+    assert main(argv) == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
     "normalize_cfg, encode_flags",
     [
         ("", []),
         (
-            "\n[normalize]\npooling_order = normalize_then_pool\n"
-            "intra_block_mode = per_gaussian\n",
-            ["--pooling-order", "normalize_then_pool", "--intra-mode", "per_gaussian"],
+            "\n[normalize]\npooling_order = normalize_then_pool\n",
+            ["--pooling-order", "normalize_then_pool"],
         ),
     ],
     ids=["pool_then_normalize", "normalize_then_pool"],
@@ -479,12 +532,12 @@ def test_scripted_chain_matches_run_byte_for_byte(
                 variant_fvs.append(str(fv_out))
             stream_vec = work / f"stream_{entry.image_id}_{stream}.fvt"
             assert main(
-                ["fuse", "--mode", "features", "--alpha", "1,1", "--l2",
+                ["fuse", "--mode", "features", "--alpha", "1,1",
                  "--out", str(stream_vec), *variant_fvs]
             ) == 0
             stream_vecs.append(str(stream_vec))
         assert main(
-            ["fuse", "--mode", "features", "--alpha", "1,1", "--l2",
+            ["fuse", "--mode", "features", "--alpha", "1,1",
              "--out", str(features / f"{entry.image_id}.fvt"), *stream_vecs]
         ) == 0
 

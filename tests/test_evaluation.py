@@ -26,7 +26,6 @@ from fvforge.evaluation import (
 
 from oracles import (
     average_precision_reference,
-    average_precision_trapezoid_reference,
     evaluate_reference,
     worst_case_ap,
 )
@@ -56,18 +55,6 @@ def test_matches_oracle_with_ties(rng):
             labels[int(rng.integers(n))] = True
         ours = average_precision(scores, labels)
         ref = average_precision_reference(scores.tolist(), labels.tolist())
-        assert ours == pytest.approx(ref, abs=1e-12)
-
-
-def test_trapezoid_matches_oracle(rng):
-    for _ in range(25):
-        n = int(rng.integers(3, 40))
-        scores = rng.normal(size=n)
-        labels = rng.random(n) < 0.4
-        if not labels.any():
-            labels[int(rng.integers(n))] = True
-        ours = average_precision(scores, labels, integrator="trapezoid")
-        ref = average_precision_trapezoid_reference(scores.tolist(), labels.tolist())
         assert ours == pytest.approx(ref, abs=1e-12)
 
 
@@ -121,8 +108,6 @@ def test_ap_preconditions():
         average_precision([], [])
     with pytest.raises(DataError):
         average_precision([np.nan, 1.0], [True, False])
-    with pytest.raises(ParameterError):
-        average_precision([1.0], [True], integrator="simpson")
     with pytest.raises(ShapeError):
         average_precision([1.0, 2.0], [True])
 

@@ -87,14 +87,12 @@ def test_fisher_vector_container_validation(rng):
 
 def test_intra_normalize_matches_reference(rng):
     fv = FisherVector(3, 4, rng.normal(size=24))
-    for mode, per_gaussian in (("per_order", False), ("per_gaussian", True)):
-        ours = intra_normalize(fv, mode)
-        ref = intra_normalize_reference(fv.data.tolist(), 3, 4, per_gaussian)
-        np.testing.assert_allclose(ours.data, np.asarray(ref), atol=1e-12)
-        # Every nonzero block has unit norm.
-        block = 4 if mode == "per_order" else 8
-        norms = np.linalg.norm(ours.data.reshape(-1, block), axis=1)
-        np.testing.assert_allclose(norms, 1.0, atol=1e-12)
+    ours = intra_normalize(fv)
+    ref = intra_normalize_reference(fv.data.tolist(), 3, 4)
+    np.testing.assert_allclose(ours.data, np.asarray(ref), atol=1e-12)
+    # Every nonzero block has unit norm.
+    norms = np.linalg.norm(ours.data.reshape(-1, 4), axis=1)
+    np.testing.assert_allclose(norms, 1.0, atol=1e-12)
 
 
 def test_intra_normalize_keeps_zero_blocks_zero(rng):

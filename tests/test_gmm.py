@@ -207,6 +207,15 @@ def test_fit_preconditions(rng):
         fit_gmm(ds, 2, tol=0.0)
 
 
+def test_nan_tol_and_negative_seed_are_rejected(rng):
+    """A NaN tol would never stop EM before max_iters."""
+    ds = random_descriptors(rng, 10, 3)
+    with pytest.raises(ParameterError, match="tol"):
+        fit_gmm(ds, 2, tol=float("nan"))
+    with pytest.raises(ParameterError, match="seed"):
+        fit_gmm(ds, 2, seed=-1)
+
+
 def test_responsibilities_dim_mismatch(rng):
     model = random_gmm(rng, 2, 4)
     x = random_descriptors(rng, 5, 3).descriptors.astype(np.float64)

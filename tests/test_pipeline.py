@@ -206,7 +206,7 @@ def test_local_feature_recomputable_from_saved_models(dataset, local_run, role):
                 ds = extract_descriptors(normed)
                 fvs.append(encode_fv(gmm, project(pca, ds)).data)
             pooled = FisherVector(gmm.K, gmm.dim, sum_pool(fvs))
-            fv = power_l2_normalize(intra_normalize(pooled, cfg.intra_block_mode))
+            fv = power_l2_normalize(intra_normalize(pooled))
             encoded[variant] = fv.data.astype(np.float32).astype(np.float64)
         joined = concat_variant_fvs(encoded["channel"], encoded["spatial"])
         stream_vecs.append(joined.astype(np.float32).astype(np.float64))
@@ -365,7 +365,7 @@ def test_encode_views_rejects_an_unknown_pooling_order(rng):
     model = random_gmm(rng, 2, 3)
     with pytest.raises(ParameterError, match="pooling_order"):
         pipeline.encode_views(
-            model, [random_descriptors(rng, 5, 3)], "per_order", "pooled"
+            model, [random_descriptors(rng, 5, 3)], "pooled"
         )
 
 

@@ -87,4 +87,6 @@ def test_spec_validation():
     with pytest.raises(ParameterError):
         SynthSpec(views=0)
     with pytest.raises(ParameterError):
+        SynthSpec(seed=-1)
+    with pytest.raises(ParameterError):
         SynthSpec(noise_scale=-0.1)
