@@ -66,9 +66,20 @@ def _parse_weights(text: str) -> FusionWeights:
         raise ParameterError(f"bad weights '{text}'") from exc
 
 
+def _descriptors(fmap: FeatureMap):
+    """Descriptors of a (count x 1 x dim) container; another width is an error."""
+    if fmap.width != 1:
+        raise ValidationError(
+            f"descriptor container is {fmap.height} x {fmap.width} x {fmap.channels}, "
+            "expected count x 1 x dim"
+        )
+    return extract_descriptors(fmap)
+
+
 def _read_descriptors(path: str):
-    """Descriptors of a (count x 1 x dim) container file."""
-    return extract_descriptors(read_as(path, FeatureMap))
+    """Descriptors of one container file, read as ``fit-pca`` reads each input."""
+    (descriptors,), _ = pipeline.read_stacks([path], [_descriptors])
+    return descriptors
 
 
 # ---------------------------------------------------------------- commands
@@ -109,7 +120,7 @@ def _cmd_tdd(args) -> int:
 
 
 def _cmd_fit_pca(args) -> int:
-    descriptors = pipeline.stack_descriptors([_read_descriptors(p) for p in args.inputs])
+    (descriptors,), _ = pipeline.read_stacks(args.inputs, [_descriptors])
     pipeline.fit_pca_model(descriptors, args.dim, args.out)
     return 0
 
@@ -125,7 +136,7 @@ def _cmd_apply_pca(args) -> int:
 
 
 def _cmd_fit_gmm(args) -> int:
-    descriptors = pipeline.stack_descriptors([_read_descriptors(p) for p in args.inputs])
+    (descriptors,), _ = pipeline.read_stacks(args.inputs, [_descriptors])
     pipeline.fit_gmm_model(
         descriptors, args.k, args.out,
         seed=args.seed, max_iters=args.max_iters, tol=args.tol,

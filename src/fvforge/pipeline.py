@@ -2,9 +2,9 @@
 
 Every stage — descriptor stacking, model fitting, Fisher encoding,
 fusion, classifier training and evaluation — is written once here.
-The scenario runners below and the per-stage subcommands in ``cli``
-call the same stage functions, so a scripted chain of subcommands
-reproduces ``run`` byte for byte.
+``run`` and the per-stage subcommands in ``cli`` call the same stage
+functions, so a scripted chain of subcommands reproduces ``run`` byte
+for byte.
 
 Four run modes share one discipline: models are fit on train-role
 entries only, every cross-stage handoff goes through the float32 file
@@ -12,11 +12,12 @@ dtype, and all randomness derives from config seeds — so a run's
 serialized outputs are bit-reproducible.  Models are serialized and
 reloaded before use.  Local descriptors and encodings pass between
 stages in memory, but as float32 arrays, so they hold exactly what a
-file in between would: ``run`` sizes one descriptor stack per variant
-from the train conv views' headers, reads each view once and normalizes
-it into its rows of every stack, fits PCA on each stack as it stands,
-then projects each view from its own rows and stacks the projections
-for the mixture, as ``apply-pca`` and ``fit-gmm`` do.
+file in between would.  Every descriptor stack is built by
+``read_stacks``: sized from its files' headers, then filled in place as
+each file is read once.  ``run`` stacks the train conv views once per
+variant and fits PCA on each stack as it stands, then projects each
+view from its own rows into one stack for the mixture; ``fit-pca`` and
+``fit-gmm`` stack their descriptor files the same way.
 
 ``run`` builds the run's one worker pool: with ``threads`` N (at most
 ``MAX_THREADS``), N − 1 pool threads do the per-image work of every
@@ -33,6 +34,7 @@ fitted models under ``models/``.
 
 from __future__ import annotations
 
+import functools
 import logging
 import threading
 from concurrent.futures import Executor, Future, ThreadPoolExecutor
@@ -161,13 +163,36 @@ def read_features(features_dir: str | Path, entries) -> np.ndarray:
     return matrix
 
 
-def stack_descriptors(sets) -> DescriptorSet:
-    """Stack descriptor sets in order; they must agree on dimension."""
-    dim = sets[0].dim
-    for ds in sets:
-        if ds.dim != dim:
-            raise ShapeError(f"descriptor sets disagree on dim: {ds.dim} vs {dim}")
-    return DescriptorSet(dim=dim, descriptors=np.vstack([ds.descriptors for ds in sets]))
+def read_stacks(paths, row_fns) -> tuple[list[DescriptorSet], list[int]]:
+    """One float32 descriptor stack per function of ``row_fns``, over the
+    rank-3 files of ``paths``, and the row offset of each file in every
+    stack followed by the row total.
+
+    Every file's header is read first, so each stack is allocated once at
+    its full size; then each file is read once, and each function maps it
+    to a ``DescriptorSet`` of (height * width, channels) that is written
+    into that file's rows of its stack.  The files must agree on their
+    channel count; a ``ValidationError`` a function raises names the file.
+    """
+    shapes = [read_dims(p) for p in paths]
+    for path, dims in zip(paths, shapes):
+        if len(dims) != 3:
+            raise ValidationError(f"{path}: expected a FeatureMap tensor")
+        if dims[2] != shapes[0][2]:
+            raise ShapeError(f"{path}: {dims[2]} channels, {paths[0]} has {shapes[0][2]}")
+    dim = shapes[0][2]
+    offsets = np.cumsum([0] + [h * w for h, w, _ in shapes]).tolist()
+    stacks = [np.empty((offsets[-1], dim), np.float32) for _ in row_fns]
+    for path, shape, a, b in zip(paths, shapes, offsets[:-1], offsets[1:]):
+        fmap = read_as(path, FeatureMap)
+        if fmap.data.shape != shape:
+            raise CorruptionError(f"{path}: changed while it was read")
+        try:
+            for fn, stack in zip(row_fns, stacks):
+                stack[a:b] = fn(fmap).descriptors
+        except ValidationError as exc:
+            raise ValidationError(f"{path}: {exc}") from exc
+    return [DescriptorSet(dim, stack) for stack in stacks], offsets
 
 
 def fit_pca_model(descriptors: DescriptorSet, dim: int, model_dir: str | Path) -> PcaModel:
@@ -294,14 +319,6 @@ def _load_views(entry: ManifestEntry, stream: str, layer: str, expect):
     return [read_as(p, expect) for p in _view_paths(entry, stream, layer)]
 
 
-def _map_shape(path: Path) -> tuple[int, int, int]:
-    """(height, width, channels) from a conv view file's header."""
-    dims = read_dims(path)
-    if len(dims) != 3:
-        raise ValidationError(f"{path}: expected a FeatureMap tensor")
-    return dims
-
-
 def _pooled_vector(entry: ManifestEntry, stream: str, layer: str) -> np.ndarray:
     """Sum of one stream's rank-1 views, rounded through the file dtype."""
     views = _load_views(entry, stream, layer, GlobalVector)
@@ -403,24 +420,6 @@ def _global_feature(entry: ManifestEntry, cfg: PipelineConfig) -> np.ndarray:
     return fuse_features(parts[0], parts[1], cfg.beta)
 
 
-def _write_global_features(
-    manifest: Manifest, cfg: PipelineConfig, features_dir: Path, pool: Executor
-) -> None:
-    _write_features(
-        features_dir, manifest.entries, lambda e: _global_feature(e, cfg), pool
-    )
-    logger.info("stage=features kind=global images=%d", len(manifest.entries))
-
-
-def run_global(
-    manifest: Manifest, cfg: PipelineConfig, out_dir: str | Path, pool: Executor
-) -> EvalReport:
-    """Global-vector scenario; covers pre-trained and fine-tuned inputs alike."""
-    out = Path(out_dir)
-    _write_global_features(manifest, cfg, out / "features", pool)
-    return _train_predict_evaluate(manifest, cfg, out)
-
-
 def _encode_variant(gmm_model: GmmModel, views, cfg: PipelineConfig) -> list:
     """One variant's pooled encoding of projected views, as a one-item
     list, rounded to float32 as the feature file would."""
@@ -448,55 +447,43 @@ def _fit_stream(
     Each task returns a list of encodings, so an entry's tasks, in order,
     return one encoding per variant, in ``VARIANTS`` order.
 
-    The train views' headers size one float32 (positions, channels) stack
-    per variant, so no per-view descriptor set outlives its view and no
-    stack is copied.  Each train view is then read once and normalized
-    once per variant into its rows of that variant's stack.  The fits run
-    here, each PCA on its stack as it stands; as soon as a variant's
-    mixture exists, a task on ``pool`` is queued per train entry to
-    encode it from the projected views the mixture was fit on.  Once
-    every model exists, one task per other entry is queued to read and
-    encode it.
+    ``read_stacks`` builds one stack per variant from the train views,
+    reading each view once.  The fits run here, each PCA on its stack as
+    it stands.  Each view is then projected from its own rows, as
+    ``apply-pca`` projects one view file, into one stack for the mixture,
+    as ``fit-gmm`` reads it; the variant's descriptor stack is freed
+    first.  As soon as a variant's mixture exists, a task on ``pool`` is
+    queued per train entry to encode its rows of that stack.  Once every
+    model exists, one task per other entry is queued to read and encode
+    it.
     """
     train_at = [i for i, entry in enumerate(entries) if entry.role == "train"]
-    train_views = []  # (path, (height, width, channels)) per train view
-    view_counts = []
+    paths, view_counts = [], []
     for i in train_at:
-        paths = _view_paths(entries[i], stream, cfg.conv_layer)
-        view_counts.append(len(paths))
-        train_views.extend((p, _map_shape(p)) for p in paths)
-    dim = train_views[0][1][2]
-    for path, (_, _, channels) in train_views:
-        if channels != dim:
-            raise ShapeError(
-                f"{path}: {channels} channels, the first {stream} train view has {dim}"
-            )
-    spans = np.cumsum([0] + [h * w for _, (h, w, _) in train_views]).tolist()
+        view_paths = _view_paths(entries[i], stream, cfg.conv_layer)
+        paths += view_paths
+        view_counts.append(len(view_paths))
     variants = [v for v in VARIANTS if v in cfg.tdd_variants]
-    stacks = {v: np.empty((spans[-1], dim), np.float32) for v in variants}
-    for (path, shape), a, b in zip(train_views, spans[:-1], spans[1:]):
-        fmap = read_as(path, FeatureMap)
-        if fmap.data.shape != shape:
-            raise CorruptionError(f"{path}: changed while it was read")
-        for variant, stack in stacks.items():
-            stack[a:b] = variant_descriptors(fmap, variant).descriptors
+    stacks, offsets = read_stacks(
+        paths, [functools.partial(variant_descriptors, variant=v) for v in variants]
+    )
+    spans = list(zip(offsets[:-1], offsets[1:]))
     tasks = [[] for _ in entries]
     queued = []
     models = []
     for variant in variants:
-        stacked = DescriptorSet(dim, stacks.pop(variant))
+        stacked = stacks.pop(0)
         pca_model = fit_pca_model(
             stacked, cfg.pca_dim, models_dir / f"pca_{stream}_{variant}"
         )
-        # Each view is projected from its own rows, as apply-pca projects
-        # one view file, so the mixture below sees what fit-gmm would.
-        projected = [
-            project(pca_model, DescriptorSet(dim, stacked.descriptors[a:b]))
-            for a, b in zip(spans[:-1], spans[1:])
-        ]
-        del stacked
+        projected = np.empty((offsets[-1], pca_model.output_dim), np.float32)
+        for a, b in spans:
+            rows = DescriptorSet(stacked.dim, stacked.descriptors[a:b])
+            projected[a:b] = project(pca_model, rows).descriptors
+        del stacked, rows  # frees this variant's descriptor stack
+        projected = DescriptorSet(pca_model.output_dim, projected)
         gmm_model = fit_gmm_model(
-            stack_descriptors(projected),
+            projected,
             cfg.gmm_components,
             models_dir / f"gmm_{stream}_{variant}",
             seed=derived_seed(cfg.gmm_seed, stream, variant),
@@ -504,10 +491,12 @@ def _fit_stream(
             tol=cfg.gmm_tol,
         )
         models.append((variant, pca_model, gmm_model))
+        views = [DescriptorSet(projected.dim, projected.descriptors[a:b]) for a, b in spans]
         first = 0
         for i, count in zip(train_at, view_counts):
-            views = projected[first:first + count]
-            queued.append(_Task(pool, _encode_variant, gmm_model, views, cfg))
+            queued.append(
+                _Task(pool, _encode_variant, gmm_model, views[first:first + count], cfg)
+            )
             tasks[i].append(queued[-1])
             first += count
     for i, entry in enumerate(entries):
@@ -552,63 +541,52 @@ def _write_local_features(
     logger.info("stage=features kind=local images=%d", len(entries))
 
 
-def run_local_fv(
-    manifest: Manifest, cfg: PipelineConfig, out_dir: str | Path, pool: Executor
-) -> EvalReport:
-    """Local-descriptor scenario: normalize, project, encode, pool, fuse."""
-    out = Path(out_dir)
-    _write_local_features(manifest, cfg, out, out / "features", pool)
-    return _train_predict_evaluate(manifest, cfg, out)
-
-
-def run_layer_fusion(
-    manifest: Manifest, cfg: PipelineConfig, out_dir: str | Path, pool: Executor
-) -> EvalReport:
-    """Combine the global and local representations of the same images."""
-    out = Path(out_dir)
-    global_dir = out / "features_global"
-    local_dir = out / "features_local"
-    _write_global_features(manifest, cfg, global_dir, pool)
-    _write_local_features(manifest, cfg, out, local_dir, pool)
-
-    if cfg.layer_mode == "features":
-
-        def combined(entry: ManifestEntry) -> np.ndarray:
-            name = f"{entry.image_id}.fvt"
-            return fuse_features(
-                read_as(global_dir / name, GlobalVector).data,
-                read_as(local_dir / name, GlobalVector).data,
-                cfg.layer_weights,
-            )
-
-        _write_features(out / "features", manifest.entries, combined, pool)
-        return _train_predict_evaluate(manifest, cfg, out)
-
-    # Score-level combination: one classifier bank per representation.
-    banks = (("svm_global", "features_global"), ("svm_local", "features_local"))
-    return _train_predict_evaluate(manifest, cfg, out, banks)
-
-
-_RUNNERS = {
-    "softmax_fusion": run_scenario1,
-    "global_pretrained": run_global,
-    "global_finetuned": run_global,
-    "local_fv": run_local_fv,
-    "layer_fusion": run_layer_fusion,
-}
-
-
 def run(
     manifest: Manifest | str | Path,
     cfg: PipelineConfig,
     out_dir: str | Path,
     threads: int = 1,
 ) -> EvalReport:
-    """Dispatch to the configured scenario runner on the run's one pool."""
+    """Run the configured scenario on the run's one pool.
+
+    ``softmax_fusion`` fuses the streams' scores and trains nothing.  Every
+    other scenario writes its global and/or local features, then trains,
+    predicts and evaluates.  ``layer_fusion`` writes both under
+    ``features_global/`` and ``features_local/``, then either fuses them
+    into ``features/`` or, with ``layer_mode = scores``, trains one
+    classifier bank per representation and fuses their scores.
+    """
     if not isinstance(manifest, Manifest):
         manifest = load_manifest(manifest)
     if not 1 <= threads <= MAX_THREADS:
         raise ParameterError(f"threads must be between 1 and {MAX_THREADS}")
-    runner = _RUNNERS[cfg.scenario]
+    out = Path(out_dir)
+    scenario = cfg.scenario
     with ThreadPoolExecutor(threads - 1) if threads > 1 else _Inline() as pool:
-        return runner(manifest, cfg, out_dir, pool)
+        if scenario == "softmax_fusion":
+            return run_scenario1(manifest, cfg, out, pool)
+        fusion = scenario == "layer_fusion"
+        global_dir = out / ("features_global" if fusion else "features")
+        local_dir = out / ("features_local" if fusion else "features")
+        if scenario != "local_fv":
+            _write_features(
+                global_dir, manifest.entries, lambda e: _global_feature(e, cfg), pool
+            )
+            logger.info("stage=features kind=global images=%d", len(manifest.entries))
+        if scenario == "local_fv" or fusion:
+            _write_local_features(manifest, cfg, out, local_dir, pool)
+        if fusion and cfg.layer_mode == "scores":
+            banks = (("svm_global", "features_global"), ("svm_local", "features_local"))
+            return _train_predict_evaluate(manifest, cfg, out, banks)
+        if fusion:
+
+            def combined(entry: ManifestEntry) -> np.ndarray:
+                name = f"{entry.image_id}.fvt"
+                return fuse_features(
+                    read_as(global_dir / name, GlobalVector).data,
+                    read_as(local_dir / name, GlobalVector).data,
+                    cfg.layer_weights,
+                )
+
+            _write_features(out / "features", manifest.entries, combined, pool)
+        return _train_predict_evaluate(manifest, cfg, out)

@@ -367,11 +367,15 @@ def load_manifest(path: str | Path) -> Manifest:
     lines = path.read_text(encoding="utf-8").splitlines()
     if not lines or not lines[0].startswith("classes:"):
         raise ValidationError(f"{path}: first line must be 'classes: ...'")
-    class_names = tuple(
-        name.strip() for name in lines[0][len("classes:"):].split(",") if name.strip()
-    )
-    if not class_names:
+    class_names = tuple(name.strip() for name in lines[0][len("classes:"):].split(","))
+    if class_names == ("",):
         raise ValidationError(f"{path}: empty class list")
+    # Labels index this list, so an empty name is never skipped.
+    for i, name in enumerate(class_names):
+        if not name:
+            raise ValidationError(f"{path} line 1: class {i} has an empty name")
+        if name in class_names[:i]:
+            raise ValidationError(f"{path} line 1: class name '{name}' is repeated")
 
     entries = []
     seen: set[str] = set()
@@ -385,6 +389,8 @@ def load_manifest(path: str | Path) -> Manifest:
         role = fields[3].strip() if len(fields) == 4 else "train"
         if role not in ROLES:
             raise ValidationError(f"{path} line {lineno}: unknown role '{role}'")
+        if not image_id:
+            raise ValidationError(f"{path} line {lineno}: empty image_id")
         if any(c in image_id for c in '/,"'):
             # The id names a feature file and a scores.csv cell.
             raise ValidationError(

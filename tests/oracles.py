@@ -433,25 +433,29 @@ def concat_variant_fvs(channel_fv, spatial_fv):
 
 def fit_local_models_by_view(entries, stream, cfg, models_dir):
     """Fit one stream's PCA and GMM per variant from one descriptor set
-    per train view, stacked with ``pipeline.stack_descriptors``, and save
-    them under ``models_dir`` as ``run`` names them.  ``run`` normalizes
-    each view into its rows of one stack per variant and must write the
-    same model bytes."""
+    per train view, joined with ``np.vstack``, and save them under
+    ``models_dir`` as ``run`` names them.  ``run`` normalizes each view
+    into its rows of one stack per variant and must write the same model
+    bytes."""
     fmaps = [
         read_tensor(path)
         for entry in entries
         if entry.role == "train"
         for path in entry.paths_for(stream, cfg.conv_layer)
     ]
+
+    def stacked(sets):
+        return DescriptorSet(sets[0].dim, np.vstack([ds.descriptors for ds in sets]))
+
     for variant in cfg.tdd_variants:
         sets = [variant_descriptors(fmap, variant) for fmap in fmaps]
         pca = pipeline.fit_pca_model(
-            pipeline.stack_descriptors(sets),
+            stacked(sets),
             cfg.pca_dim,
             Path(models_dir) / f"pca_{stream}_{variant}",
         )
         pipeline.fit_gmm_model(
-            pipeline.stack_descriptors([project(pca, ds) for ds in sets]),
+            stacked([project(pca, ds) for ds in sets]),
             cfg.gmm_components,
             Path(models_dir) / f"gmm_{stream}_{variant}",
             seed=pipeline.derived_seed(cfg.gmm_seed, stream, variant),

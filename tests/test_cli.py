@@ -224,6 +224,29 @@ def test_fits_on_descriptor_files_of_two_widths_exit_three(tmp_path, command):
     assert not model_dir.exists()
 
 
+@pytest.mark.parametrize("command", ["fit-pca", "apply-pca", "fit-gmm", "encode-fv"])
+def test_descriptor_files_of_width_other_than_one_exit_three(tmp_path, rng, capsys, command):
+    """A descriptor container is count x 1 x dim; a wider map is not
+    flattened into descriptors, even after a valid file."""
+    good, wide = tmp_path / "good.fvt", tmp_path / "wide.fvt"
+    write_tensor(FeatureMap(12, 1, 4, rng.normal(size=48)), good)
+    write_tensor(FeatureMap(6, 2, 4, rng.normal(size=48)), wide)
+    pca, gmm = tmp_path / "pca", tmp_path / "gmm"
+    assert main(["fit-pca", "--dim", "2", "--out", str(pca), str(good)]) == 0
+    assert main(["fit-gmm", "--k", "2", "--out", str(gmm), str(good)]) == 0
+    out = str(tmp_path / "out")
+    argv = {
+        "fit-pca": ["fit-pca", "--dim", "2", "--out", out, str(good), str(wide)],
+        "apply-pca": ["apply-pca", "--model", str(pca), "--in", str(wide), "--out", out],
+        "fit-gmm": ["fit-gmm", "--k", "2", "--out", out, str(good), str(wide)],
+        "encode-fv": ["encode-fv", "--gmm", str(gmm), "--out", out, str(good), str(wide)],
+    }[command]
+    capsys.readouterr()
+    assert main(argv) == 3
+    assert f"{wide}: descriptor container is 6 x 2 x 4" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_tdd_modes_and_suffixes(tiny, tmp_path):
     manifest = load_manifest(tiny / "data.manifest")
     conv = manifest.entries[0].paths_for("object", "conv5_3")[0]
@@ -379,15 +402,16 @@ def test_run_prints_a_summary_line(tiny, tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "image_id, role",
-    [("../../escaped", "train"), ("x,y", "test"), ('"q', "test")],
-    ids=["slash", "comma", "quote"],
+    [("../../escaped", "train"), ("x,y", "test"), ('"q', "test"), ("", "test")],
+    ids=["slash", "comma", "quote", "empty"],
 )
 def test_manifest_image_ids_that_break_the_run_directory_exit_three(
     tiny, tmp_path, capsys, image_id, role
 ):
     """An id names a feature file and a scores.csv cell, so a slash could
-    write outside the run directory and a comma or quote would make a
-    scores.csv that evaluate rejects."""
+    write outside the run directory, a comma or quote would make a
+    scores.csv that evaluate rejects, and an empty id would name the
+    hidden file ``features/.fvt``."""
     manifest = load_manifest(tiny / "data.manifest")
     at = next(i for i, e in enumerate(manifest.entries) if e.role == role)
     entries = list(manifest.entries)

@@ -447,6 +447,39 @@ def test_read_features_holds_one_matrix(tmp_path):
     assert peak < 1.25 * matrix.nbytes
 
 
+def test_read_stacks_holds_one_copy_of_the_stack(tmp_path):
+    """40 descriptor files of 196 x 64 come back as one float32 stack, in
+    order, with each file's row offset, and no second copy alive at the
+    peak: each file is read into its rows, not kept to be joined later."""
+    rows = np.random.default_rng(9).normal(size=(40, 196, 64)).astype(np.float32)
+    paths = [tmp_path / f"d{i}.fvt" for i in range(len(rows))]
+    for path, block in zip(paths, rows):
+        write_tensor(FeatureMap(196, 1, 64, block), path)
+    tracemalloc.start()
+    try:
+        (stack,), offsets = pipeline.read_stacks(paths, [extract_descriptors])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(stack.descriptors, rows.reshape(-1, 64))
+    assert offsets == list(range(0, 40 * 196 + 1, 196))
+    assert peak < 1.5 * stack.descriptors.nbytes
+
+
+def test_read_stacks_fills_one_stack_per_row_function(dataset):
+    """Each function writes its own stack from the same single read."""
+    paths = [e.paths_for("object", "conv5_3")[0] for e in dataset.entries[:3]]
+    fns = [
+        lambda f, v=v: extract_descriptors(normalize_variant(f, v))
+        for v in ("spatial", "channel")
+    ]
+    stacks, offsets = pipeline.read_stacks(paths, fns)
+    for fn, stack in zip(fns, stacks):
+        expected = np.vstack([fn(read_as(p, FeatureMap)).descriptors for p in paths])
+        assert np.array_equal(stack.descriptors, expected)
+    assert offsets == [0, 25, 50, 75]
+
+
 def test_read_features_rejects_no_entries_and_mixed_dims(tmp_path):
     with pytest.raises(ValidationError, match="no feature entries"):
         pipeline.read_features(tmp_path, [])

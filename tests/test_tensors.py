@@ -288,12 +288,31 @@ def test_manifest_unlabeled_entry(tmp_path):
         "x\t0\tobject:fc7=x.fvt\tvalidation\n",  # unknown role
         "x\t0\tobjectfc7=x.fvt\n",  # malformed view key
         "x\t0\n",  # missing views
+        "\t0\tobject:fc7=x.fvt\n",  # empty id
     ],
 )
 def test_manifest_rejects_malformed_lines(tmp_path, body):
     src = tmp_path / "m.manifest"
     src.write_text("classes: a,b\n" + body)
     with pytest.raises(ValidationError):
+        load_manifest(src)
+
+
+@pytest.mark.parametrize(
+    "classes, match",
+    [
+        ("a,,b", "class 1 has an empty name"),
+        ("a,b,", "class 2 has an empty name"),
+        ("a,a", "class name 'a' is repeated"),
+        (" a , b , a", "class name 'a' is repeated"),
+    ],
+)
+def test_manifest_rejects_empty_and_repeated_class_names(tmp_path, classes, match):
+    """Labels index the class line, so a skipped empty name would shift
+    every later label and a repeated one would split a class in two."""
+    src = tmp_path / "m.manifest"
+    src.write_text(f"classes: {classes}\nx\t0\tobject:fc7=x.fvt\n")
+    with pytest.raises(ValidationError, match=f"line 1: {match}"):
         load_manifest(src)
 
 
