@@ -157,16 +157,28 @@ def _train_dual(
         # Per step t: flat indices of the visited entries, their labels and q_ii.
         flat = order + n * np.arange(run.size)
         signs, steps = y_run.take(flat), q.diagonal()[order]
+        # Each step writes its gradients and old duals into its rows of
+        # these, and works in ``new`` and ``q_rows``: no step allocates.
         grads, before = np.empty(flat.shape), np.empty(flat.shape)
-        for t, i in enumerate(order):
-            a = a_run.take(flat[t])
-            g = signs[t] * f_run.take(flat[t]) - 1.0
+        new, q_rows = np.empty(run.size), np.empty((run.size, n))
+        new_col = new[:, None]
+        for i, at, s, step, g, a in zip(order, flat, signs, steps, grads, before):
+            a_run.take(at, out=a, mode="clip")  # indices are in range; no buffer
+            f_run.take(at, out=g, mode="clip")
+            g *= s
+            g -= 1.0
             # Applied unconditionally: it leaves alpha as it is exactly
             # when the projected gradient is zero.
-            new = np.minimum(np.maximum(a - g / steps[t], 0.0), C)
-            a_run.put(flat[t], new)
-            f_run += ((new - a) * signs[t])[:, None] * q[i]
-            grads[t], before[t] = g, a
+            np.divide(g, step, out=new)
+            np.subtract(a, new, out=new)
+            np.maximum(new, 0.0, out=new)
+            np.minimum(new, C, out=new)
+            a_run.put(at, new)
+            np.subtract(new, a, out=new)
+            new *= s
+            q.take(i, axis=0, out=q_rows, mode="clip")
+            q_rows *= new_col
+            f_run += q_rows
         # Projected gradient: zero when the constraint set blocks descent.
         pg = np.where(before <= 0.0, np.minimum(grads, 0.0), grads)
         pg = np.where(before >= C, np.maximum(grads, 0.0), pg)

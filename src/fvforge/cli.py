@@ -1,4 +1,4 @@
-"""Command-line entry point: one multiplexer, twelve subcommands.
+"""Command-line entry point: one multiplexer, thirteen subcommands.
 
 Exit codes: 0 success, 2 bad usage or parameters, 3 data/format
 problems (including missing or unreadable files), 4 numeric failures.
@@ -40,6 +40,7 @@ from .tensors import (
     atomic_write_text,
     load_manifest,
     read_as,
+    write_rows,
     write_tensor,
 )
 
@@ -169,6 +170,16 @@ def _cmd_fuse(args) -> int:
         fused = pipeline.fuse_features(first.data, second.data, weights)
     write_tensor(GlobalVector(dim=fused.size, data=fused), args.out)
     logger.info("stage=fuse mode=%s dim=%d out=%s", args.mode, fused.size, args.out)
+    return 0
+
+
+def _cmd_stack(args) -> int:
+    entries = pipeline.entries_for_role(load_manifest(args.manifest), args.role)
+    vectors = (
+        read_as(Path(args.dir) / f"{e.image_id}.fvt", GlobalVector).data for e in entries
+    )
+    write_rows(args.out, len(entries), vectors)
+    logger.info("stage=stack role=%s images=%d out=%s", args.role, len(entries), args.out)
     return 0
 
 
@@ -315,9 +326,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("inputs", nargs=2, help="object tensor, scene tensor")
     p.set_defaults(func=_cmd_fuse)
 
+    p = sub.add_parser(
+        "stack", help="pack one role's per-image vectors into a feature container"
+    )
+    p.add_argument("--manifest", required=True)
+    p.add_argument("--role", required=True, choices=ROLES + ("all",))
+    p.add_argument("--out", required=True, help="feature container (images x 1 x dim)")
+    p.add_argument("dir", help="directory of <image_id>.fvt rank-1 vectors")
+    p.set_defaults(func=_cmd_stack)
+
     p = sub.add_parser("train-svm", help="train one-vs-rest linear classifiers")
     p.add_argument("--manifest", required=True)
-    p.add_argument("--features", required=True, help="directory of <image_id>.fvt")
+    p.add_argument(
+        "--features", required=True,
+        help="feature container of the train-role entries (`stack --role train`)",
+    )
     p.add_argument("--c", type=float, default=cfg.svm_c, help="loss/regularizer trade-off")
     p.add_argument("--seed", type=int, default=cfg.svm_seed)
     p.add_argument("--max-epochs", type=int, default=cfg.svm_max_epochs)
@@ -327,7 +350,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("predict", help="score features with a trained model")
     p.add_argument("--model", required=True, help="model directory")
-    p.add_argument("--in", dest="infile", required=True, help="features directory")
+    p.add_argument(
+        "--in", dest="infile", required=True,
+        help="feature container of the --role entries (`stack`)",
+    )
     p.add_argument("--manifest", required=True)
     p.add_argument("--role", default="test", choices=ROLES + ("all",))
     p.add_argument("--out", required=True, help="scores CSV")

@@ -20,6 +20,7 @@ import numpy as np
 from .errors import DataError, FormatError, ParameterError
 from .fusion import FusionWeights
 from .normalize import VARIANTS
+from .tensors import read_text
 
 SCENARIOS = (
     "softmax_fusion",
@@ -152,8 +153,7 @@ def load_config(path: str | Path | None = None) -> PipelineConfig:
         if not src.is_file():
             raise DataError(f"config file not found: {src}")
         try:
-            with src.open() as fh:
-                parser.read_file(fh)
+            parser.read_string(read_text(src), source=str(src))
         except OSError as exc:
             raise DataError(f"cannot read config file {src}: {exc}") from exc
         except configparser.Error as exc:

@@ -10,6 +10,7 @@ mean and lists them in the report.
 from __future__ import annotations
 
 import csv
+import io
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -22,7 +23,7 @@ from .errors import (
     UndefinedApError,
     ValidationError,
 )
-from .tensors import atomic_write_text
+from .tensors import atomic_write_text, read_text
 
 _REPORT_COMMENT = (
     "# ties break by input order (stable sort); "
@@ -176,8 +177,7 @@ def read_scores_csv(path: str | Path) -> tuple[list[str], np.ndarray]:
     that no image id repeats."""
     src = Path(path)
     try:
-        with src.open(newline="") as fh:
-            rows = list(csv.reader(fh))
+        rows = list(csv.reader(io.StringIO(read_text(src), newline="")))
     except OSError as exc:
         raise DataError(f"cannot read scores file {src}: {exc}") from exc
     if not rows:

@@ -28,8 +28,10 @@ has started, from the back of the queue, and only then joins the
 encodings in manifest order and writes the local features.
 
 Outputs under the run directory: ``report.csv``, ``scores.csv`` for the
-evaluated images, per-image feature tensors under ``features*/``, and
-fitted models under ``models/``.
+evaluated images, one feature container per role under ``features*/``
+(``train.fvt`` and ``test.fvt``, one row per entry in manifest order,
+each written as its rows are computed and read back by
+``read_features``), and fitted models under ``models/``.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ from __future__ import annotations
 import functools
 import logging
 import threading
+from collections import deque
 from concurrent.futures import Executor, Future, ThreadPoolExecutor
 from pathlib import Path
 
@@ -45,7 +48,7 @@ import numpy as np
 from .augment import sum_pool
 from .classify import LinearModel, load_svm, predict_matrix, save_svm, train_ovr
 from .config import POOLING_ORDERS, PipelineConfig
-from .errors import CorruptionError, ParameterError, ShapeError, ValidationError
+from .errors import CorruptionError, DataError, ParameterError, ShapeError, ValidationError
 from .evaluation import EvalReport, evaluate, write_report_csv, write_scores_csv
 from .fisher import FisherVector, encode_fv, intra_normalize, power_l2_normalize, unit_norm
 from .fusion import FusionWeights, concat_features, fuse_scores
@@ -53,6 +56,7 @@ from .gmm import GmmModel, fit_gmm, load_gmm, save_gmm
 from .normalize import VARIANTS, DescriptorSet, variant_descriptors
 from .pca import PcaModel, fit_pca, load_pca, project, save_pca
 from .tensors import (
+    ROLES,
     STREAMS,
     FeatureMap,
     GlobalVector,
@@ -60,9 +64,10 @@ from .tensors import (
     ManifestEntry,
     ScoreVector,
     load_manifest,
+    open_tensor,
     read_as,
     read_dims,
-    write_tensor,
+    write_rows,
 )
 
 logger = logging.getLogger(__name__)
@@ -138,28 +143,40 @@ def labels_of(entries) -> np.ndarray:
     return np.asarray([e.label for e in entries], dtype=np.int64)
 
 
-def read_features(features_dir: str | Path, entries) -> np.ndarray:
-    """The entries' ``<image_id>.fvt`` feature vectors as the rows of one
-    float64 matrix, in entry order.
+def _feature_rows(path: str | Path, entries):
+    """The float32 rows of the feature container at ``path``, one per entry
+    in entry order, each yielded in one reused buffer.
 
-    The matrix is allocated once, sized from the first vector, and each
-    vector is cast into its row as it is read, so the result is the only
-    copy held.  Every vector must have the first one's dim; no entries
-    is a ``ValidationError``.
+    The header is checked against the file's length, and its (rows, 1,
+    dim) shape against the entries, before anything is sized from it; each
+    row is checked finite.  No entries is a ``ValidationError``.
     """
     if not entries:
         raise ValidationError("no feature entries to read")
+    with open_tensor(path) as (fh, dims, _):
+        if len(dims) != 3 or dims[1] != 1:
+            raise ValidationError(f"{path}: {dims} is not a rows x 1 x dim feature container")
+        if dims[0] != len(entries):
+            raise ValidationError(f"{path}: {dims[0]} feature rows for {len(entries)} entries")
+        row = np.empty(dims[2], dtype="<f4")
+        for entry in entries:
+            if fh.readinto(row) != row.nbytes:
+                raise CorruptionError(f"{path}: changed while it was read")
+            if not np.isfinite(row).all():
+                raise DataError(f"{path}: the row of '{entry.image_id}' is not finite")
+            yield row
+
+
+def read_features(path: str | Path, entries) -> np.ndarray:
+    """The rows of the feature container at ``path``, one per entry in
+    entry order, as one float64 matrix.  It is allocated at the first row,
+    after the header checks, and each row is cast into it as it is read,
+    so the matrix is the only copy held."""
     matrix = None
-    for row, entry in enumerate(entries):
-        vec = read_as(Path(features_dir) / f"{entry.image_id}.fvt", GlobalVector)
+    for i, row in enumerate(_feature_rows(path, entries)):
         if matrix is None:
-            matrix = np.empty((len(entries), vec.dim))
-        elif vec.dim != matrix.shape[1]:
-            raise ShapeError(
-                f"feature dim mismatch: '{entry.image_id}' has {vec.dim}, "
-                f"expected {matrix.shape[1]}"
-            )
-        matrix[row] = vec.data
+            matrix = np.empty((len(entries), row.size))
+        matrix[i] = row
     return matrix
 
 
@@ -255,17 +272,18 @@ def fuse_features(first, second, weights: FusionWeights) -> np.ndarray:
 
 def train_svm_model(
     manifest: Manifest,
-    features_dir: str | Path,
+    features: str | Path,
     model_dir: str | Path,
     C: float,
     seed: int,
     max_epochs: int,
     tol: float,
 ) -> LinearModel:
-    """Train on the train-role features, serialize, and return the reloaded model."""
+    """Train on the feature container of the train-role entries, serialize,
+    and return the reloaded model."""
     train = entries_for_role(manifest, "train")
     model = train_ovr(
-        read_features(features_dir, train),
+        read_features(features, train),
         labels_of(train),
         manifest.class_count,
         C=C,
@@ -325,18 +343,32 @@ def _pooled_vector(entry: ManifestEntry, stream: str, layer: str) -> np.ndarray:
     return _file_round(sum_pool([v.data for v in views]))
 
 
-def _write_features(features_dir: Path, entries, feature_fn, pool: Executor) -> None:
-    """Compute one vector per entry and serialize each as a tensor file."""
+def _map_ahead(pool: Executor, fn, items, ahead: int):
+    """``fn`` of each item, run on ``pool`` and yielded in item order, with
+    at most ``ahead`` calls submitted beyond the result last yielded.
+
+    ``pool.map`` would submit every call at once, so the pool could run
+    arbitrarily far ahead of a slow consumer and hold every result it has
+    not taken yet.
+    """
+    pending = deque()
+    for item in items:
+        pending.append(pool.submit(fn, item))
+        if len(pending) > ahead:
+            yield pending.popleft().result()
+    while pending:
+        yield pending.popleft().result()
+
+
+def _write_features(features_dir: Path, manifest: Manifest, role_rows) -> None:
+    """For each role the manifest has, write ``role_rows(role, entries)``,
+    one vector per entry in manifest order, as the rows of
+    ``<role>.fvt``."""
     features_dir.mkdir(parents=True, exist_ok=True)
-
-    def one(entry: ManifestEntry) -> None:
-        vec = feature_fn(entry)
-        write_tensor(
-            GlobalVector(dim=vec.size, data=vec),
-            features_dir / f"{entry.image_id}.fvt",
-        )
-
-    list(pool.map(one, entries))
+    for role in ROLES:
+        entries = manifest.split(role)
+        if entries:
+            write_rows(features_dir / f"{role}.fvt", len(entries), role_rows(role, entries))
 
 
 def _train_predict_evaluate(
@@ -354,14 +386,14 @@ def _train_predict_evaluate(
     """
     models = [
         train_svm_model(
-            manifest, out / features, out / "models" / name,
+            manifest, out / features / "train.fvt", out / "models" / name,
             cfg.svm_c, cfg.svm_seed, cfg.svm_max_epochs, cfg.svm_tol,
         )
         for name, features in banks
     ]
     test = entries_for_role(manifest, "test")
     matrices = [
-        predict_matrix(model, read_features(out / features, test))
+        predict_matrix(model, read_features(out / features / "test.fvt", test))
         for model, (_, features) in zip(models, banks)
     ]
     if len(matrices) == 2:
@@ -535,9 +567,9 @@ def _write_local_features(
             stream_vecs.append(parts[0])
         return fuse_features(stream_vecs[0], stream_vecs[1], cfg.beta)
 
-    # Inline, so no pool task waits on a future and the first failing
-    # entry in manifest order is the one reported.
-    _write_features(features_dir, entries, feature, _Inline())
+    # On this thread, so no pool task waits on a future and the first
+    # failing entry of a role, in manifest order, is the one reported.
+    _write_features(features_dir, manifest, lambda role, entries: map(feature, entries))
     logger.info("stage=features kind=local images=%d", len(entries))
 
 
@@ -569,8 +601,10 @@ def run(
         global_dir = out / ("features_global" if fusion else "features")
         local_dir = out / ("features_local" if fusion else "features")
         if scenario != "local_fv":
+            feature = functools.partial(_global_feature, cfg=cfg)
             _write_features(
-                global_dir, manifest.entries, lambda e: _global_feature(e, cfg), pool
+                global_dir, manifest,
+                lambda role, entries: _map_ahead(pool, feature, entries, threads),
             )
             logger.info("stage=features kind=global images=%d", len(manifest.entries))
         if scenario == "local_fv" or fusion:
@@ -580,13 +614,12 @@ def run(
             return _train_predict_evaluate(manifest, cfg, out, banks)
         if fusion:
 
-            def combined(entry: ManifestEntry) -> np.ndarray:
-                name = f"{entry.image_id}.fvt"
-                return fuse_features(
-                    read_as(global_dir / name, GlobalVector).data,
-                    read_as(local_dir / name, GlobalVector).data,
-                    cfg.layer_weights,
+            def combined(role: str, entries):
+                rows = zip(
+                    _feature_rows(global_dir / f"{role}.fvt", entries),
+                    _feature_rows(local_dir / f"{role}.fvt", entries),
                 )
+                return (fuse_features(g, l, cfg.layer_weights) for g, l in rows)
 
-            _write_features(out / "features", manifest.entries, combined, pool)
+            _write_features(out / "features", manifest, combined)
         return _train_predict_evaluate(manifest, cfg, out)

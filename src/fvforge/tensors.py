@@ -11,6 +11,10 @@ The on-disk tensor format is a little-endian container:
     next        rank x uint32 dims
     rest        row-major float32 payload, (height, width, channels) for rank 3
 
+The header is checked against the file's length before anything is sized
+from it.  A feature container holds one vector per row at rank 3, as
+(rows, 1, dim); ``write_rows`` writes it a row at a time.
+
 A fitted model (PCA, GMM, SVM bank) is a directory written by
 ``save_model`` and read by ``load_model``: one ``<name>.fvt`` per array,
 vectors at rank 1 and (rows, cols) matrices as (rows, 1, cols), plus a
@@ -32,6 +36,7 @@ import math
 import os
 import struct
 import tempfile
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -136,16 +141,16 @@ class ScoreVector:
         object.__setattr__(self, "scores", _freeze(arr))
 
 
-def atomic_write_bytes(path: str | Path, payload: bytes) -> None:
-    """Write ``payload`` to ``path`` via a temp file + rename.
-
-    Guarantees the destination is never left half-written.
-    """
+@contextmanager
+def _atomic_file(path: str | Path):
+    """A binary file to write that appears under ``path`` by one rename
+    when the block ends, and is removed if the block raises, so ``path``
+    is never left half-written."""
     path = Path(path)
     fd, tmp = tempfile.mkstemp(dir=path.parent or Path("."), prefix=path.name + ".")
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.write(payload)
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         try:
@@ -156,12 +161,24 @@ def atomic_write_bytes(path: str | Path, payload: bytes) -> None:
 
 
 def atomic_write_text(path: str | Path, text: str) -> None:
-    atomic_write_bytes(path, text.encode("utf-8"))
+    with _atomic_file(path) as fh:
+        fh.write(text.encode("utf-8"))
+
+
+def read_text(path: str | Path) -> str:
+    """The UTF-8 text of ``path``; any other bytes raise ValidationError
+    naming the file."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValidationError(
+            f"{path}: not UTF-8 text (byte {exc.start}: {exc.reason})"
+        ) from None
 
 
 def _read_header(path: Path) -> dict[str, str]:
     fields: dict[str, str] = {}
-    for line in path.read_text(encoding="utf-8").splitlines():
+    for line in read_text(path).splitlines():
         line = line.strip()
         if not line or line.startswith("#"):
             continue
@@ -170,6 +187,11 @@ def _read_header(path: Path) -> dict[str, str]:
             raise ValidationError(f"{path}: malformed header line '{line}'")
         fields[key.strip()] = value.strip()
     return fields
+
+
+def _header_bytes(dims: tuple[int, ...], flags: int) -> bytes:
+    head = _HEADER.pack(MAGIC, VERSION, DTYPE_FLOAT32, len(dims), flags)
+    return head + struct.pack(f"<{len(dims)}I", *dims)
 
 
 def write_tensor(tensor: FeatureMap | GlobalVector, path: str | Path) -> None:
@@ -181,44 +203,84 @@ def write_tensor(tensor: FeatureMap | GlobalVector, path: str | Path) -> None:
     else:
         raise ParameterError(f"cannot serialize {type(tensor).__name__}")
     flags = FLAG_NONNEGATIVE if tensor.nonnegative else 0
-    header = _HEADER.pack(MAGIC, VERSION, DTYPE_FLOAT32, len(dims), flags)
-    header += struct.pack(f"<{len(dims)}I", *dims)
-    payload = np.ascontiguousarray(tensor.data, dtype="<f4").tobytes()
-    atomic_write_bytes(path, header + payload)
+    with _atomic_file(path) as fh:
+        fh.write(_header_bytes(dims, flags))
+        fh.write(np.ascontiguousarray(tensor.data, dtype="<f4"))
 
 
-def _tensor_header(fh, path) -> tuple[tuple[int, ...], int]:
-    """Read and check the header at the start of the open file ``fh``;
-    return its dims and flags, with ``fh`` left at the payload."""
-    head = fh.read(_HEADER.size)
-    if len(head) < 4 or head[:4] != MAGIC:
-        raise FormatError(f"{path}: not an FVT1 tensor file")
-    if len(head) < _HEADER.size:
-        raise CorruptionError(f"{path}: truncated header")
-    _, version, dtype, rank, flags = _HEADER.unpack(head)
-    if version != VERSION:
-        raise FormatError(f"{path}: unsupported version {version}")
-    if dtype != DTYPE_FLOAT32:
-        raise FormatError(f"{path}: unsupported dtype code {dtype}")
-    if rank not in (1, 3):
-        raise FormatError(f"{path}: unsupported rank {rank}")
-    if flags & ~FLAG_NONNEGATIVE:
-        raise FormatError(f"{path}: unknown flag bits 0x{flags:02x}")
-    raw = fh.read(4 * rank)
-    if len(raw) < 4 * rank:
-        raise CorruptionError(f"{path}: truncated dimension list")
-    dims = struct.unpack(f"<{rank}I", raw)
-    if any(d == 0 for d in dims):
-        raise FormatError(f"{path}: zero dimension in {dims}")
-    return dims, flags
+def write_rows(path: str | Path, count: int, rows) -> None:
+    """Serialize ``count`` vectors of one dim, taken in order from the
+    iterable ``rows``, as the (count, 1, dim) container at ``path``.
+
+    The header is written once the first row gives the dim, then each
+    row as it arrives, checked as a ``GlobalVector``, so one row is held
+    at a time.  The file appears under ``path`` by one rename after the
+    last row; any error leaves nothing there.
+    """
+    if count < 1:
+        raise ParameterError("a feature container needs at least one row")
+    with _atomic_file(path) as fh:
+        written = 0
+        for row in rows:
+            vec = GlobalVector(np.size(row), row)
+            if not written:
+                dim = vec.dim
+                fh.write(_header_bytes((count, 1, dim), 0))
+            elif vec.dim != dim:
+                raise ShapeError(f"{path}: row {written} has dim {vec.dim}, expected {dim}")
+            fh.write(np.ascontiguousarray(vec.data, dtype="<f4"))
+            written += 1
+        if written != count:
+            raise ShapeError(f"{path}: {written} rows for a container of {count}")
+
+
+@contextmanager
+def open_tensor(path: str | Path):
+    """Open an FVT1 file and check its header; yields the file, left at
+    the payload, with the dims and flags the header declares.
+
+    The payload size the dims imply must be the file's remaining length,
+    so nothing is ever sized from a header that lies about it: a
+    malformed header raises FormatError, a truncated one or a size
+    mismatch CorruptionError.
+    """
+    with open(path, "rb") as fh:
+        head = fh.read(_HEADER.size)
+        if len(head) < 4 or head[:4] != MAGIC:
+            raise FormatError(f"{path}: not an FVT1 tensor file")
+        if len(head) < _HEADER.size:
+            raise CorruptionError(f"{path}: truncated header")
+        _, version, dtype, rank, flags = _HEADER.unpack(head)
+        if version != VERSION:
+            raise FormatError(f"{path}: unsupported version {version}")
+        if dtype != DTYPE_FLOAT32:
+            raise FormatError(f"{path}: unsupported dtype code {dtype}")
+        if rank not in (1, 3):
+            raise FormatError(f"{path}: unsupported rank {rank}")
+        if flags & ~FLAG_NONNEGATIVE:
+            raise FormatError(f"{path}: unknown flag bits 0x{flags:02x}")
+        raw = fh.read(4 * rank)
+        if len(raw) < 4 * rank:
+            raise CorruptionError(f"{path}: truncated dimension list")
+        dims = struct.unpack(f"<{rank}I", raw)
+        if any(d == 0 for d in dims):
+            raise FormatError(f"{path}: zero dimension in {dims}")
+        nbytes = 4 * math.prod(dims)
+        size = os.fstat(fh.fileno()).st_size - fh.tell()
+        if size != nbytes:
+            raise CorruptionError(
+                f"{path}: payload is {size} bytes, shape {dims} requires {nbytes}"
+            )
+        yield fh, dims, flags
 
 
 def read_dims(path: str | Path) -> tuple[int, ...]:
     """The dims an FVT1 file's header declares, (height, width, channels)
-    or (dim,), read without its payload; a malformed header raises what
-    ``read_tensor`` raises for it."""
-    with open(path, "rb") as fh:
-        return _tensor_header(fh, path)[0]
+    or (dim,), read without its payload; a malformed header, or one that
+    disagrees with the file's length, raises what ``read_tensor`` raises
+    for it."""
+    with open_tensor(path) as (_, dims, _):
+        return dims
 
 
 def read_tensor(path: str | Path) -> FeatureMap | GlobalVector:
@@ -230,17 +292,10 @@ def read_tensor(path: str | Path) -> FeatureMap | GlobalVector:
     violated nonnegativity flag.  The payload is read straight into the
     returned array.
     """
-    with open(path, "rb") as fh:
-        dims, flags = _tensor_header(fh, path)
-        nbytes = 4 * math.prod(dims)
-        size = os.fstat(fh.fileno()).st_size - fh.tell()
-        if size == nbytes:
-            data = np.empty(nbytes // 4, dtype="<f4")
-            size = fh.readinto(data)  # short only if the file shrank meanwhile
-        if size != nbytes:
-            raise CorruptionError(
-                f"{path}: payload is {size} bytes, shape {dims} requires {nbytes}"
-            )
+    with open_tensor(path) as (fh, dims, flags):
+        data = np.empty(math.prod(dims), dtype="<f4")
+        if fh.readinto(data) != data.nbytes:
+            raise CorruptionError(f"{path}: changed while it was read")
     nonneg = bool(flags & FLAG_NONNEGATIVE)
     try:
         if len(dims) == 1:
@@ -294,8 +349,9 @@ def load_model(
     """Inverse of ``save_model``: float64 arrays by name, and the header.
 
     ``ranks`` gives each array's dimensionality (1 or 2) in read order; a
-    missing header key, a tensor of the wrong rank or a matrix stored at
-    width other than 1 raises ValidationError.
+    missing header key, a file name with a ``/`` (which could name a file
+    outside the directory), a tensor of the wrong rank or a matrix stored
+    at width other than 1 raises ValidationError.
     """
     model_dir = Path(model_dir)
     header = _read_header(model_dir / header_name)
@@ -303,6 +359,11 @@ def load_model(
     for name, rank in ranks.items():
         if name not in header:
             raise ValidationError(f"{model_dir / header_name}: missing '{name}'")
+        if "/" in header[name]:
+            raise ValidationError(
+                f"{model_dir / header_name}: '{name}' names '{header[name]}', "
+                "which contains '/'"
+            )
         path = model_dir / header[name]
         tensor = read_as(path, GlobalVector if rank == 1 else FeatureMap)
         if rank == 2 and tensor.width != 1:
@@ -364,7 +425,7 @@ def load_manifest(path: str | Path) -> Manifest:
     """
     path = Path(path)
     base = path.parent
-    lines = path.read_text(encoding="utf-8").splitlines()
+    lines = read_text(path).splitlines()
     if not lines or not lines[0].startswith("classes:"):
         raise ValidationError(f"{path}: first line must be 'classes: ...'")
     class_names = tuple(name.strip() for name in lines[0][len("classes:"):].split(","))
@@ -392,7 +453,8 @@ def load_manifest(path: str | Path) -> Manifest:
         if not image_id:
             raise ValidationError(f"{path} line {lineno}: empty image_id")
         if any(c in image_id for c in '/,"'):
-            # The id names a feature file and a scores.csv cell.
+            # The id names a scores.csv cell, and the vector file `stack`
+            # reads for the image.
             raise ValidationError(
                 f"{path} line {lineno}: image_id '{image_id}' contains '/', ',' or '\"'"
             )

@@ -18,7 +18,7 @@ from fvforge.classify import (
 )
 from fvforge.cli import main
 from fvforge.errors import DataError, ParameterError, ShapeError, ValidationError
-from fvforge.tensors import GlobalVector, write_tensor
+from fvforge.tensors import write_rows
 
 from conftest import arrays_at_blas_threads, make_blobs
 from oracles import (
@@ -151,11 +151,10 @@ def test_training_holds_no_copy_of_the_features():
 def test_thread_count_does_not_change_the_model(rng, tmp_path):
     """`train-svm` writes the same model bytes at --threads 1 and 3."""
     x, y = make_blobs(rng, classes=4, per_class=10, dim=4)
-    features = tmp_path / "features"
-    features.mkdir()
+    features = tmp_path / "train.fvt"
+    write_rows(features, len(x), x)
     lines = ["classes: a,b,c,d"]
-    for i, (row, label) in enumerate(zip(x, y)):
-        write_tensor(GlobalVector(dim=4, data=row), features / f"img{i}.fvt")
+    for i, label in enumerate(y):
         lines.append(f"img{i}\t{label}\tobject:fc7=img{i}.fvt\ttrain")
     manifest = tmp_path / "data.manifest"
     manifest.write_text("\n".join(lines) + "\n")

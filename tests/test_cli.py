@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import argparse
 import re
+import struct
 import threading
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -24,6 +26,7 @@ from fvforge.tensors import (
     load_manifest,
     read_tensor,
     write_manifest,
+    write_rows,
     write_tensor,
 )
 
@@ -328,9 +331,8 @@ def test_malformed_model_tensor_exits_three(tmp_path, command, payload, bad):
         argv = ["apply-pca", "--model", str(model_dir), "--in", str(infile)]
     else:
         save_svm(LinearModel(3, 6, np.zeros((3, 6)), np.zeros(3)), model_dir)
-        features = tmp_path / "features"
-        features.mkdir()
-        write_tensor(GlobalVector(6, np.ones(6)), features / "img.fvt")
+        features = tmp_path / "test.fvt"
+        write_rows(features, 1, [np.ones(6)])
         manifest = tmp_path / "data.manifest"
         manifest.write_text("classes: a,b,c\nimg\t0\tobject:fc7=img.fvt\ttest\n")
         argv = [
@@ -408,10 +410,10 @@ def test_run_prints_a_summary_line(tiny, tmp_path, capsys):
 def test_manifest_image_ids_that_break_the_run_directory_exit_three(
     tiny, tmp_path, capsys, image_id, role
 ):
-    """An id names a feature file and a scores.csv cell, so a slash could
-    write outside the run directory, a comma or quote would make a
-    scores.csv that evaluate rejects, and an empty id would name the
-    hidden file ``features/.fvt``."""
+    """An id names a scores.csv cell and the vector file `stack` reads, so
+    a slash could name a file outside that directory, a comma or quote
+    would make a scores.csv that evaluate rejects, and an empty id would
+    name the hidden file ``.fvt``."""
     manifest = load_manifest(tiny / "data.manifest")
     at = next(i for i, e in enumerate(manifest.entries) if e.role == role)
     entries = list(manifest.entries)
@@ -453,10 +455,9 @@ def test_negative_seed_flag_exits_two_without_writing(tiny, tmp_path, command):
         argv = ["fit-gmm", "--k", "2", "--seed", "-1", "--out", str(out), str(descriptors)]
     else:
         manifest = tiny / "data.manifest"
-        features = tmp_path / "features"
-        features.mkdir()
-        for entry in load_manifest(manifest).split("train"):
-            write_tensor(GlobalVector(4, np.full(4, 0.5)), features / f"{entry.image_id}.fvt")
+        features = tmp_path / "train.fvt"
+        train = load_manifest(manifest).split("train")
+        write_rows(features, len(train), [np.full(4, 0.5)] * len(train))
         argv = ["train-svm", "--manifest", str(manifest), "--features", str(features),
                 "--seed", "-1", "--out", str(out)]
     assert main(argv) == 2
@@ -486,8 +487,8 @@ def test_scripted_chain_matches_run_byte_for_byte(
     assert main(["run", "--config", str(cfg), "--manifest", manifest_path, "--out", str(auto)]) == 0
 
     work = tmp_path / "manual"
-    features = work / "features"
-    features.mkdir(parents=True)
+    vectors = work / "vectors"
+    vectors.mkdir(parents=True)
 
     # Per-view descriptor files for every entry, stream, and variant.
     tdd_files = {}
@@ -562,17 +563,23 @@ def test_scripted_chain_matches_run_byte_for_byte(
             stream_vecs.append(str(stream_vec))
         assert main(
             ["fuse", "--mode", "features", "--alpha", "1,1",
-             "--out", str(features / f"{entry.image_id}.fvt"), *stream_vecs]
+             "--out", str(vectors / f"{entry.image_id}.fvt"), *stream_vecs]
         ) == 0
 
+    # One feature container per role, rows in manifest order.
+    for role in ("train", "test"):
+        assert main(
+            ["stack", "--manifest", manifest_path, "--role", role,
+             "--out", str(work / f"{role}.fvt"), str(vectors)]
+        ) == 0
     svm_dir = work / "svm"
     assert main(
-        ["train-svm", "--manifest", manifest_path, "--features", str(features),
+        ["train-svm", "--manifest", manifest_path, "--features", str(work / "train.fvt"),
          "--c", "1", "--seed", "7", "--out", str(svm_dir)]
     ) == 0
     scores = work / "scores.csv"
     assert main(
-        ["predict", "--model", str(svm_dir), "--in", str(features),
+        ["predict", "--model", str(svm_dir), "--in", str(work / "test.fvt"),
          "--manifest", manifest_path, "--role", "test", "--out", str(scores)]
     ) == 0
     report = work / "report.csv"
@@ -586,9 +593,9 @@ def test_scripted_chain_matches_run_byte_for_byte(
     # Every serialized artifact agrees byte for byte with the one-shot run.
     assert scores.read_bytes() == (auto / "scores.csv").read_bytes()
     assert report.read_bytes() == (auto / "report.csv").read_bytes()
-    for entry in manifest.entries:
-        name = f"{entry.image_id}.fvt"
-        assert (features / name).read_bytes() == (auto / "features" / name).read_bytes()
+    assert sorted(p.name for p in (auto / "features").iterdir()) == ["test.fvt", "train.fvt"]
+    for name in ("train.fvt", "test.fvt"):
+        assert (work / name).read_bytes() == (auto / "features" / name).read_bytes()
     for stream in STREAMS:
         for variant in VARIANTS:
             for kind in ("pca", "gmm"):
@@ -607,7 +614,7 @@ import numpy as np
 from fvforge.cli import main
 from fvforge.gmm import GmmModel, save_gmm
 from fvforge.normalize import DescriptorSet, descriptors_to_map
-from fvforge.tensors import GlobalVector, read_tensor, write_tensor
+from fvforge.tensors import read_tensor, write_rows, write_tensor
 
 out = Path(sys.argv[1])
 work = out.with_suffix("")
@@ -639,17 +646,17 @@ write_tensor(descriptors_to_map(DescriptorSet(d, np.vstack([pairs, -pairs]))), w
 assert main(["encode-fv", "--gmm", str(work / "gmm"), "--out", str(work / "fv.fvt"), str(work / "bag.fvt")]) == 0
 
 # One-vs-rest SVMs on 160 unit vectors of 3000 dims, scored on 40 more.
-features = work / "features"
-features.mkdir()
 lines = ["classes: " + ",".join(f"c{k}" for k in range(8))]
-for i, row in enumerate(rng.normal(size=(200, 3000))):
-    write_tensor(GlobalVector(3000, row / np.linalg.norm(row)), features / f"img{i}.fvt")
+rows = [row / np.linalg.norm(row) for row in rng.normal(size=(200, 3000))]
+for i in range(200):
     role = "test" if i >= 160 else "train"
     lines.append(f"img{i}\t{i % 8}\tobject:fc7=img{i}.fvt\t{role}")
 (work / "data.manifest").write_text("\n".join(lines) + "\n")
+write_rows(work / "train.fvt", 160, rows[:160])
+write_rows(work / "test.fvt", 40, rows[160:])
 svm_args = ["--manifest", str(work / "data.manifest")]
-assert main(["train-svm", *svm_args, "--features", str(features), "--out", str(work / "svm")]) == 0
-assert main(["predict", *svm_args, "--model", str(work / "svm"), "--in", str(features), "--out", str(work / "scores.csv")]) == 0
+assert main(["train-svm", *svm_args, "--features", str(work / "train.fvt"), "--out", str(work / "svm")]) == 0
+assert main(["predict", *svm_args, "--model", str(work / "svm"), "--in", str(work / "test.fvt"), "--out", str(work / "scores.csv")]) == 0
 np.savez(
     out,
     basis=read_tensor(work / "pca" / "basis.fvt").data,
@@ -668,3 +675,158 @@ def test_cli_outputs_do_not_depend_on_blas_threads(tmp_path):
     results = arrays_at_blas_threads(_CLI_OUTPUTS, tmp_path)
     for key in ("basis", "fv", "weights", "biases", "scores"):
         np.testing.assert_array_equal(results[0][key], results[1][key])
+
+
+# ------------------------------------------------- malformed inputs exit 3
+
+_LYING_VIEW = struct.pack("<4sBBBB3I", b"FVT1", 1, 1, 3, 0, 65535, 65535, 16) + bytes(56)
+
+
+def _svm_inputs(tiny, tmp_path):
+    """Write containers of the tiny corpus's train and test entries and a
+    model trained on the first, under ``tmp_path``."""
+    manifest = load_manifest(tiny / "data.manifest")
+    train, test = manifest.split("train"), manifest.split("test")
+    write_rows(tmp_path / "train.fvt", len(train), np.eye(len(train), 4) + 0.5)
+    write_rows(tmp_path / "test.fvt", len(test), np.eye(len(test), 4) + 0.5)
+    assert main(
+        ["train-svm", "--manifest", str(tiny / "data.manifest"),
+         "--features", str(tmp_path / "train.fvt"), "--out", str(tmp_path / "svm")]
+    ) == 0
+
+
+@pytest.mark.parametrize("command", ["train-svm", "predict"])
+def test_truncated_feature_container_exits_three_without_writing(
+    tiny, tmp_path, capsys, command
+):
+    _svm_inputs(tiny, tmp_path)
+    role = "train" if command == "train-svm" else "test"
+    container = tmp_path / f"{role}.fvt"
+    container.write_bytes(container.read_bytes()[:-4])
+    out = tmp_path / "out"
+    manifest = str(tiny / "data.manifest")
+    if command == "train-svm":
+        argv = ["train-svm", "--manifest", manifest, "--features", str(container)]
+    else:
+        argv = ["predict", "--model", str(tmp_path / "svm"), "--in", str(container),
+                "--manifest", manifest]
+    capsys.readouterr()
+    assert main(argv + ["--out", str(out)]) == 3
+    assert "payload is" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def _traced_peak(argv) -> tuple[int, int]:
+    """Exit code of ``main(argv)`` and its tracemalloc peak in bytes."""
+    tracemalloc.start()
+    try:
+        code = main(argv)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return code, peak
+
+
+def test_run_on_a_conv_view_with_a_lying_header_exits_three_before_sizing(
+    tiny, tmp_path, capsys
+):
+    """A 76-byte view that declares 65535 x 65535 x 16 (256 GiB of float32)
+    fails its header check before any stack is allocated from it."""
+    lying = tmp_path / "lying.fvt"
+    lying.write_bytes(_LYING_VIEW)
+    manifest = load_manifest(tiny / "data.manifest")
+    at = next(i for i, e in enumerate(manifest.entries) if e.role == "train")
+    entries = list(manifest.entries)
+    views = tuple(
+        (s, l, lying if (s, l) == ("scene", "conv5_3") else p) for s, l, p in entries[at].views
+    )
+    entries[at] = replace(entries[at], views=views)
+    path = tmp_path / "m.manifest"
+    write_manifest(replace(manifest, entries=tuple(entries)), path)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("[pca]\ndim = 4\n\n[gmm]\ncomponents = 2\n")
+    capsys.readouterr()
+    code, peak = _traced_peak(
+        ["run", "--config", str(cfg), "--manifest", str(path), "--out", str(tmp_path / "run")]
+    )
+    assert code == 3
+    assert f"{lying}: payload is 56 bytes" in capsys.readouterr().err
+    assert peak < 16 << 20
+
+
+def test_train_svm_on_a_container_with_a_lying_header_exits_three_before_sizing(
+    tiny, tmp_path, capsys
+):
+    """A 76-byte container that declares 65535 x 1 x 65535 rows (32 GiB as
+    float64) fails its header check before the matrix is allocated."""
+    container = tmp_path / "train.fvt"
+    container.write_bytes(
+        struct.pack("<4sBBBB3I", b"FVT1", 1, 1, 3, 0, 65535, 1, 65535) + bytes(56)
+    )
+    out = tmp_path / "svm"
+    capsys.readouterr()
+    code, peak = _traced_peak(
+        ["train-svm", "--manifest", str(tiny / "data.manifest"),
+         "--features", str(container), "--out", str(out)]
+    )
+    assert code == 3
+    assert "payload is 56 bytes" in capsys.readouterr().err
+    assert peak < 16 << 20
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("reader", ["manifest", "config", "scores", "model-header"])
+def test_text_that_is_not_utf8_exits_three_naming_the_file(tiny, tmp_path, capsys, reader):
+    """One 0xff byte in a manifest, a config, a scores CSV or a model
+    header is a data error naming the file, not a decoding traceback."""
+    manifest = tiny / "data.manifest"
+    if reader == "manifest":
+        bad = tmp_path / "data.manifest"
+        _svm_inputs(tiny, tmp_path)
+        argv = ["train-svm", "--manifest", str(bad), "--features", str(tmp_path / "train.fvt"),
+                "--out", str(tmp_path / "out")]
+        text = manifest.read_bytes()
+    elif reader == "config":
+        bad = tmp_path / "run.cfg"
+        argv = ["run", "--config", str(bad), "--manifest", str(manifest),
+                "--out", str(tmp_path / "out")]
+        text = b"[pca]\ndim = 4\n"
+    elif reader == "scores":
+        bad = tmp_path / "scores.csv"
+        argv = ["evaluate", "--scores", str(bad), "--manifest", str(manifest),
+                "--out", str(tmp_path / "out")]
+        text = b"image_id,score_0\n"
+    else:
+        _svm_inputs(tiny, tmp_path)
+        bad = tmp_path / "svm" / "svm.model"
+        argv = ["predict", "--model", str(tmp_path / "svm"), "--in", str(tmp_path / "test.fvt"),
+                "--manifest", str(manifest), "--out", str(tmp_path / "out")]
+        text = bad.read_bytes()
+    bad.write_bytes(text[:8] + b"\xff" + text[8:])
+    capsys.readouterr()
+    assert main(argv) == 3
+    assert f"{bad}: not UTF-8 text" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_model_header_naming_a_file_outside_its_directory_exits_three(tmp_path, capsys):
+    """``mean=../../x`` is refused although ``x`` is a valid mean vector."""
+    model_dir = tmp_path / "a" / "pca"
+    save_pca(
+        PcaModel(
+            input_dim=3, output_dim=2, mean=np.zeros(3),
+            basis=np.eye(3)[:2], eigenvalues=np.array([2.0, 1.0]),
+        ),
+        model_dir,
+    )
+    (model_dir / "mean.fvt").rename(tmp_path / "x")
+    header = model_dir / "pca.model"
+    header.write_text(header.read_text().replace("mean=mean.fvt", "mean=../../x"))
+    infile = tmp_path / "in.fvt"
+    write_tensor(FeatureMap(4, 1, 3, np.arange(12.0)), infile)
+    out = tmp_path / "out.fvt"
+    capsys.readouterr()
+    code = main(["apply-pca", "--model", str(model_dir), "--in", str(infile), "--out", str(out)])
+    assert code == 3
+    assert "'mean' names '../../x', which contains '/'" in capsys.readouterr().err
+    assert not out.exists()

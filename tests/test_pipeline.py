@@ -45,7 +45,9 @@ from fvforge.tensors import (
     Manifest,
     ManifestEntry,
     read_as,
+    read_dims,
     read_tensor,
+    write_rows,
     write_tensor,
 )
 
@@ -94,6 +96,13 @@ def _run_bytes(out):
         for p in sorted(out.rglob("*"))
         if p.is_file()
     }
+
+
+def _feature_row(out, manifest, entry):
+    """The row of ``entry`` in its role's feature container under ``out``."""
+    entries = manifest.split(entry.role)
+    matrix = pipeline.read_features(out / "features" / f"{entry.role}.fvt", entries)
+    return matrix[entries.index(entry)]
 
 
 def _pooled_views(entry, stream, layer):
@@ -151,21 +160,30 @@ def test_global_run_is_deterministic(dataset, tmp_path):
     assert _file_bytes(a / "features") == _file_bytes(b / "features")
 
 
+def test_global_run_leaves_one_feature_container_per_role(dataset, tmp_path):
+    """Exactly ``features/train.fvt`` and ``features/test.fvt``, each with
+    one row per entry of its role."""
+    run(dataset, make_cfg(scenario="global_pretrained"), tmp_path / "run")
+    features = tmp_path / "run" / "features"
+    assert sorted(p.name for p in features.iterdir()) == ["test.fvt", "train.fvt"]
+    for role in ("train", "test"):
+        rows = len(dataset.split(role))
+        assert read_dims(features / f"{role}.fvt") == (rows, 1, 2 * SPEC.fc_dim)
+
+
 def test_global_features_are_unit_vectors(dataset, tmp_path):
     cfg = make_cfg(scenario="global_pretrained")
     run(dataset, cfg, tmp_path / "run")
-    entry = dataset.entries[0]
-    vec = read_tensor(tmp_path / "run" / "features" / f"{entry.image_id}.fvt")
-    assert vec.dim == 2 * SPEC.fc_dim
-    assert abs(np.linalg.norm(vec.data.astype(np.float64)) - 1.0) < 1e-6
+    vec = _feature_row(tmp_path / "run", dataset, dataset.entries[0])
+    assert vec.size == 2 * SPEC.fc_dim
+    assert abs(np.linalg.norm(vec) - 1.0) < 1e-6
 
 
 def test_zero_scene_weight_blanks_the_scene_block(dataset, tmp_path):
     cfg = make_cfg(scenario="global_pretrained", beta=FusionWeights(1.0, 0.0))
     run(dataset, cfg, tmp_path / "run")
     entry = dataset.entries[0]
-    vec = read_tensor(tmp_path / "run" / "features" / f"{entry.image_id}.fvt")
-    data = vec.data.astype(np.float64)
+    data = _feature_row(tmp_path / "run", dataset, entry)
     assert not data[SPEC.fc_dim :].any()
     expected = unit_norm(_pooled_views(entry, "object", "fc7"))
     np.testing.assert_allclose(data[: SPEC.fc_dim], expected, atol=1e-6)
@@ -183,8 +201,8 @@ def test_global_feature_rebuilds_exactly_from_fc7_views(dataset, tmp_path):
         pooled = np.sum(views, axis=0).astype(np.float32).astype(np.float64)
         parts.append(unit_norm(pooled).astype(np.float32).astype(np.float64))
     fused = np.concatenate([0.6 * parts[0], 1.4 * parts[1]])
-    written = read_tensor(tmp_path / "run" / "features" / f"{entry.image_id}.fvt")
-    np.testing.assert_array_equal(written.data, unit_norm(fused).astype(np.float32))
+    written = _feature_row(tmp_path / "run", dataset, entry)
+    np.testing.assert_array_equal(written, unit_norm(fused).astype(np.float32))
 
 
 @pytest.mark.parametrize("role", ["train", "test"])
@@ -212,8 +230,7 @@ def test_local_feature_recomputable_from_saved_models(dataset, local_run, role):
         stream_vecs.append(joined.astype(np.float32).astype(np.float64))
     fused = concat_features(stream_vecs[0], stream_vecs[1], cfg.beta).data
     expected = unit_norm(fused).astype(np.float32)
-    written = read_tensor(out / "features" / f"{entry.image_id}.fvt")
-    np.testing.assert_array_equal(written.data, expected)
+    np.testing.assert_array_equal(_feature_row(out, dataset, entry), expected)
 
 
 def test_gmm_fit_logs_its_em_iterations(dataset, tmp_path, caplog):
@@ -381,9 +398,8 @@ def test_pooling_order_changes_multi_view_features(dataset, local_run, tmp_path)
 def test_single_variant_halves_the_local_feature(dataset, tmp_path):
     cfg = make_cfg(tdd_variants=("spatial",))
     run(dataset, cfg, tmp_path / "run")
-    entry = dataset.entries[0]
-    vec = read_tensor(tmp_path / "run" / "features" / f"{entry.image_id}.fvt")
-    assert vec.dim == 2 * (2 * cfg.gmm_components * cfg.pca_dim)
+    vec = _feature_row(tmp_path / "run", dataset, dataset.entries[0])
+    assert vec.size == 2 * (2 * cfg.gmm_components * cfg.pca_dim)
 
 
 def test_layer_fusion_concatenates_both_representations(dataset, tmp_path, caplog):
@@ -391,11 +407,10 @@ def test_layer_fusion_concatenates_both_representations(dataset, tmp_path, caplo
     with caplog.at_level(logging.INFO, logger="fvforge.pipeline"):
         report = run(dataset, cfg, tmp_path / "run")
     assert report.map_score >= 0.9
-    entry = dataset.entries[0]
-    vec = read_tensor(tmp_path / "run" / "features" / f"{entry.image_id}.fvt")
+    vec = _feature_row(tmp_path / "run", dataset, dataset.entries[0])
     global_dim = 2 * SPEC.fc_dim
     local_dim = 2 * 2 * (2 * cfg.gmm_components * cfg.pca_dim)
-    assert vec.dim == global_dim + local_dim
+    assert vec.size == global_dim + local_dim
     messages = [rec.message for rec in caplog.records]
     for marker in ("stage=features", "stage=train-svm", "stage=evaluate"):
         assert any(marker in m for m in messages)
@@ -423,11 +438,9 @@ def test_wrong_score_layer_dim_is_rejected(dataset, tmp_path):
         run(dataset, cfg, tmp_path / "run")
 
 
-def _write_features(directory, rows):
-    """One ``<image_id>.fvt`` per row; returns their manifest entries."""
-    directory.mkdir()
-    for i, row in enumerate(rows):
-        write_tensor(GlobalVector(row.size, row), directory / f"img{i}.fvt")
+def _write_container(path, rows):
+    """One feature container of ``rows``; returns their manifest entries."""
+    write_rows(path, len(rows), rows)
     return [ManifestEntry(f"img{i}", 0, ()) for i in range(len(rows))]
 
 
@@ -435,10 +448,10 @@ def test_read_features_holds_one_matrix(tmp_path):
     """250 vectors come back as float64 rows, in order, with no second copy
     alive at the peak."""
     rows = np.random.default_rng(8).normal(size=(250, 4096)).astype(np.float32)
-    entries = _write_features(tmp_path / "features", rows)
+    entries = _write_container(tmp_path / "train.fvt", rows)
     tracemalloc.start()
     try:
-        matrix = pipeline.read_features(tmp_path / "features", entries)
+        matrix = pipeline.read_features(tmp_path / "train.fvt", entries)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -480,15 +493,22 @@ def test_read_stacks_fills_one_stack_per_row_function(dataset):
     assert offsets == [0, 25, 50, 75]
 
 
-def test_read_features_rejects_no_entries_and_mixed_dims(tmp_path):
+def test_feature_containers_reject_mixed_dims_and_wrong_shapes(tmp_path):
+    """The writer refuses rows of mixed dims and leaves no file; the reader
+    refuses no entries, a row count other than the entries' and a tensor
+    that is not rows x 1 x dim."""
+    path = tmp_path / "train.fvt"
+    with pytest.raises(ShapeError, match="row 1 has dim 5, expected 4"):
+        write_rows(path, 2, [np.ones(4), np.ones(5)])
+    assert list(tmp_path.iterdir()) == []
     with pytest.raises(ValidationError, match="no feature entries"):
-        pipeline.read_features(tmp_path, [])
-    entries = _write_features(
-        tmp_path / "features", [np.ones(4, np.float32), np.ones(5, np.float32)]
-    )
-    with pytest.raises(ShapeError) as exc:
-        pipeline.read_features(tmp_path / "features", entries)
-    assert str(exc.value) == "feature dim mismatch: 'img1' has 5, expected 4"
+        pipeline.read_features(path, [])
+    entries = _write_container(path, np.ones((3, 4)))
+    with pytest.raises(ValidationError, match="3 feature rows for 2 entries"):
+        pipeline.read_features(path, entries[:2])
+    write_tensor(FeatureMap(3, 2, 2, np.ones(12)), path)
+    with pytest.raises(ValidationError, match="rows x 1 x dim"):
+        pipeline.read_features(path, entries)
 
 
 def test_unlabeled_entries_are_rejected(dataset, tmp_path):
@@ -589,6 +609,18 @@ def test_task_exception_surfaces_from_result(busy_pool):
     task = pipeline._Task(pool, fail)
     with pytest.raises(ValidationError, match="encode failed"):
         task.result()
+
+
+def test_map_ahead_keeps_order_and_bounds_the_calls_submitted():
+    """A slow consumer holds the pool back: when the k-th result is
+    yielded, at most ``ahead`` calls past it have been submitted."""
+    submitted = []
+    with ThreadPoolExecutor(2) as pool:
+        results = []
+        for value in pipeline._map_ahead(pool, lambda i: submitted.append(i) or i, range(40), 3):
+            assert len(submitted) <= len(results) + 1 + 3
+            results.append(value)
+    assert results == list(range(40))
 
 
 def test_derived_seeds_are_distinct():
