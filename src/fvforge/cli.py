@@ -29,7 +29,7 @@ from .errors import FvForgeError, ParameterError, ValidationError
 from .evaluation import read_scores_csv, write_scores_csv
 from .fusion import FusionWeights, fuse_scores
 from .gmm import load_gmm
-from .normalize import VARIANTS, descriptors_to_map, extract_descriptors, variant_descriptors
+from .normalize import VARIANTS, extract_descriptors, variant_descriptors
 from .pca import load_pca, project
 from .synth import SynthSpec, generate_dataset
 from .tensors import (
@@ -40,6 +40,7 @@ from .tensors import (
     atomic_write_text,
     load_manifest,
     read_as,
+    read_matrix,
     write_rows,
     write_tensor,
 )
@@ -110,12 +111,11 @@ def _cmd_plan_views(args) -> int:
 
 
 def _cmd_tdd(args) -> int:
-    fmap = read_as(args.infile, FeatureMap)
-    container = descriptors_to_map(variant_descriptors(fmap, args.mode))
-    write_tensor(container, args.out)
+    descriptors = variant_descriptors(read_as(args.infile, FeatureMap), args.mode)
+    write_rows(args.out, descriptors.count, descriptors.descriptors)
     logger.info(
         "stage=tdd mode=%s descriptors=%d out=%s",
-        args.mode, container.height, args.out,
+        args.mode, descriptors.count, args.out,
     )
     return 0
 
@@ -128,7 +128,7 @@ def _cmd_fit_pca(args) -> int:
 
 def _cmd_apply_pca(args) -> int:
     projected = project(load_pca(args.model), _read_descriptors(args.infile))
-    write_tensor(descriptors_to_map(projected), args.out)
+    write_rows(args.out, projected.count, projected.descriptors)
     logger.info(
         "stage=apply-pca descriptors=%d dim=%d out=%s",
         projected.count, projected.dim, args.out,
@@ -195,7 +195,7 @@ def _cmd_predict(args) -> int:
     manifest = load_manifest(args.manifest)
     model = load_svm(args.model)
     entries = pipeline.entries_for_role(manifest, args.role)
-    matrix = predict_matrix(model, pipeline.read_features(args.infile, entries))
+    matrix = predict_matrix(model, read_matrix(args.infile, len(entries)))
     write_scores_csv(args.out, [e.image_id for e in entries], matrix)
     logger.info(
         "stage=predict images=%d classes=%d out=%s",

@@ -180,6 +180,8 @@ def read_scores_csv(path: str | Path) -> tuple[list[str], np.ndarray]:
         rows = list(csv.reader(io.StringIO(read_text(src), newline="")))
     except OSError as exc:
         raise DataError(f"cannot read scores file {src}: {exc}") from exc
+    except csv.Error as exc:
+        raise ValidationError(f"scores file {src} is not valid CSV: {exc}") from None
     if not rows:
         raise ValidationError(f"scores file {src} is empty")
     header = rows[0]

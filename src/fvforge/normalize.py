@@ -96,10 +96,3 @@ def extract_descriptors(fmap: FeatureMap) -> DescriptorSet:
 def variant_descriptors(fmap: FeatureMap, variant: str) -> DescriptorSet:
     """Normalize a map with one variant and extract its descriptors."""
     return extract_descriptors(normalize_variant(fmap, variant))
-
-
-def descriptors_to_map(ds: DescriptorSet) -> FeatureMap:
-    """Pack a descriptor set into the rank-3 container (count, 1, dim)."""
-    return FeatureMap(
-        height=ds.count, width=1, channels=ds.dim, data=ds.descriptors
-    )

@@ -31,7 +31,7 @@ Outputs under the run directory: ``report.csv``, ``scores.csv`` for the
 evaluated images, one feature container per role under ``features*/``
 (``train.fvt`` and ``test.fvt``, one row per entry in manifest order,
 each written as its rows are computed and read back by
-``read_features``), and fitted models under ``models/``.
+``tensors.read_rows``), and fitted models under ``models/``.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ import numpy as np
 from .augment import sum_pool
 from .classify import LinearModel, load_svm, predict_matrix, save_svm, train_ovr
 from .config import POOLING_ORDERS, PipelineConfig
-from .errors import CorruptionError, DataError, ParameterError, ShapeError, ValidationError
+from .errors import CorruptionError, ParameterError, ShapeError, ValidationError
 from .evaluation import EvalReport, evaluate, write_report_csv, write_scores_csv
 from .fisher import FisherVector, encode_fv, intra_normalize, power_l2_normalize, unit_norm
 from .fusion import FusionWeights, concat_features, fuse_scores
@@ -64,9 +64,10 @@ from .tensors import (
     ManifestEntry,
     ScoreVector,
     load_manifest,
-    open_tensor,
     read_as,
     read_dims,
+    read_matrix,
+    read_rows,
     write_rows,
 )
 
@@ -141,43 +142,6 @@ def labels_of(entries) -> np.ndarray:
             f"{len(unlabeled)} entries have no label (first: {unlabeled[0]})"
         )
     return np.asarray([e.label for e in entries], dtype=np.int64)
-
-
-def _feature_rows(path: str | Path, entries):
-    """The float32 rows of the feature container at ``path``, one per entry
-    in entry order, each yielded in one reused buffer.
-
-    The header is checked against the file's length, and its (rows, 1,
-    dim) shape against the entries, before anything is sized from it; each
-    row is checked finite.  No entries is a ``ValidationError``.
-    """
-    if not entries:
-        raise ValidationError("no feature entries to read")
-    with open_tensor(path) as (fh, dims, _):
-        if len(dims) != 3 or dims[1] != 1:
-            raise ValidationError(f"{path}: {dims} is not a rows x 1 x dim feature container")
-        if dims[0] != len(entries):
-            raise ValidationError(f"{path}: {dims[0]} feature rows for {len(entries)} entries")
-        row = np.empty(dims[2], dtype="<f4")
-        for entry in entries:
-            if fh.readinto(row) != row.nbytes:
-                raise CorruptionError(f"{path}: changed while it was read")
-            if not np.isfinite(row).all():
-                raise DataError(f"{path}: the row of '{entry.image_id}' is not finite")
-            yield row
-
-
-def read_features(path: str | Path, entries) -> np.ndarray:
-    """The rows of the feature container at ``path``, one per entry in
-    entry order, as one float64 matrix.  It is allocated at the first row,
-    after the header checks, and each row is cast into it as it is read,
-    so the matrix is the only copy held."""
-    matrix = None
-    for i, row in enumerate(_feature_rows(path, entries)):
-        if matrix is None:
-            matrix = np.empty((len(entries), row.size))
-        matrix[i] = row
-    return matrix
 
 
 def read_stacks(paths, row_fns) -> tuple[list[DescriptorSet], list[int]]:
@@ -283,7 +247,7 @@ def train_svm_model(
     and return the reloaded model."""
     train = entries_for_role(manifest, "train")
     model = train_ovr(
-        read_features(features, train),
+        read_matrix(features, len(train)),
         labels_of(train),
         manifest.class_count,
         C=C,
@@ -393,7 +357,7 @@ def _train_predict_evaluate(
     ]
     test = entries_for_role(manifest, "test")
     matrices = [
-        predict_matrix(model, read_features(out / features / "test.fvt", test))
+        predict_matrix(model, read_matrix(out / features / "test.fvt", len(test)))
         for model, (_, features) in zip(models, banks)
     ]
     if len(matrices) == 2:
@@ -413,14 +377,14 @@ def _train_predict_evaluate(
 
 
 def run_scenario1(
-    manifest: Manifest, cfg: PipelineConfig, out_dir: str | Path, pool: Executor
+    manifest: Manifest, cfg: PipelineConfig, out: Path, pool: Executor, threads: int
 ) -> EvalReport:
-    """Score-level fusion of the streams' per-class score tensors.
+    """Score-level fusion of the streams' per-class score tensors, scored
+    on ``pool`` at most ``threads`` entries ahead.
 
     No training happens here; the test split is evaluated when present,
     otherwise every entry is.
     """
-    out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     entries = list(manifest.split("test") or manifest.entries)
 
@@ -436,7 +400,7 @@ def run_scenario1(
             per_stream.append(ScoreVector(pooled.size, pooled))
         return fuse_scores(per_stream[0], per_stream[1], cfg.alpha).scores
 
-    matrix = np.stack(list(pool.map(score_one, entries)))
+    matrix = np.stack(list(_map_ahead(pool, score_one, entries, threads)))
     return report_scores(
         matrix, entries, manifest.class_names,
         out / "report.csv", out / "scores.csv",
@@ -596,7 +560,7 @@ def run(
     scenario = cfg.scenario
     with ThreadPoolExecutor(threads - 1) if threads > 1 else _Inline() as pool:
         if scenario == "softmax_fusion":
-            return run_scenario1(manifest, cfg, out, pool)
+            return run_scenario1(manifest, cfg, out, pool, threads)
         fusion = scenario == "layer_fusion"
         global_dir = out / ("features_global" if fusion else "features")
         local_dir = out / ("features_local" if fusion else "features")
@@ -616,8 +580,8 @@ def run(
 
             def combined(role: str, entries):
                 rows = zip(
-                    _feature_rows(global_dir / f"{role}.fvt", entries),
-                    _feature_rows(local_dir / f"{role}.fvt", entries),
+                    read_rows(global_dir / f"{role}.fvt", len(entries)),
+                    read_rows(local_dir / f"{role}.fvt", len(entries)),
                 )
                 return (fuse_features(g, l, cfg.layer_weights) for g, l in rows)
 

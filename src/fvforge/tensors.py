@@ -12,12 +12,12 @@ The on-disk tensor format is a little-endian container:
     rest        row-major float32 payload, (height, width, channels) for rank 3
 
 The header is checked against the file's length before anything is sized
-from it.  A feature container holds one vector per row at rank 3, as
-(rows, 1, dim); ``write_rows`` writes it a row at a time.
+from it.  A row container, (rows, 1, dim) at rank 3, holds one vector per
+row; ``write_rows`` writes it, and ``read_rows`` or ``read_matrix`` reads it.
 
 A fitted model (PCA, GMM, SVM bank) is a directory written by
 ``save_model`` and read by ``load_model``: one ``<name>.fvt`` per array,
-vectors at rank 1 and (rows, cols) matrices as (rows, 1, cols), plus a
+vectors at rank 1 and (rows, cols) matrices as row containers, plus a
 UTF-8 header of ``key=value`` lines (``#`` lines are comments) that maps
 each array name to its file, followed by any scalar fields.
 
@@ -218,7 +218,7 @@ def write_rows(path: str | Path, count: int, rows) -> None:
     last row; any error leaves nothing there.
     """
     if count < 1:
-        raise ParameterError("a feature container needs at least one row")
+        raise ParameterError("a row container needs at least one row")
     with _atomic_file(path) as fh:
         written = 0
         for row in rows:
@@ -274,6 +274,47 @@ def open_tensor(path: str | Path):
         yield fh, dims, flags
 
 
+@contextmanager
+def _open_rows(path: str | Path, count: int | None):
+    """Open a row container whose header is rank 3 at width 1 and declares
+    ``count`` rows, when given; yields the row count, the dim and an
+    iterator that reads each row into one reused float32 buffer, checked
+    finite, and nonnegative when the header sets the flag."""
+    with open_tensor(path) as (fh, dims, flags):
+        if len(dims) != 3 or dims[1] != 1:
+            raise ValidationError(f"{path}: {dims} is not a rows x 1 x dim container")
+        if count is not None and dims[0] != count:
+            raise ValidationError(f"{path}: {dims[0]} rows, expected {count}")
+
+        def rows():
+            row = np.empty(dims[2], dtype="<f4")
+            for i in range(dims[0]):
+                if fh.readinto(row) != row.nbytes:
+                    raise CorruptionError(f"{path}: changed while it was read")
+                if not np.isfinite(row).all():
+                    raise DataError(f"{path}: row {i} is not finite")
+                if flags & FLAG_NONNEGATIVE and (row < 0.0).any():
+                    raise DataError(f"{path}: row {i} is negative under the nonnegative flag")
+                yield row
+
+        yield dims[0], dims[2], rows()
+
+
+def read_rows(path: str | Path, count: int | None = None):
+    """The float32 rows of the row container at ``path``, in file order,
+    each yielded in one reused buffer, so one row is held at a time."""
+    with _open_rows(path, count) as (_, _, rows):
+        yield from rows
+
+
+def read_matrix(path: str | Path, count: int | None = None) -> np.ndarray:
+    """The rows of the row container at ``path`` as one float64 matrix,
+    allocated from the checked header; each row is cast into it as it is
+    read, so the matrix is the only copy held."""
+    with _open_rows(path, count) as (height, dim, rows):
+        return np.fromiter(rows, np.dtype((np.float64, dim)), height)
+
+
 def read_dims(path: str | Path) -> tuple[int, ...]:
     """The dims an FVT1 file's header declares, (height, width, channels)
     or (dim,), read without its payload; a malformed header, or one that
@@ -324,18 +365,18 @@ def save_model(
 ) -> None:
     """Write each array to ``<name>.fvt``, then a header naming them.
 
-    1-D arrays are stored at rank 1, 2-D (rows, cols) arrays as
-    (rows, 1, cols).  The header lists the arrays first, then ``fields``.
+    1-D arrays are stored at rank 1, 2-D (rows, cols) arrays as row
+    containers.  The header lists the arrays first, then ``fields``.
     """
     model_dir = Path(model_dir)
     model_dir.mkdir(parents=True, exist_ok=True)
     header = {}
     for name, arr in arrays.items():
+        path = model_dir / f"{name}.fvt"
         if arr.ndim == 1:
-            tensor = GlobalVector(arr.size, arr)
+            write_tensor(GlobalVector(arr.size, arr), path)
         else:
-            tensor = FeatureMap(arr.shape[0], 1, arr.shape[1], arr)
-        write_tensor(tensor, model_dir / f"{name}.fvt")
+            write_rows(path, len(arr), arr)
         header[name] = f"{name}.fvt"
     header.update(fields or {})
     atomic_write_text(
@@ -365,11 +406,10 @@ def load_model(
                 "which contains '/'"
             )
         path = model_dir / header[name]
-        tensor = read_as(path, GlobalVector if rank == 1 else FeatureMap)
-        if rank == 2 and tensor.width != 1:
-            raise ValidationError(f"{path}: matrix stored at width {tensor.width}")
-        data = tensor.data if rank == 1 else tensor.data.reshape(tensor.height, -1)
-        arrays[name] = data.astype(np.float64)
+        if rank == 1:
+            arrays[name] = read_as(path, GlobalVector).data.astype(np.float64)
+        else:
+            arrays[name] = read_matrix(path)
     return arrays, header
 
 

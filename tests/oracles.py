@@ -413,7 +413,8 @@ def logsumexp_reference(values):
 
 
 def map_to_descriptors(fmap):
-    """Inverse of ``normalize.descriptors_to_map``; requires width == 1."""
+    """The descriptors of a (count, 1, dim) map, as ``tensors.write_rows``
+    wrote them; requires width == 1."""
     if fmap.width != 1:
         raise ShapeError(f"descriptor container must have width 1, got {fmap.width}")
     return DescriptorSet(dim=fmap.channels, descriptors=fmap.data[:, 0, :])

@@ -17,13 +17,16 @@ from fvforge.classify import LinearModel, save_svm
 from fvforge.cli import build_parser, main
 from fvforge.config import PipelineConfig
 from fvforge.gmm import GmmModel, save_gmm
-from fvforge.pca import PcaModel, save_pca
+from fvforge.normalize import variant_descriptors
+from fvforge.pca import PcaModel, load_pca, project, save_pca
 from fvforge.pipeline import MAX_THREADS, derived_seed
 from fvforge.synth import SynthSpec
 from fvforge.tensors import (
     FeatureMap,
     GlobalVector,
     load_manifest,
+    read_as,
+    read_rows,
     read_tensor,
     write_manifest,
     write_rows,
@@ -259,6 +262,18 @@ def test_tdd_modes_and_suffixes(tiny, tmp_path):
     assert (tensor.height, tensor.width, tensor.channels) == (16, 1, 6)
 
 
+def test_tdd_and_apply_pca_write_the_descriptors_read_rows_reads(tiny, tmp_path):
+    conv = load_manifest(tiny / "data.manifest").entries[0].paths_for("object", "conv5_3")[0]
+    desc, proj, pca = (str(tmp_path / name) for name in ("desc.fvt", "proj.fvt", "pca"))
+    assert main(["tdd", "--in", str(conv), "--mode", "spatial", "--out", desc]) == 0
+    assert main(["fit-pca", "--dim", "3", "--out", pca, desc]) == 0
+    assert main(["apply-pca", "--model", pca, "--in", desc, "--out", proj]) == 0
+    written = variant_descriptors(read_as(conv, FeatureMap), "spatial")
+    assert np.array_equal([row.copy() for row in read_rows(desc)], written.descriptors)
+    projected = project(load_pca(pca), written)
+    assert np.array_equal([row.copy() for row in read_rows(proj)], projected.descriptors)
+
+
 def test_tdd_rejects_rank1_input_without_writing(tiny, tmp_path):
     manifest = load_manifest(tiny / "data.manifest")
     vec = manifest.entries[0].paths_for("object", "fc7")[0]
@@ -300,10 +315,12 @@ def test_corrupted_mixture_exits_four(tmp_path):
         ("predict", "svm.model", "weights=weights.fvt\nbiases=biases.fvt\n"
          "class_count=3\nfeature_dim=5\nc=1.0\n"),
         ("predict", "weights.fvt", FeatureMap(2, 1, 9, np.zeros(18))),
+        ("predict", "weights.fvt", FeatureMap(3, 2, 3, np.zeros(18))),
     ],
     ids=[
         "gmm-rank1-variances", "gmm-wide-means", "pca-wide-basis",
         "pca-rank3-eigenvalues", "svm-header-feature-dim", "svm-weights-shape",
+        "svm-weights-width-2",
     ],
 )
 def test_malformed_model_tensor_exits_three(tmp_path, command, payload, bad):
@@ -613,15 +630,14 @@ from pathlib import Path
 import numpy as np
 from fvforge.cli import main
 from fvforge.gmm import GmmModel, save_gmm
-from fvforge.normalize import DescriptorSet, descriptors_to_map
-from fvforge.tensors import read_tensor, write_rows, write_tensor
+from fvforge.tensors import read_tensor, write_rows
 
 out = Path(sys.argv[1])
 work = out.with_suffix("")
 work.mkdir()
 rng = np.random.default_rng(5)
 x = rng.normal(size=(2000, 512))
-write_tensor(descriptors_to_map(DescriptorSet(512, x)), work / "wide.fvt")
+write_rows(work / "wide.fvt", len(x), x)
 assert main(["fit-pca", "--dim", "64", "--out", str(work / "pca"), str(work / "wide.fvt")]) == 0
 
 # A mixture symmetric about the origin, with two components at the origin,
@@ -642,7 +658,7 @@ save_gmm(
     work / "gmm",
 )
 pairs = rng.normal(size=(1000, d))
-write_tensor(descriptors_to_map(DescriptorSet(d, np.vstack([pairs, -pairs]))), work / "bag.fvt")
+write_rows(work / "bag.fvt", 2 * len(pairs), np.vstack([pairs, -pairs]))
 assert main(["encode-fv", "--gmm", str(work / "gmm"), "--out", str(work / "fv.fvt"), str(work / "bag.fvt")]) == 0
 
 # One-vs-rest SVMs on 160 unit vectors of 3000 dims, scored on 40 more.
@@ -713,6 +729,44 @@ def test_truncated_feature_container_exits_three_without_writing(
     capsys.readouterr()
     assert main(argv + ["--out", str(out)]) == 3
     assert "payload is" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("target", ["test.fvt", "svm/weights.fvt"], ids=["features", "model"])
+def test_negative_row_under_the_nonnegative_flag_exits_three(tiny, tmp_path, capsys, target):
+    """A row container whose header declares its values nonnegative but
+    that holds a negative one is refused as ``predict --in`` and as a
+    model matrix alike."""
+    _svm_inputs(tiny, tmp_path)
+    path = tmp_path / target
+    blob = bytearray(path.read_bytes())
+    blob[7] = 1
+    struct.pack_into("<f", blob, len(blob) - 4, -1.0)
+    path.write_bytes(bytes(blob))
+    out = tmp_path / "scores.csv"
+    capsys.readouterr()
+    assert main(
+        ["predict", "--model", str(tmp_path / "svm"), "--in", str(tmp_path / "test.fvt"),
+         "--manifest", str(tiny / "data.manifest"), "--out", str(out)]
+    ) == 3
+    assert "is negative under the nonnegative flag" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_scores_field_past_the_csv_field_limit_exits_three_without_writing(
+    tiny, tmp_path, capsys
+):
+    """A field of 140000 characters exceeds the csv module's field limit;
+    the error names the file instead of escaping ``main``."""
+    scores = tmp_path / "scores.csv"
+    scores.write_text("image_id,score_0\n" + "x" * 140000 + ",1.0\n")
+    out = tmp_path / "report.csv"
+    capsys.readouterr()
+    assert main(
+        ["evaluate", "--scores", str(scores), "--manifest", str(tiny / "data.manifest"),
+         "--out", str(out)]
+    ) == 3
+    assert f"scores file {scores} is not valid CSV" in capsys.readouterr().err
     assert not out.exists()
 
 

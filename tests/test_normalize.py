@@ -9,12 +9,11 @@ from fvforge.errors import ParameterError, ShapeError
 from fvforge.normalize import (
     DescriptorSet,
     channel_normalize,
-    descriptors_to_map,
     extract_descriptors,
     normalize_variant,
     spatial_normalize,
 )
-from fvforge.tensors import FeatureMap
+from fvforge.tensors import FeatureMap, read_tensor, write_rows
 
 from oracles import (
     channel_normalize_reference,
@@ -83,9 +82,10 @@ def test_extract_descriptors_row_major_order(rng):
     np.testing.assert_array_equal(ds.descriptors[2], fmap.data[1, 0])
 
 
-def test_descriptor_container_round_trip(rng):
+def test_descriptor_container_round_trip(rng, tmp_path):
     ds = DescriptorSet(4, rng.normal(size=(9, 4)))
-    container = descriptors_to_map(ds)
+    write_rows(tmp_path / "bag.fvt", ds.count, ds.descriptors)
+    container = read_tensor(tmp_path / "bag.fvt")
     assert (container.height, container.width, container.channels) == (9, 1, 4)
     back = map_to_descriptors(container)
     np.testing.assert_array_equal(back.descriptors, ds.descriptors)

@@ -43,9 +43,9 @@ from fvforge.tensors import (
     FeatureMap,
     GlobalVector,
     Manifest,
-    ManifestEntry,
     read_as,
     read_dims,
+    read_matrix,
     read_tensor,
     write_rows,
     write_tensor,
@@ -101,7 +101,7 @@ def _run_bytes(out):
 def _feature_row(out, manifest, entry):
     """The row of ``entry`` in its role's feature container under ``out``."""
     entries = manifest.split(entry.role)
-    matrix = pipeline.read_features(out / "features" / f"{entry.role}.fvt", entries)
+    matrix = read_matrix(out / "features" / f"{entry.role}.fvt", len(entries))
     return matrix[entries.index(entry)]
 
 
@@ -438,20 +438,14 @@ def test_wrong_score_layer_dim_is_rejected(dataset, tmp_path):
         run(dataset, cfg, tmp_path / "run")
 
 
-def _write_container(path, rows):
-    """One feature container of ``rows``; returns their manifest entries."""
-    write_rows(path, len(rows), rows)
-    return [ManifestEntry(f"img{i}", 0, ()) for i in range(len(rows))]
-
-
 def test_read_features_holds_one_matrix(tmp_path):
-    """250 vectors come back as float64 rows, in order, with no second copy
-    alive at the peak."""
+    """250 vectors come back from ``read_matrix`` as float64 rows, in
+    order, with no second copy alive at the peak."""
     rows = np.random.default_rng(8).normal(size=(250, 4096)).astype(np.float32)
-    entries = _write_container(tmp_path / "train.fvt", rows)
+    write_rows(tmp_path / "train.fvt", len(rows), rows)
     tracemalloc.start()
     try:
-        matrix = pipeline.read_features(tmp_path / "train.fvt", entries)
+        matrix = read_matrix(tmp_path / "train.fvt", len(rows))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -495,20 +489,20 @@ def test_read_stacks_fills_one_stack_per_row_function(dataset):
 
 def test_feature_containers_reject_mixed_dims_and_wrong_shapes(tmp_path):
     """The writer refuses rows of mixed dims and leaves no file; the reader
-    refuses no entries, a row count other than the entries' and a tensor
+    refuses no rows, a row count other than the one asked for and a tensor
     that is not rows x 1 x dim."""
     path = tmp_path / "train.fvt"
     with pytest.raises(ShapeError, match="row 1 has dim 5, expected 4"):
         write_rows(path, 2, [np.ones(4), np.ones(5)])
     assert list(tmp_path.iterdir()) == []
-    with pytest.raises(ValidationError, match="no feature entries"):
-        pipeline.read_features(path, [])
-    entries = _write_container(path, np.ones((3, 4)))
-    with pytest.raises(ValidationError, match="3 feature rows for 2 entries"):
-        pipeline.read_features(path, entries[:2])
+    write_rows(path, 3, np.ones((3, 4)))
+    with pytest.raises(ValidationError, match="3 rows, expected 0"):
+        read_matrix(path, 0)
+    with pytest.raises(ValidationError, match="3 rows, expected 2"):
+        read_matrix(path, 2)
     write_tensor(FeatureMap(3, 2, 2, np.ones(12)), path)
     with pytest.raises(ValidationError, match="rows x 1 x dim"):
-        pipeline.read_features(path, entries)
+        read_matrix(path, 3)
 
 
 def test_unlabeled_entries_are_rejected(dataset, tmp_path):

@@ -28,8 +28,11 @@ from fvforge.tensors import (
     ScoreVector,
     load_manifest,
     read_dims,
+    read_matrix,
+    read_rows,
     read_tensor,
     write_manifest,
+    write_rows,
     write_tensor,
 )
 
@@ -166,6 +169,44 @@ def test_read_rejects_flag_violation(tmp_path):
     path.write_bytes(blob)
     with pytest.raises(DataError):
         read_tensor(path)
+
+
+def _row_container(path, rows, flags=0):
+    """A row container of ``rows`` written byte by byte, ``flags`` set."""
+    rows = np.asarray(rows, dtype="<f4")
+    path.write_bytes(
+        struct.pack("<4sBBBB3I", b"FVT1", 1, 1, 3, flags, len(rows), 1, rows.shape[1])
+        + rows.tobytes()
+    )
+
+
+def test_read_rows_yields_what_write_rows_wrote(rng, tmp_path):
+    rows = rng.normal(size=(5, 3)).astype(np.float32)
+    write_rows(tmp_path / "r.fvt", 5, rows)
+    assert np.array_equal([row.copy() for row in read_rows(tmp_path / "r.fvt")], rows)
+    assert np.array_equal(read_matrix(tmp_path / "r.fvt", 5), rows)
+
+
+@pytest.mark.parametrize(
+    "rows, flags, match",
+    [
+        ([[1.0, 2.0], [np.nan, 0.0]], 0, "row 1 is not finite"),
+        ([[1.0, 2.0], [0.0, -1.0]], 1, "row 1 is negative under the nonnegative flag"),
+    ],
+    ids=["nan", "negative-under-flag"],
+)
+def test_row_readers_check_each_row(tmp_path, rows, flags, match):
+    path = tmp_path / "r.fvt"
+    _row_container(path, rows, flags)
+    with pytest.raises(DataError, match=match):
+        list(read_rows(path))
+    with pytest.raises(DataError, match=match):
+        read_matrix(path)
+
+
+def test_row_readers_accept_nonnegative_rows_under_the_flag(tmp_path):
+    _row_container(tmp_path / "r.fvt", [[0.0, 2.0]], flags=1)
+    assert read_matrix(tmp_path / "r.fvt", 1).tolist() == [[0.0, 2.0]]
 
 
 @settings(max_examples=60, deadline=None)
