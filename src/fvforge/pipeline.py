@@ -379,8 +379,8 @@ def _train_predict_evaluate(
 def run_scenario1(
     manifest: Manifest, cfg: PipelineConfig, out: Path, pool: Executor, threads: int
 ) -> EvalReport:
-    """Score-level fusion of the streams' per-class score tensors, scored
-    on ``pool`` at most ``threads`` entries ahead.
+    """Score-level fusion of the streams' per-class score tensors, each
+    entry scored through ``_map_ahead`` with the run's ``threads``.
 
     No training happens here; the test split is evaluated when present,
     otherwise every entry is.

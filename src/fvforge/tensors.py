@@ -300,9 +300,9 @@ def _open_rows(path: str | Path, count: int | None):
         yield dims[0], dims[2], rows()
 
 
-def read_rows(path: str | Path, count: int | None = None):
-    """The float32 rows of the row container at ``path``, in file order,
-    each yielded in one reused buffer, so one row is held at a time."""
+def read_rows(path: str | Path, count: int):
+    """The ``count`` float32 rows of the row container at ``path``, in file
+    order, each yielded in one reused buffer, so one row is held at a time."""
     with _open_rows(path, count) as (_, _, rows):
         yield from rows
 
@@ -312,7 +312,7 @@ def read_matrix(path: str | Path, count: int | None = None) -> np.ndarray:
     allocated from the checked header; each row is cast into it as it is
     read, so the matrix is the only copy held."""
     with _open_rows(path, count) as (height, dim, rows):
-        return np.fromiter(rows, np.dtype((np.float64, dim)), height)
+        return np.fromiter(rows, np.dtype((np.float64, (dim,))), height)
 
 
 def read_dims(path: str | Path) -> tuple[int, ...]:

@@ -326,6 +326,16 @@ def test_save_load_round_trip(rng, tmp_path):
     np.testing.assert_allclose(ours, predict_matrix(model, x), rtol=1e-5, atol=1e-4)
 
 
+def test_one_feature_weights_load_as_a_column(rng, tmp_path):
+    model = LinearModel(
+        class_count=3, feature_dim=1, weights=rng.normal(size=(3, 1)), biases=rng.normal(size=3)
+    )
+    save_svm(model, tmp_path / "svm")
+    loaded = load_svm(tmp_path / "svm")
+    assert loaded.weights.shape == (3, 1)
+    np.testing.assert_array_equal(loaded.weights, model.weights.astype(np.float32))
+
+
 def test_degenerate_flag_survives_the_files(rng, tmp_path):
     x, y = make_blobs(rng, classes=2, per_class=6, dim=3)
     model = train_ovr(x, y, class_count=3)

@@ -16,7 +16,7 @@ import pytest
 from fvforge.classify import LinearModel, save_svm
 from fvforge.cli import build_parser, main
 from fvforge.config import PipelineConfig
-from fvforge.gmm import GmmModel, save_gmm
+from fvforge.gmm import GmmModel, load_gmm, save_gmm
 from fvforge.normalize import variant_descriptors
 from fvforge.pca import PcaModel, load_pca, project, save_pca
 from fvforge.pipeline import MAX_THREADS, derived_seed
@@ -269,9 +269,27 @@ def test_tdd_and_apply_pca_write_the_descriptors_read_rows_reads(tiny, tmp_path)
     assert main(["fit-pca", "--dim", "3", "--out", pca, desc]) == 0
     assert main(["apply-pca", "--model", pca, "--in", desc, "--out", proj]) == 0
     written = variant_descriptors(read_as(conv, FeatureMap), "spatial")
-    assert np.array_equal([row.copy() for row in read_rows(desc)], written.descriptors)
+    rows = [row.copy() for row in read_rows(desc, len(written.descriptors))]
+    assert np.array_equal(rows, written.descriptors)
     projected = project(load_pca(pca), written)
-    assert np.array_equal([row.copy() for row in read_rows(proj)], projected.descriptors)
+    rows = [row.copy() for row in read_rows(proj, len(projected.descriptors))]
+    assert np.array_equal(rows, projected.descriptors)
+
+
+def test_one_dimensional_descriptors_run_the_whole_local_chain(tiny, tmp_path):
+    """Every model matrix of a PCA to one dim is (rows, 1): the mixture's
+    means and variances are read back as K x 1, not as K values."""
+    conv = load_manifest(tiny / "data.manifest").entries[0].paths_for("object", "conv5_3")[0]
+    desc, proj, pca, gmm, fv = (
+        str(tmp_path / name) for name in ("desc.fvt", "proj.fvt", "pca", "gmm", "fv.fvt")
+    )
+    assert main(["tdd", "--in", str(conv), "--mode", "spatial", "--out", desc]) == 0
+    assert main(["fit-pca", "--dim", "1", "--out", pca, desc]) == 0
+    assert main(["apply-pca", "--model", pca, "--in", desc, "--out", proj]) == 0
+    assert main(["fit-gmm", "--k", "2", "--out", gmm, proj]) == 0
+    assert main(["encode-fv", "--gmm", gmm, "--out", fv, proj]) == 0
+    assert load_gmm(gmm).means.shape == (2, 1)
+    assert read_as(fv, GlobalVector).dim == 2 * 2 * 1
 
 
 def test_tdd_rejects_rank1_input_without_writing(tiny, tmp_path):
@@ -629,7 +647,7 @@ import sys
 from pathlib import Path
 import numpy as np
 from fvforge.cli import main
-from fvforge.gmm import GmmModel, save_gmm
+from fvforge.gmm import GmmModel, load_gmm, save_gmm
 from fvforge.tensors import read_tensor, write_rows
 
 out = Path(sys.argv[1])

@@ -180,11 +180,14 @@ def _row_container(path, rows, flags=0):
     )
 
 
-def test_read_rows_yields_what_write_rows_wrote(rng, tmp_path):
-    rows = rng.normal(size=(5, 3)).astype(np.float32)
+@pytest.mark.parametrize("dim", [3, 1])
+def test_read_rows_yields_what_write_rows_wrote(rng, tmp_path, dim):
+    rows = rng.normal(size=(5, dim)).astype(np.float32)
     write_rows(tmp_path / "r.fvt", 5, rows)
-    assert np.array_equal([row.copy() for row in read_rows(tmp_path / "r.fvt")], rows)
-    assert np.array_equal(read_matrix(tmp_path / "r.fvt", 5), rows)
+    assert np.array_equal([row.copy() for row in read_rows(tmp_path / "r.fvt", 5)], rows)
+    matrix = read_matrix(tmp_path / "r.fvt", 5)
+    assert matrix.shape == (5, dim)
+    assert np.array_equal(matrix, rows)
 
 
 @pytest.mark.parametrize(
@@ -199,7 +202,7 @@ def test_row_readers_check_each_row(tmp_path, rows, flags, match):
     path = tmp_path / "r.fvt"
     _row_container(path, rows, flags)
     with pytest.raises(DataError, match=match):
-        list(read_rows(path))
+        list(read_rows(path, 2))
     with pytest.raises(DataError, match=match):
         read_matrix(path)
 
