@@ -257,10 +257,10 @@ def build_parser() -> argparse.ArgumentParser:
         default=min(max(1, os.cpu_count() or 1), pipeline.MAX_THREADS),
         help=(
             f"threads working at once, at most {pipeline.MAX_THREADS} "
-            "(default: machine parallelism): N - 1 pool threads do the "
-            "per-image work while the calling thread fits, single-threaded "
-            "like BLAS, or waits; after the fits it runs the local encodes "
-            "no worker has started, from the back of the queue, then joins "
+            "(default: machine parallelism): while the calling thread fits "
+            "the local models, single-threaded like BLAS, N - 1 pool threads "
+            "encode images; after the fits it runs the local encodes no "
+            "worker has started, from the back of the queue, then joins "
             "them and writes the local features"
         ),
     )

@@ -25,7 +25,6 @@ from .tensors import read_text
 SCENARIOS = (
     "softmax_fusion",
     "global_pretrained",
-    "global_finetuned",
     "local_fv",
     "layer_fusion",
 )

@@ -19,13 +19,13 @@ variant and fits PCA on each stack as it stands, then projects each
 view from its own rows into one stack for the mixture; ``fit-pca`` and
 ``fit-gmm`` stack their descriptor files the same way.
 
-``run`` builds the run's one worker pool: with ``threads`` N (at most
-``MAX_THREADS``), N − 1 pool threads do the per-image work of every
-stage, while the calling thread fits the models or waits on the pool.
-Local encodings are queued as tasks that either thread may run: once
-both streams are fit, the calling thread runs every encode no worker
-has started, from the back of the queue, and only then joins the
-encodings in manifest order and writes the local features.
+Global features and score fusion run on the calling thread.  Only the
+local features use a worker pool: with ``threads`` N (at most
+``MAX_THREADS``), N − 1 pool threads encode images while the calling
+thread fits the models.  Local encodings are queued as tasks that either
+thread may run: once both streams are fit, the calling thread runs every
+encode no worker has started, from the back of the queue, and only then
+joins the encodings in manifest order and writes the local features.
 
 Outputs under the run directory: ``report.csv``, ``scores.csv`` for the
 evaluated images, one feature container per role under ``features*/``
@@ -36,10 +36,10 @@ each written as its rows are computed and read back by
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import logging
 import threading
-from collections import deque
 from concurrent.futures import Executor, Future, ThreadPoolExecutor
 from pathlib import Path
 
@@ -81,28 +81,19 @@ def derived_seed(base: int, stream: str, variant: str) -> int:
     return base * 4 + 2 * STREAMS.index(stream) + VARIANTS.index(variant)
 
 
-class _Inline(Executor):
-    """Executor for ``threads == 1``: runs each call when it is submitted
-    and keeps its outcome in the future, as a pool would."""
-
-    def submit(self, fn, /, *args):
-        future = Future()
-        try:
-            future.set_result(fn(*args))
-        except Exception as exc:
-            future.set_exception(exc)
-        return future
-
-
 class _Task:
     """A call queued on ``pool`` that runs once, on whichever thread
-    claims it first: a pool worker, or a caller of ``run`` or ``result``."""
+    claims it first: a pool worker, or a caller of ``run`` or ``result``.
+    With no pool it runs here, as it is made."""
 
-    def __init__(self, pool: Executor, fn, *args):
+    def __init__(self, pool: Executor | None, fn, *args):
         self._call = (fn, args)
         self._claim = threading.Lock()
         self._future = Future()
-        pool.submit(self.run)
+        if pool is None:
+            self.run()
+        else:
+            pool.submit(self.run)
 
     def run(self) -> None:
         if not self._claim.acquire(blocking=False):
@@ -307,23 +298,6 @@ def _pooled_vector(entry: ManifestEntry, stream: str, layer: str) -> np.ndarray:
     return _file_round(sum_pool([v.data for v in views]))
 
 
-def _map_ahead(pool: Executor, fn, items, ahead: int):
-    """``fn`` of each item, run on ``pool`` and yielded in item order, with
-    at most ``ahead`` calls submitted beyond the result last yielded.
-
-    ``pool.map`` would submit every call at once, so the pool could run
-    arbitrarily far ahead of a slow consumer and hold every result it has
-    not taken yet.
-    """
-    pending = deque()
-    for item in items:
-        pending.append(pool.submit(fn, item))
-        if len(pending) > ahead:
-            yield pending.popleft().result()
-    while pending:
-        yield pending.popleft().result()
-
-
 def _write_features(features_dir: Path, manifest: Manifest, role_rows) -> None:
     """For each role the manifest has, write ``role_rows(role, entries)``,
     one vector per entry in manifest order, as the rows of
@@ -376,11 +350,8 @@ def _train_predict_evaluate(
     )
 
 
-def run_scenario1(
-    manifest: Manifest, cfg: PipelineConfig, out: Path, pool: Executor, threads: int
-) -> EvalReport:
-    """Score-level fusion of the streams' per-class score tensors, each
-    entry scored through ``_map_ahead`` with the run's ``threads``.
+def run_scenario1(manifest: Manifest, cfg: PipelineConfig, out: Path) -> EvalReport:
+    """Score-level fusion of the streams' per-class score tensors.
 
     No training happens here; the test split is evaluated when present,
     otherwise every entry is.
@@ -400,7 +371,7 @@ def run_scenario1(
             per_stream.append(ScoreVector(pooled.size, pooled))
         return fuse_scores(per_stream[0], per_stream[1], cfg.alpha).scores
 
-    matrix = np.stack(list(_map_ahead(pool, score_one, entries, threads)))
+    matrix = np.stack([score_one(e) for e in entries])
     return report_scores(
         matrix, entries, manifest.class_names,
         out / "report.csv", out / "scores.csv",
@@ -435,7 +406,7 @@ def _encode_entry(entry: ManifestEntry, stream: str, cfg: PipelineConfig, models
 
 
 def _fit_stream(
-    stream: str, entries, cfg: PipelineConfig, models_dir: Path, pool: Executor
+    stream: str, entries, cfg: PipelineConfig, models_dir: Path, pool: Executor | None
 ) -> tuple[list, list]:
     """Fit + serialize + reload one stream's PCA and GMM per configured
     variant, in ``VARIANTS`` order, and return each entry's tasks that
@@ -451,7 +422,7 @@ def _fit_stream(
     first.  As soon as a variant's mixture exists, a task on ``pool`` is
     queued per train entry to encode its rows of that stack.  Once every
     model exists, one task per other entry is queued to read and encode
-    it.
+    it.  With no pool, each task runs as it is queued.
     """
     train_at = [i for i, entry in enumerate(entries) if entry.role == "train"]
     paths, view_counts = [], []
@@ -503,20 +474,22 @@ def _fit_stream(
 
 
 def _write_local_features(
-    manifest: Manifest, cfg: PipelineConfig, out: Path, features_dir: Path, pool: Executor
+    manifest: Manifest, cfg: PipelineConfig, out: Path, features_dir: Path, threads: int
 ) -> None:
-    """Fit the local models stream by stream while ``pool`` encodes every
-    image whose models exist.  The calling thread then runs, from the back,
-    every encode no worker has started, and joins each entry's encodings,
-    in manifest order, and writes its feature."""
+    """Fit the local models stream by stream while ``threads`` − 1 pool
+    threads encode every image whose models exist; at one thread, each
+    image is encoded as soon as its models do.  The calling thread then
+    runs, from the back, every encode no worker has started, and joins
+    each entry's encodings, in manifest order, and writes its feature."""
     entries = manifest.entries
     entries_for_role(manifest, "train")  # raises when there is nothing to fit on
-    fitted = [_fit_stream(s, entries, cfg, out / "models", pool) for s in STREAMS]
-    tasks, queued = zip(*fitted)
-    # Workers take the queue from the front, so this walk meets them in
-    # the middle and never waits on a task a worker has claimed.
-    for task in reversed([t for stream_queue in queued for t in stream_queue]):
-        task.run()
+    with ThreadPoolExecutor(threads - 1) if threads > 1 else contextlib.nullcontext() as pool:
+        fitted = [_fit_stream(s, entries, cfg, out / "models", pool) for s in STREAMS]
+        tasks, queued = zip(*fitted)
+        # Workers take the queue from the front, so this walk meets them in
+        # the middle and never waits on a task a worker has claimed.
+        for task in reversed([t for stream_queue in queued for t in stream_queue]):
+            task.run()
 
     entry_tasks = dict(zip(entries, zip(*tasks)))  # per entry, per stream
 
@@ -543,14 +516,15 @@ def run(
     out_dir: str | Path,
     threads: int = 1,
 ) -> EvalReport:
-    """Run the configured scenario on the run's one pool.
+    """Run the configured scenario.
 
     ``softmax_fusion`` fuses the streams' scores and trains nothing.  Every
     other scenario writes its global and/or local features, then trains,
     predicts and evaluates.  ``layer_fusion`` writes both under
     ``features_global/`` and ``features_local/``, then either fuses them
     into ``features/`` or, with ``layer_mode = scores``, trains one
-    classifier bank per representation and fuses their scores.
+    classifier bank per representation and fuses their scores.  Only the
+    local features use ``threads``; everything else runs on this thread.
     """
     if not isinstance(manifest, Manifest):
         manifest = load_manifest(manifest)
@@ -558,32 +532,30 @@ def run(
         raise ParameterError(f"threads must be between 1 and {MAX_THREADS}")
     out = Path(out_dir)
     scenario = cfg.scenario
-    with ThreadPoolExecutor(threads - 1) if threads > 1 else _Inline() as pool:
-        if scenario == "softmax_fusion":
-            return run_scenario1(manifest, cfg, out, pool, threads)
-        fusion = scenario == "layer_fusion"
-        global_dir = out / ("features_global" if fusion else "features")
-        local_dir = out / ("features_local" if fusion else "features")
-        if scenario != "local_fv":
-            feature = functools.partial(_global_feature, cfg=cfg)
-            _write_features(
-                global_dir, manifest,
-                lambda role, entries: _map_ahead(pool, feature, entries, threads),
+    if scenario == "softmax_fusion":
+        return run_scenario1(manifest, cfg, out)
+    fusion = scenario == "layer_fusion"
+    global_dir = out / ("features_global" if fusion else "features")
+    local_dir = out / ("features_local" if fusion else "features")
+    if scenario != "local_fv":
+        _write_features(
+            global_dir, manifest,
+            lambda role, entries: (_global_feature(e, cfg) for e in entries),
+        )
+        logger.info("stage=features kind=global images=%d", len(manifest.entries))
+    if scenario == "local_fv" or fusion:
+        _write_local_features(manifest, cfg, out, local_dir, threads)
+    if fusion and cfg.layer_mode == "scores":
+        banks = (("svm_global", "features_global"), ("svm_local", "features_local"))
+        return _train_predict_evaluate(manifest, cfg, out, banks)
+    if fusion:
+
+        def combined(role: str, entries):
+            rows = zip(
+                read_rows(global_dir / f"{role}.fvt", len(entries)),
+                read_rows(local_dir / f"{role}.fvt", len(entries)),
             )
-            logger.info("stage=features kind=global images=%d", len(manifest.entries))
-        if scenario == "local_fv" or fusion:
-            _write_local_features(manifest, cfg, out, local_dir, pool)
-        if fusion and cfg.layer_mode == "scores":
-            banks = (("svm_global", "features_global"), ("svm_local", "features_local"))
-            return _train_predict_evaluate(manifest, cfg, out, banks)
-        if fusion:
+            return (fuse_features(g, l, cfg.layer_weights) for g, l in rows)
 
-            def combined(role: str, entries):
-                rows = zip(
-                    read_rows(global_dir / f"{role}.fvt", len(entries)),
-                    read_rows(local_dir / f"{role}.fvt", len(entries)),
-                )
-                return (fuse_features(g, l, cfg.layer_weights) for g, l in rows)
-
-            _write_features(out / "features", manifest, combined)
-        return _train_predict_evaluate(manifest, cfg, out)
+        _write_features(out / "features", manifest, combined)
+    return _train_predict_evaluate(manifest, cfg, out)

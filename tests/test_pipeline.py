@@ -280,6 +280,36 @@ def test_thread_count_does_not_change_outputs(dataset, local_run, tmp_path):
     assert _run_bytes(tmp_path / "pooled") == _run_bytes(serial_out)
 
 
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        dict(scenario="softmax_fusion"),
+        dict(scenario="global_pretrained"),
+        dict(scenario="layer_fusion", layer_mode="features"),
+        dict(scenario="layer_fusion", layer_mode="scores"),
+    ],
+    ids=["softmax_fusion", "global_pretrained", "layer_fusion-features", "layer_fusion-scores"],
+)
+def test_global_vectors_are_pooled_on_the_calling_thread(
+    dataset, tmp_path, monkeypatch, overrides
+):
+    """Score fusion and global features read their vectors on the calling
+    thread at any thread count, and write what one thread writes."""
+    cfg = make_cfg(**overrides)
+    run(dataset, cfg, tmp_path / "serial", threads=1)
+    callers = []
+
+    def recording_pooled_vector(*args):
+        callers.append(threading.get_ident())
+        return pooled_vector(*args)
+
+    pooled_vector = pipeline._pooled_vector
+    monkeypatch.setattr(pipeline, "_pooled_vector", recording_pooled_vector)
+    run(dataset, cfg, tmp_path / "threaded", threads=3)
+    assert callers and set(callers) == {threading.get_ident()}
+    assert _run_bytes(tmp_path / "threaded") == _run_bytes(tmp_path / "serial")
+
+
 @pytest.mark.parametrize("threads", [1, 3])
 def test_variant_order_does_not_change_a_local_run(
     dataset, local_run, tmp_path, threads
@@ -603,18 +633,6 @@ def test_task_exception_surfaces_from_result(busy_pool):
     task = pipeline._Task(pool, fail)
     with pytest.raises(ValidationError, match="encode failed"):
         task.result()
-
-
-def test_map_ahead_keeps_order_and_bounds_the_calls_submitted():
-    """A slow consumer holds the pool back: when the k-th result is
-    yielded, at most ``ahead`` calls past it have been submitted."""
-    submitted = []
-    with ThreadPoolExecutor(2) as pool:
-        results = []
-        for value in pipeline._map_ahead(pool, lambda i: submitted.append(i) or i, range(40), 3):
-            assert len(submitted) <= len(results) + 1 + 3
-            results.append(value)
-    assert results == list(range(40))
 
 
 def test_derived_seeds_are_distinct():
