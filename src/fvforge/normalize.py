@@ -19,6 +19,10 @@ VARIANTS = ("channel", "spatial")
 
 DEFAULT_EPSILON = 1e-12
 
+# Rows per finiteness check, so a check holds one small boolean block and
+# never a boolean twin of the whole array.
+FINITE_CHECK_ROWS = 4096
+
 
 @dataclass(frozen=True)
 class DescriptorSet:
@@ -40,8 +44,9 @@ class DescriptorSet:
             raise ShapeError(
                 f"descriptors must be (N, {self.dim}), got {arr.shape}"
             )
-        if not np.all(np.isfinite(arr)):
-            raise DataError("descriptors contain non-finite values")
+        for start in range(0, arr.shape[0], FINITE_CHECK_ROWS):
+            if not np.isfinite(arr[start:start + FINITE_CHECK_ROWS]).all():
+                raise DataError("descriptors contain non-finite values")
         arr.flags.writeable = False
         object.__setattr__(self, "descriptors", arr)
 

@@ -19,6 +19,12 @@ variant and fits PCA on each stack as it stands, then projects each
 view from its own rows into one stack for the mixture; ``fit-pca`` and
 ``fit-gmm`` stack their descriptor files the same way.
 
+Every scenario ends the same way: one matrix of class scores for the
+evaluated entries, one ``report_scores`` call.  Where two score sources
+meet, the object and scene streams in ``softmax_fusion`` or the global
+and local classifier banks of ``layer_fusion``, one row-wise weighted
+sum fuses them.
+
 Global features and score fusion run on the calling thread.  Only the
 local features use a worker pool: with ``threads`` N (at most
 ``MAX_THREADS``), N − 1 pool threads encode images while the calling
@@ -309,72 +315,29 @@ def _write_features(features_dir: Path, manifest: Manifest, role_rows) -> None:
             write_rows(features_dir / f"{role}.fvt", len(entries), role_rows(role, entries))
 
 
-def _train_predict_evaluate(
-    manifest: Manifest,
-    cfg: PipelineConfig,
-    out: Path,
-    banks=(("svm", "features"),),
-) -> EvalReport:
-    """Shared tail of every classifier scenario.
-
-    ``banks`` lists (model name, features dir name) pairs under ``out``;
-    each gets its own classifiers, and the scores of two banks are fused
-    with the layer weights.  Every model is saved before the test split
-    is touched, so a train-only manifest still leaves fitted models on disk.
-    """
-    models = [
-        train_svm_model(
-            manifest, out / features / "train.fvt", out / "models" / name,
-            cfg.svm_c, cfg.svm_seed, cfg.svm_max_epochs, cfg.svm_tol,
-        )
-        for name, features in banks
-    ]
-    test = entries_for_role(manifest, "test")
-    matrices = [
-        predict_matrix(model, read_matrix(out / features / "test.fvt", len(test)))
-        for model, (_, features) in zip(models, banks)
-    ]
-    if len(matrices) == 2:
-        n = manifest.class_count
-        matrices = [
-            np.stack(
-                [
-                    fuse_scores(ScoreVector(n, g), ScoreVector(n, l), cfg.layer_weights).scores
-                    for g, l in zip(*matrices)
-                ]
+def _stream_scores(entry: ManifestEntry, layer: str, class_count: int) -> list:
+    """Each stream's pooled score vector of ``layer``, object first; a
+    vector of the wrong class count is an error."""
+    per_stream = []
+    for stream in STREAMS:
+        pooled = _pooled_vector(entry, stream, layer)
+        if pooled.size != class_count:
+            raise ShapeError(
+                f"image '{entry.image_id}' {stream} scores have dim "
+                f"{pooled.size}, manifest lists {class_count} classes"
             )
+        per_stream.append(pooled)
+    return per_stream
+
+
+def _fuse_rows(row_pairs, weights: FusionWeights) -> np.ndarray:
+    """The score matrix whose rows are the weighted sums of ``row_pairs``,
+    taken one pair at a time, in order."""
+    return np.stack(
+        [
+            fuse_scores(ScoreVector(a.size, a), ScoreVector(b.size, b), weights).scores
+            for a, b in row_pairs
         ]
-    return report_scores(
-        matrices[0], test, manifest.class_names,
-        out / "report.csv", out / "scores.csv",
-    )
-
-
-def run_scenario1(manifest: Manifest, cfg: PipelineConfig, out: Path) -> EvalReport:
-    """Score-level fusion of the streams' per-class score tensors.
-
-    No training happens here; the test split is evaluated when present,
-    otherwise every entry is.
-    """
-    out.mkdir(parents=True, exist_ok=True)
-    entries = list(manifest.split("test") or manifest.entries)
-
-    def score_one(entry: ManifestEntry) -> np.ndarray:
-        per_stream = []
-        for stream in STREAMS:
-            pooled = _pooled_vector(entry, stream, cfg.score_layer)
-            if pooled.size != manifest.class_count:
-                raise ShapeError(
-                    f"image '{entry.image_id}' {stream} scores have dim "
-                    f"{pooled.size}, manifest lists {manifest.class_count} classes"
-                )
-            per_stream.append(ScoreVector(pooled.size, pooled))
-        return fuse_scores(per_stream[0], per_stream[1], cfg.alpha).scores
-
-    matrix = np.stack([score_one(e) for e in entries])
-    return report_scores(
-        matrix, entries, manifest.class_names,
-        out / "report.csv", out / "scores.csv",
     )
 
 
@@ -516,15 +479,19 @@ def run(
     out_dir: str | Path,
     threads: int = 1,
 ) -> EvalReport:
-    """Run the configured scenario.
+    """Run the configured scenario and evaluate its score matrix.
 
-    ``softmax_fusion`` fuses the streams' scores and trains nothing.  Every
-    other scenario writes its global and/or local features, then trains,
-    predicts and evaluates.  ``layer_fusion`` writes both under
-    ``features_global/`` and ``features_local/``, then either fuses them
-    into ``features/`` or, with ``layer_mode = scores``, trains one
-    classifier bank per representation and fuses their scores.  Only the
-    local features use ``threads``; everything else runs on this thread.
+    ``softmax_fusion`` trains nothing: it fuses the streams' scores of the
+    test entries, or of every entry when there is none.  Every other
+    scenario writes its global and/or local features, trains one
+    classifier bank per feature directory, saving every model before the
+    test split is touched, and predicts the test entries.
+    ``layer_fusion`` writes both under ``features_global/`` and
+    ``features_local/``, then either fuses them into ``features/`` or,
+    with ``layer_mode = scores``, trains a bank on each and fuses their
+    scores.  Both score fusions are the one row-wise weighted sum, and
+    every scenario ends in one evaluation.  Only the local features use
+    ``threads``; everything else runs on this thread.
     """
     if not isinstance(manifest, Manifest):
         manifest = load_manifest(manifest)
@@ -533,29 +500,52 @@ def run(
     out = Path(out_dir)
     scenario = cfg.scenario
     if scenario == "softmax_fusion":
-        return run_scenario1(manifest, cfg, out)
-    fusion = scenario == "layer_fusion"
-    global_dir = out / ("features_global" if fusion else "features")
-    local_dir = out / ("features_local" if fusion else "features")
-    if scenario != "local_fv":
-        _write_features(
-            global_dir, manifest,
-            lambda role, entries: (_global_feature(e, cfg) for e in entries),
+        out.mkdir(parents=True, exist_ok=True)
+        entries = list(manifest.split("test") or manifest.entries)
+        row_pairs = (
+            _stream_scores(e, cfg.score_layer, manifest.class_count) for e in entries
         )
-        logger.info("stage=features kind=global images=%d", len(manifest.entries))
-    if scenario == "local_fv" or fusion:
-        _write_local_features(manifest, cfg, out, local_dir, threads)
-    if fusion and cfg.layer_mode == "scores":
-        banks = (("svm_global", "features_global"), ("svm_local", "features_local"))
-        return _train_predict_evaluate(manifest, cfg, out, banks)
-    if fusion:
-
-        def combined(role: str, entries):
-            rows = zip(
-                read_rows(global_dir / f"{role}.fvt", len(entries)),
-                read_rows(local_dir / f"{role}.fvt", len(entries)),
+        matrix = _fuse_rows(row_pairs, cfg.alpha)
+    else:
+        fusion = scenario == "layer_fusion"
+        global_dir = out / ("features_global" if fusion else "features")
+        local_dir = out / ("features_local" if fusion else "features")
+        if scenario != "local_fv":
+            _write_features(
+                global_dir, manifest,
+                lambda role, entries: (_global_feature(e, cfg) for e in entries),
             )
-            return (fuse_features(g, l, cfg.layer_weights) for g, l in rows)
+            logger.info("stage=features kind=global images=%d", len(manifest.entries))
+        if scenario == "local_fv" or fusion:
+            _write_local_features(manifest, cfg, out, local_dir, threads)
+        banks = (("svm", out / "features"),)
+        if fusion and cfg.layer_mode == "scores":
+            banks = (("svm_global", global_dir), ("svm_local", local_dir))
+        elif fusion:
 
-        _write_features(out / "features", manifest, combined)
-    return _train_predict_evaluate(manifest, cfg, out)
+            def combined(role: str, entries):
+                rows = zip(
+                    read_rows(global_dir / f"{role}.fvt", len(entries)),
+                    read_rows(local_dir / f"{role}.fvt", len(entries)),
+                )
+                return (fuse_features(g, l, cfg.layer_weights) for g, l in rows)
+
+            _write_features(out / "features", manifest, combined)
+        models = [
+            train_svm_model(
+                manifest, features / "train.fvt", out / "models" / name,
+                cfg.svm_c, cfg.svm_seed, cfg.svm_max_epochs, cfg.svm_tol,
+            )
+            for name, features in banks
+        ]
+        entries = entries_for_role(manifest, "test")
+        matrices = [
+            predict_matrix(model, read_matrix(features / "test.fvt", len(entries)))
+            for model, (_, features) in zip(models, banks)
+        ]
+        matrix = matrices[0]
+        if len(matrices) == 2:
+            matrix = _fuse_rows(zip(*matrices), cfg.layer_weights)
+    return report_scores(
+        matrix, entries, manifest.class_names, out / "report.csv", out / "scores.csv"
+    )

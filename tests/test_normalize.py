@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from fvforge.errors import ParameterError, ShapeError
+from fvforge.errors import DataError, ParameterError, ShapeError
 from fvforge.normalize import (
+    FINITE_CHECK_ROWS,
     DescriptorSet,
     channel_normalize,
     extract_descriptors,
@@ -101,3 +104,24 @@ def test_descriptor_set_validation(rng):
         DescriptorSet(3, rng.normal(size=(4, 2)))
     with pytest.raises(ParameterError):
         DescriptorSet(0, np.zeros((4, 0)))
+
+
+def test_descriptor_set_checks_finiteness_without_a_whole_twin():
+    """The finiteness check over 16 blocks of rows holds one boolean
+    block at a time, not a boolean copy of the whole array (0.25x)."""
+    rows = np.ones((16 * FINITE_CHECK_ROWS, 32), np.float32)
+    tracemalloc.start()
+    try:
+        DescriptorSet(32, rows)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.05 * rows.nbytes
+
+
+@pytest.mark.parametrize("row", [0, FINITE_CHECK_ROWS - 1, FINITE_CHECK_ROWS, -1])
+def test_descriptor_set_finds_a_non_finite_value_in_any_block(row):
+    rows = np.zeros((2 * FINITE_CHECK_ROWS + 3, 4), np.float32)
+    rows[row, 2] = np.nan
+    with pytest.raises(DataError, match="non-finite"):
+        DescriptorSet(4, rows)

@@ -566,6 +566,21 @@ def test_first_failing_entry_in_manifest_order_is_reported(tmp_path, threads):
         run(corpus, make_cfg(), tmp_path / "run", threads=threads)
 
 
+@pytest.mark.parametrize(
+    "scenario, layer", [("softmax_fusion", "prob"), ("global_pretrained", "fc7")]
+)
+def test_first_failing_entry_of_a_vector_scenario_is_reported(tmp_path, scenario, layer):
+    """Vectors are read entry by entry, object stream first: the first
+    test entry's broken scene view is reported, not the second entry's
+    broken object view."""
+    corpus = generate_dataset(tmp_path / "data", SPEC)
+    first, second = corpus.split("test")[:2]
+    second.paths_for("object", layer)[0].write_bytes(b"JUNK")
+    first.paths_for("scene", layer)[0].write_bytes(b"JUNK")
+    with pytest.raises(FormatError, match=f"{first.image_id}\\."):
+        run(corpus, make_cfg(scenario=scenario), tmp_path / "run", threads=3)
+
+
 def test_run_accepts_a_manifest_path_and_checks_threads(dataset, tmp_path):
     cfg = make_cfg(scenario="softmax_fusion")
     generate_dataset(tmp_path / "data", SPEC)
