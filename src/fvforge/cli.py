@@ -3,10 +3,10 @@
 Exit codes: 0 success, 2 bad usage or parameters, 3 data/format
 problems (including missing or unreadable files), 4 numeric failures.
 Each subcommand parses its arguments and calls the ``pipeline`` stage
-that ``run`` uses for the same step.  Every subcommand writes outputs
-atomically and logs one ``key=value`` line per completed stage on
-standard error.  Randomized subcommands default to seed 7 unless given
-``--seed``.
+that ``run`` uses for the same step; a stage subcommand's parameter
+flags are the keys of its config section, as ``PipelineConfig`` declares
+them.  Every subcommand writes outputs atomically and logs one
+``key=value`` line per completed stage on standard error.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import numpy as np
 from . import __version__, pipeline
 from .augment import plan_views
 from .classify import load_svm, predict_matrix
-from .config import POOLING_ORDERS, PipelineConfig, load_config
+from .config import PipelineConfig, load_config
 from .errors import FvForgeError, ParameterError, ValidationError
 from .evaluation import read_scores_csv, write_scores_csv
 from .fusion import FusionWeights, fuse_scores
@@ -66,6 +66,25 @@ def _parse_weights(text: str) -> FusionWeights:
         return FusionWeights(float(parts[0]), float(parts[1]))
     except ValueError as exc:
         raise ParameterError(f"bad weights '{text}'") from exc
+
+
+def _add_key_flags(parser: argparse.ArgumentParser, section: str) -> None:
+    """One ``--<key>`` flag per ``PipelineConfig`` field of ``section``,
+    with the field's name, kind, default and choices."""
+    for f in fields(PipelineConfig):
+        meta = f.metadata
+        if meta["section"] == section:
+            (key,) = meta["keys"]
+            parser.add_argument(
+                "--" + key.replace("_", "-"), dest=f.name, type=meta["kind"],
+                default=f.default, choices=meta["choices"] or None, help=f"[{section}] {key}",
+            )
+
+
+def _stage_config(args) -> PipelineConfig:
+    """The default config with the key flags of ``args`` in place."""
+    names = {f.name for f in fields(PipelineConfig)}
+    return PipelineConfig(**{k: v for k, v in vars(args).items() if k in names})
 
 
 def _descriptors(fmap: FeatureMap):
@@ -121,8 +140,9 @@ def _cmd_tdd(args) -> int:
 
 
 def _cmd_fit_pca(args) -> int:
+    cfg = _stage_config(args)
     (descriptors,), _ = pipeline.read_stacks(args.inputs, [_descriptors])
-    pipeline.fit_pca_model(descriptors, args.dim, args.out)
+    pipeline.fit_pca_model(descriptors, cfg.pca_dim, args.out)
     return 0
 
 
@@ -137,18 +157,17 @@ def _cmd_apply_pca(args) -> int:
 
 
 def _cmd_fit_gmm(args) -> int:
+    cfg = _stage_config(args)
     (descriptors,), _ = pipeline.read_stacks(args.inputs, [_descriptors])
-    pipeline.fit_gmm_model(
-        descriptors, args.k, args.out,
-        seed=args.seed, max_iters=args.max_iters, tol=args.tol,
-    )
+    pipeline.fit_gmm_model(descriptors, cfg, args.out, cfg.gmm_seed)
     return 0
 
 
 def _cmd_encode_fv(args) -> int:
+    cfg = _stage_config(args)
     model = load_gmm(args.gmm)
     views = [_read_descriptors(p) for p in args.inputs]
-    fv = pipeline.encode_views(model, views, args.pooling_order)
+    fv = pipeline.encode_views(model, views, cfg.pooling_order)
     write_tensor(GlobalVector(dim=fv.size, data=fv), args.out)
     logger.info(
         "stage=encode-fv views=%d k=%d dim=%d out=%s",
@@ -184,10 +203,8 @@ def _cmd_stack(args) -> int:
 
 
 def _cmd_train_svm(args) -> int:
-    pipeline.train_svm_model(
-        load_manifest(args.manifest), args.features, args.out,
-        args.c, args.seed, args.max_epochs, args.tol,
-    )
+    cfg = _stage_config(args)
+    pipeline.train_svm_model(load_manifest(args.manifest), args.features, args.out, cfg)
     return 0
 
 
@@ -241,7 +258,6 @@ def _cmd_synth(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    cfg = PipelineConfig()  # each stage default has one home
     parser = argparse.ArgumentParser(
         prog="fvforge",
         description=(
@@ -290,7 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_tdd)
 
     p = sub.add_parser("fit-pca", help="fit a projection on descriptor files")
-    p.add_argument("--dim", type=int, required=True, help="output dimensionality")
+    _add_key_flags(p, "pca")
     p.add_argument("--out", required=True, help="model directory")
     p.add_argument("inputs", nargs="+", help="descriptor tensor files")
     p.set_defaults(func=_cmd_fit_pca)
@@ -302,10 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_apply_pca)
 
     p = sub.add_parser("fit-gmm", help="fit a diagonal mixture on descriptor files")
-    p.add_argument("--k", type=int, required=True, help="component count")
-    p.add_argument("--seed", type=int, default=cfg.gmm_seed)
-    p.add_argument("--max-iters", type=int, default=cfg.gmm_max_iterations)
-    p.add_argument("--tol", type=float, default=cfg.gmm_tol)
+    _add_key_flags(p, "gmm")
     p.add_argument("--out", required=True, help="model directory")
     p.add_argument("inputs", nargs="+", help="descriptor tensor files")
     p.set_defaults(func=_cmd_fit_gmm)
@@ -314,7 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
         "encode-fv", help="encode descriptor files of one image, pooling views"
     )
     p.add_argument("--gmm", required=True, help="mixture model directory")
-    p.add_argument("--pooling-order", default=cfg.pooling_order, choices=POOLING_ORDERS)
+    _add_key_flags(p, "normalize")
     p.add_argument("--out", required=True, help="rank-1 tensor file")
     p.add_argument("inputs", nargs="+", help="projected descriptor files (views)")
     p.set_defaults(func=_cmd_encode_fv)
@@ -341,10 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--features", required=True,
         help="feature container of the train-role entries (`stack --role train`)",
     )
-    p.add_argument("--c", type=float, default=cfg.svm_c, help="loss/regularizer trade-off")
-    p.add_argument("--seed", type=int, default=cfg.svm_seed)
-    p.add_argument("--max-epochs", type=int, default=cfg.svm_max_epochs)
-    p.add_argument("--tol", type=float, default=cfg.svm_tol)
+    _add_key_flags(p, "svm")
     p.add_argument("--out", required=True, help="model directory")
     p.set_defaults(func=_cmd_train_svm)
 

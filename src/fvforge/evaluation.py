@@ -173,8 +173,8 @@ def write_scores_csv(
 
 
 def read_scores_csv(path: str | Path) -> tuple[list[str], np.ndarray]:
-    """Inverse of write_scores_csv; validates the header, row widths and
-    that no image id repeats."""
+    """Inverse of write_scores_csv; validates the header, that there is a
+    score row, the row widths and that no image id repeats."""
     src = Path(path)
     try:
         rows = list(csv.reader(io.StringIO(read_text(src), newline="")))
@@ -193,6 +193,8 @@ def read_scores_csv(path: str | Path) -> tuple[list[str], np.ndarray]:
     expected = [f"score_{k}" for k in range(class_count)]
     if header[1:] != expected:
         raise ValidationError(f"scores file {src} has malformed score columns")
+    if len(rows) == 1:
+        raise ValidationError(f"scores file {src} has no score rows")
     ids: list[str] = []
     seen: set[str] = set()
     data = np.zeros((len(rows) - 1, class_count))

@@ -185,23 +185,22 @@ def fit_pca_model(descriptors: DescriptorSet, dim: int, model_dir: str | Path) -
 
 
 def fit_gmm_model(
-    descriptors: DescriptorSet,
-    K: int,
-    model_dir: str | Path,
-    seed: int,
-    max_iters: int,
-    tol: float,
+    descriptors: DescriptorSet, cfg: PipelineConfig, model_dir: str | Path, seed: int
 ) -> GmmModel:
-    """Fit a mixture, serialize it, and return the reloaded model.
+    """Fit a mixture of the ``[gmm]`` section's components, iterations
+    and tol from ``seed``, serialize it, and return the reloaded model.
 
     The iteration count is logged from the fitted model, because the
     reloaded one carries no fit trace.
     """
-    model = fit_gmm(descriptors, K, seed=seed, max_iters=max_iters, tol=tol)
+    model = fit_gmm(
+        descriptors, cfg.gmm_components,
+        seed=seed, max_iters=cfg.gmm_max_iterations, tol=cfg.gmm_tol,
+    )
     save_gmm(model, model_dir)
     logger.info(
         "stage=fit-gmm components=%d descriptors=%d iterations=%d out=%s",
-        K, descriptors.count, len(model.fit_trace), model_dir,
+        cfg.gmm_components, descriptors.count, len(model.fit_trace), model_dir,
     )
     return load_gmm(model_dir)
 
@@ -232,25 +231,20 @@ def fuse_features(first, second, weights: FusionWeights) -> np.ndarray:
 
 
 def train_svm_model(
-    manifest: Manifest,
-    features: str | Path,
-    model_dir: str | Path,
-    C: float,
-    seed: int,
-    max_epochs: int,
-    tol: float,
+    manifest: Manifest, features: str | Path, model_dir: str | Path, cfg: PipelineConfig
 ) -> LinearModel:
-    """Train on the feature container of the train-role entries, serialize,
-    and return the reloaded model."""
+    """Train on the feature container of the train-role entries with the
+    ``[svm]`` section's parameters, serialize, and return the reloaded
+    model."""
     train = entries_for_role(manifest, "train")
     model = train_ovr(
         read_matrix(features, len(train)),
         labels_of(train),
         manifest.class_count,
-        C=C,
-        seed=seed,
-        max_epochs=max_epochs,
-        tol=tol,
+        C=cfg.svm_c,
+        seed=cfg.svm_seed,
+        max_epochs=cfg.svm_max_epochs,
+        tol=cfg.svm_tol,
         class_names=manifest.class_names,
     )
     save_svm(model, model_dir)
@@ -413,12 +407,8 @@ def _fit_stream(
         del stacked, rows  # frees this variant's descriptor stack
         projected = DescriptorSet(pca_model.output_dim, projected)
         gmm_model = fit_gmm_model(
-            projected,
-            cfg.gmm_components,
-            models_dir / f"gmm_{stream}_{variant}",
-            seed=derived_seed(cfg.gmm_seed, stream, variant),
-            max_iters=cfg.gmm_max_iterations,
-            tol=cfg.gmm_tol,
+            projected, cfg, models_dir / f"gmm_{stream}_{variant}",
+            derived_seed(cfg.gmm_seed, stream, variant),
         )
         models.append((variant, pca_model, gmm_model))
         views = [DescriptorSet(projected.dim, projected.descriptors[a:b]) for a, b in spans]
@@ -532,10 +522,7 @@ def run(
 
             _write_features(out / "features", manifest, combined)
         models = [
-            train_svm_model(
-                manifest, features / "train.fvt", out / "models" / name,
-                cfg.svm_c, cfg.svm_seed, cfg.svm_max_epochs, cfg.svm_tol,
-            )
+            train_svm_model(manifest, features / "train.fvt", out / "models" / name, cfg)
             for name, features in banks
         ]
         entries = entries_for_role(manifest, "test")

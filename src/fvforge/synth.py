@@ -57,9 +57,9 @@ class SynthSpec:
             raise ParameterError("test_fraction must lie in (0, 1)")
         if self.fc_dim < 1 or self.map_size < 1 or self.map_channels < 1:
             raise ParameterError("feature dimensions must be positive")
-        if self.class_scale <= 0.0 or self.noise_scale < 0.0:
+        if not (0.0 < self.class_scale < np.inf and 0.0 <= self.noise_scale < np.inf):
             raise ParameterError(
-                "class_scale must be positive and noise_scale nonnegative"
+                "class_scale must be positive and noise_scale nonnegative, both finite"
             )
 
     @property

@@ -457,11 +457,9 @@ def fit_local_models_by_view(entries, stream, cfg, models_dir):
         )
         pipeline.fit_gmm_model(
             stacked([project(pca, ds) for ds in sets]),
-            cfg.gmm_components,
+            cfg,
             Path(models_dir) / f"gmm_{stream}_{variant}",
-            seed=pipeline.derived_seed(cfg.gmm_seed, stream, variant),
-            max_iters=cfg.gmm_max_iterations,
-            tol=cfg.gmm_tol,
+            pipeline.derived_seed(cfg.gmm_seed, stream, variant),
         )
 
 

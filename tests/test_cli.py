@@ -7,7 +7,7 @@ import re
 import struct
 import threading
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +15,7 @@ import pytest
 
 from fvforge.classify import LinearModel, save_svm
 from fvforge.cli import build_parser, main
-from fvforge.config import PipelineConfig
+from fvforge.config import PipelineConfig, load_config
 from fvforge.gmm import GmmModel, load_gmm, save_gmm
 from fvforge.normalize import variant_descriptors
 from fvforge.pca import PcaModel, load_pca, project, save_pca
@@ -70,35 +70,79 @@ def test_help_exits_zero(capsys):
 
 
 @pytest.mark.parametrize(
-    "argv, expected",
+    "argv, section",
     [
-        (
-            ["fit-gmm", "--k", "2", "--out", "m", "in.fvt"],
-            {"seed": "gmm_seed", "max_iters": "gmm_max_iterations", "tol": "gmm_tol"},
-        ),
-        (
-            ["train-svm", "--manifest", "x", "--features", "f", "--out", "m"],
-            {
-                "c": "svm_c",
-                "seed": "svm_seed",
-                "max_epochs": "svm_max_epochs",
-                "tol": "svm_tol",
-            },
-        ),
-        (
-            ["encode-fv", "--gmm", "g", "--out", "o", "in.fvt"],
-            {"pooling_order": "pooling_order"},
-        ),
+        (["fit-pca", "--out", "m", "in.fvt"], "pca"),
+        (["fit-gmm", "--out", "m", "in.fvt"], "gmm"),
+        (["encode-fv", "--gmm", "g", "--out", "o", "in.fvt"], "normalize"),
+        (["train-svm", "--manifest", "x", "--features", "f", "--out", "m"], "svm"),
     ],
-    ids=["fit-gmm", "train-svm", "encode-fv"],
+    ids=["fit-pca", "fit-gmm", "encode-fv", "train-svm"],
 )
-def test_stage_flag_defaults_are_the_default_config(argv, expected):
-    """Default flags reproduce `run` with the default config."""
+def test_stage_flags_are_the_config_keys_of_their_section(argv, section):
+    """Beside the options ``argv`` names, a stage subcommand has exactly
+    one ``--<key>`` flag per key of its config section, and left out they
+    are the default config's values."""
+    (parser,) = (
+        action.choices[argv[0]]
+        for action in build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    )
+    options = {flag for action in parser._actions for flag in action.option_strings}
+    keyed = [f for f in fields(PipelineConfig) if f.metadata["section"] == section]
+    assert options - {"-h", "--help"} - set(argv) == {
+        "--" + f.metadata["keys"][0].replace("_", "-") for f in keyed
+    }
     args = build_parser().parse_args(argv)
     cfg = PipelineConfig()
-    assert {flag: getattr(args, flag) for flag in expected} == {
-        flag: getattr(cfg, key) for flag, key in expected.items()
+    assert {f.name: getattr(args, f.name) for f in keyed} == {
+        f.name: getattr(cfg, f.name) for f in keyed
     }
+
+
+@pytest.mark.parametrize(
+    "command, flags",
+    [
+        ("fit-pca", ["--dim", "0"]),
+        ("fit-gmm", ["--components", "0"]),
+        ("fit-gmm", ["--tol", "0"]),
+        ("fit-gmm", ["--max-iterations", "0"]),
+        ("encode-fv", ["--pooling-order", "sideways"]),
+        ("train-svm", ["--c", "inf"]),
+        ("train-svm", ["--tol", "nan"]),
+        ("train-svm", ["--max-epochs", "0"]),
+    ],
+    ids=[
+        "pca-dim", "gmm-components", "gmm-tol", "gmm-max-iterations",
+        "pooling-order", "svm-c", "svm-tol", "svm-max-epochs",
+    ],
+)
+def test_invalid_stage_flag_value_exits_two_without_writing(tiny, tmp_path, command, flags):
+    """A value the config would refuse for the key is refused as a flag,
+    before anything is written; the same call without it succeeds."""
+    descriptors = tmp_path / "d.fvt"
+    write_tensor(FeatureMap(6, 1, 4, np.arange(24.0)), descriptors)
+    out = tmp_path / "out"
+    if command == "train-svm":
+        manifest = tiny / "data.manifest"
+        train = load_manifest(manifest).split("train")
+        write_rows(tmp_path / "train.fvt", len(train), [np.full(4, 0.5)] * len(train))
+        argv = ["train-svm", "--manifest", str(manifest),
+                "--features", str(tmp_path / "train.fvt")]
+    elif command == "encode-fv":
+        gmm = str(tmp_path / "gmm")
+        assert main(["fit-gmm", "--components", "2", "--out", gmm, str(descriptors)]) == 0
+        argv = ["encode-fv", "--gmm", gmm, str(descriptors)]
+    else:
+        argv = [command, "--dim" if command == "fit-pca" else "--components", "2",
+                str(descriptors)]
+    try:
+        code = main(argv + flags + ["--out", str(out)])
+    except SystemExit as exc:  # a choice argparse refuses
+        code = exc.code
+    assert code == 2
+    assert not out.exists()
+    assert main(argv + ["--out", str(out)]) == 0
 
 
 def test_synth_flag_defaults_are_the_spec_defaults():
@@ -217,7 +261,7 @@ def test_fuse_bad_alpha_exits_two(tmp_path, alpha):
 
 
 @pytest.mark.parametrize(
-    "command", [["fit-pca", "--dim", "2"], ["fit-gmm", "--k", "2"]], ids=["fit-pca", "fit-gmm"]
+    "command", [["fit-pca", "--dim", "2"], ["fit-gmm", "--components", "2"]], ids=["fit-pca", "fit-gmm"]
 )
 def test_fits_on_descriptor_files_of_two_widths_exit_three(tmp_path, command):
     inputs = []
@@ -239,12 +283,12 @@ def test_descriptor_files_of_width_other_than_one_exit_three(tmp_path, rng, caps
     write_tensor(FeatureMap(6, 2, 4, rng.normal(size=48)), wide)
     pca, gmm = tmp_path / "pca", tmp_path / "gmm"
     assert main(["fit-pca", "--dim", "2", "--out", str(pca), str(good)]) == 0
-    assert main(["fit-gmm", "--k", "2", "--out", str(gmm), str(good)]) == 0
+    assert main(["fit-gmm", "--components", "2", "--out", str(gmm), str(good)]) == 0
     out = str(tmp_path / "out")
     argv = {
         "fit-pca": ["fit-pca", "--dim", "2", "--out", out, str(good), str(wide)],
         "apply-pca": ["apply-pca", "--model", str(pca), "--in", str(wide), "--out", out],
-        "fit-gmm": ["fit-gmm", "--k", "2", "--out", out, str(good), str(wide)],
+        "fit-gmm": ["fit-gmm", "--components", "2", "--out", out, str(good), str(wide)],
         "encode-fv": ["encode-fv", "--gmm", str(gmm), "--out", out, str(good), str(wide)],
     }[command]
     capsys.readouterr()
@@ -286,7 +330,7 @@ def test_one_dimensional_descriptors_run_the_whole_local_chain(tiny, tmp_path):
     assert main(["tdd", "--in", str(conv), "--mode", "spatial", "--out", desc]) == 0
     assert main(["fit-pca", "--dim", "1", "--out", pca, desc]) == 0
     assert main(["apply-pca", "--model", pca, "--in", desc, "--out", proj]) == 0
-    assert main(["fit-gmm", "--k", "2", "--out", gmm, proj]) == 0
+    assert main(["fit-gmm", "--components", "2", "--out", gmm, proj]) == 0
     assert main(["encode-fv", "--gmm", gmm, "--out", fv, proj]) == 0
     assert load_gmm(gmm).means.shape == (2, 1)
     assert read_as(fv, GlobalVector).dim == 2 * 2 * 1
@@ -479,6 +523,14 @@ def test_run_with_a_negative_seed_exits_two_before_fitting(tiny, tmp_path, seed_
     assert not (out / "models").exists()
 
 
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("flag", ["--class-scale", "--noise-scale"])
+def test_non_finite_synth_scale_exits_two_without_writing(tmp_path, flag, value):
+    out = tmp_path / "out"
+    assert main(["synth", "--out", str(out), flag, value]) == 2
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["synth", "fit-gmm", "train-svm"])
 def test_negative_seed_flag_exits_two_without_writing(tiny, tmp_path, command):
     out = tmp_path / "out"
@@ -487,7 +539,7 @@ def test_negative_seed_flag_exits_two_without_writing(tiny, tmp_path, command):
     elif command == "fit-gmm":
         descriptors = tmp_path / "d.fvt"
         write_tensor(FeatureMap(6, 1, 4, np.arange(24.0)), descriptors)
-        argv = ["fit-gmm", "--k", "2", "--seed", "-1", "--out", str(out), str(descriptors)]
+        argv = ["fit-gmm", "--components", "2", "--seed", "-1", "--out", str(out), str(descriptors)]
     else:
         manifest = tiny / "data.manifest"
         features = tmp_path / "train.fvt"
@@ -499,27 +551,34 @@ def test_negative_seed_flag_exits_two_without_writing(tiny, tmp_path, command):
     assert not out.exists()
 
 
+_SMALL_CFG = "[pca]\ndim = 4\n\n[gmm]\ncomponents = 2\n"
+
+
 @pytest.mark.parametrize(
-    "normalize_cfg, encode_flags",
+    "config",
     [
-        ("", []),
-        (
-            "\n[normalize]\npooling_order = normalize_then_pool\n",
-            ["--pooling-order", "normalize_then_pool"],
-        ),
+        _SMALL_CFG,
+        _SMALL_CFG + "\n[normalize]\npooling_order = normalize_then_pool\n",
+        # Some mixtures and SVM classes stop on tol and some on the
+        # iteration cap, so each of the four keys changes the models.
+        "[fusion]\nbeta_object = 2.0\nbeta_scene = 0.5\n\n[pca]\ndim = 3\n\n"
+        "[gmm]\ncomponents = 4\nseed = 11\ntol = 1e-4\nmax_iterations = 10\n\n"
+        "[svm]\nc = 0.5\nseed = 3\nmax_epochs = 20\ntol = 1e-3\n",
     ],
-    ids=["pool_then_normalize", "normalize_then_pool"],
+    ids=["pool_then_normalize", "normalize_then_pool", "non_default"],
 )
-def test_scripted_chain_matches_run_byte_for_byte(
-    tiny, tmp_path, capsys, normalize_cfg, encode_flags
-):
-    """Composing the module subcommands by hand reproduces `run` exactly."""
+def test_scripted_chain_matches_run_byte_for_byte(tiny, tmp_path, capsys, config):
+    """Composing the module subcommands by hand, each stage's flags set
+    to its config section's keys, reproduces `run` exactly."""
     manifest_path = str(tiny / "data.manifest")
     manifest = load_manifest(manifest_path)
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("[pca]\ndim = 4\n\n[gmm]\ncomponents = 2\n" + normalize_cfg)
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(config)
+    cfg = load_config(cfg_path)
     auto = tmp_path / "auto"
-    assert main(["run", "--config", str(cfg), "--manifest", manifest_path, "--out", str(auto)]) == 0
+    assert main(
+        ["run", "--config", str(cfg_path), "--manifest", manifest_path, "--out", str(auto)]
+    ) == 0
 
     work = tmp_path / "manual"
     vectors = work / "vectors"
@@ -546,7 +605,9 @@ def test_scripted_chain_matches_run_byte_for_byte(
             train_tdd = [
                 str(p) for e in train for p in tdd_files[(e.image_id, stream, variant)]
             ]
-            assert main(["fit-pca", "--dim", "4", "--out", str(pca_dir), *train_tdd]) == 0
+            assert main(
+                ["fit-pca", "--dim", str(cfg.pca_dim), "--out", str(pca_dir), *train_tdd]
+            ) == 0
             for entry in manifest.entries:
                 outs = []
                 for i, tdd_file in enumerate(tdd_files[(entry.image_id, stream, variant)]):
@@ -563,10 +624,10 @@ def test_scripted_chain_matches_run_byte_for_byte(
             assert main(
                 [
                     "fit-gmm",
-                    "--k", "2",
-                    "--seed", str(derived_seed(7, stream, variant)),
-                    "--max-iters", "100",
-                    "--tol", "1e-6",
+                    "--components", str(cfg.gmm_components),
+                    "--seed", str(derived_seed(cfg.gmm_seed, stream, variant)),
+                    "--max-iterations", str(cfg.gmm_max_iterations),
+                    "--tol", str(cfg.gmm_tol),
                     "--out", str(gmm_dir),
                     *train_proj,
                 ]
@@ -584,7 +645,7 @@ def test_scripted_chain_matches_run_byte_for_byte(
                     [
                         "encode-fv",
                         "--gmm", str(work / f"gmm_{stream}_{variant}"),
-                        *encode_flags,
+                        "--pooling-order", cfg.pooling_order,
                         "--out", str(fv_out),
                         *inputs,
                     ]
@@ -596,8 +657,9 @@ def test_scripted_chain_matches_run_byte_for_byte(
                  "--out", str(stream_vec), *variant_fvs]
             ) == 0
             stream_vecs.append(str(stream_vec))
+        beta = f"{cfg.beta.object_weight!r},{cfg.beta.scene_weight!r}"
         assert main(
-            ["fuse", "--mode", "features", "--alpha", "1,1",
+            ["fuse", "--mode", "features", "--alpha", beta,
              "--out", str(vectors / f"{entry.image_id}.fvt"), *stream_vecs]
         ) == 0
 
@@ -610,7 +672,9 @@ def test_scripted_chain_matches_run_byte_for_byte(
     svm_dir = work / "svm"
     assert main(
         ["train-svm", "--manifest", manifest_path, "--features", str(work / "train.fvt"),
-         "--c", "1", "--seed", "7", "--out", str(svm_dir)]
+         "--c", str(cfg.svm_c), "--seed", str(cfg.svm_seed),
+         "--max-epochs", str(cfg.svm_max_epochs), "--tol", str(cfg.svm_tol),
+         "--out", str(svm_dir)]
     ) == 0
     scores = work / "scores.csv"
     assert main(
@@ -785,6 +849,19 @@ def test_scores_field_past_the_csv_field_limit_exits_three_without_writing(
          "--out", str(out)]
     ) == 3
     assert f"scores file {scores} is not valid CSV" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_scores_csv_without_score_rows_exits_three_without_writing(tiny, tmp_path, capsys):
+    scores = tmp_path / "scores.csv"
+    scores.write_text("image_id,score_0,score_1,score_2\n")
+    out = tmp_path / "report.csv"
+    capsys.readouterr()
+    assert main(
+        ["evaluate", "--scores", str(scores), "--manifest", str(tiny / "data.manifest"),
+         "--out", str(out)]
+    ) == 3
+    assert f"scores file {scores} has no score rows" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -189,8 +189,8 @@ def test_scores_csv_round_trip(rng, tmp_path):
 def test_scores_csv_rejects_malformed_input(tmp_path):
     path = tmp_path / "scores.csv"
     path.write_text("image_id,score_0\n")
-    ids, matrix = read_scores_csv(path)
-    assert ids == [] and matrix.shape == (0, 1)
+    with pytest.raises(ValidationError, match="no score rows"):
+        read_scores_csv(path)
 
     path.write_text("wrong,score_0\nim0,1.0\n")
     with pytest.raises(ValidationError):

@@ -55,7 +55,7 @@ def corpus(tmp_path_factory) -> Path:
     assert main(["tdd", "--in", str(root / "conv.fvt"), "--mode", "channel", "--out", desc]) == 0
     assert main(["fit-pca", "--dim", "2", "--out", str(root / "pca"), desc]) == 0
     assert main(["apply-pca", "--model", str(root / "pca"), "--in", desc, "--out", proj]) == 0
-    assert main(["fit-gmm", "--k", "2", "--out", str(root / "gmm"), proj]) == 0
+    assert main(["fit-gmm", "--components", "2", "--out", str(root / "gmm"), proj]) == 0
     return root
 
 
