@@ -6,7 +6,9 @@ Each subcommand parses its arguments and calls the ``pipeline`` stage
 that ``run`` uses for the same step; a stage subcommand's parameter
 flags are the keys of its config section, as ``PipelineConfig`` declares
 them.  Every subcommand writes outputs atomically and logs one
-``key=value`` line per completed stage on standard error.
+``key=value`` line per completed stage on standard error.  Every
+subcommand runs on one thread, with numpy's BLAS held at one thread;
+``--threads`` is range-checked and changes no output.
 """
 
 from __future__ import annotations
@@ -14,7 +16,6 @@ from __future__ import annotations
 import argparse
 import ctypes
 import logging
-import os
 import sys
 from dataclasses import fields
 from pathlib import Path
@@ -46,6 +47,8 @@ from .tensors import (
 )
 
 logger = logging.getLogger("fvforge")
+
+MAX_THREADS = 256
 
 
 def _parse_ints(text: str) -> tuple[int, ...]:
@@ -239,7 +242,7 @@ def _cmd_evaluate(args) -> int:
 def _cmd_run(args) -> int:
     cfg = load_config(args.config)
     manifest = load_manifest(args.manifest)
-    report = pipeline.run(manifest, cfg, args.out, threads=args.threads)
+    report = pipeline.run(manifest, cfg, args.out)
     sys.stdout.write(f"mAP={report.map_score!r} top1={report.top1_accuracy!r}\n")
     return 0
 
@@ -270,15 +273,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--threads",
         type=int,
-        default=min(max(1, os.cpu_count() or 1), pipeline.MAX_THREADS),
-        help=(
-            f"threads working at once, at most {pipeline.MAX_THREADS} "
-            "(default: machine parallelism): while the calling thread fits "
-            "the local models, single-threaded like BLAS, N - 1 pool threads "
-            "encode images; after the fits it runs the local encodes no "
-            "worker has started, from the back of the queue, then joins "
-            "them and writes the local features"
-        ),
+        default=1,
+        help=f"between 1 and {MAX_THREADS}; every subcommand runs on one thread, "
+        "so N changes no output",
     )
     parser.add_argument(
         "--log-level",
@@ -396,8 +393,7 @@ def _pin_blas() -> None:
 
     Eigendecompositions and long inner products change in their last
     bits with the BLAS thread count, and file outputs inherit that.
-    Parallelism comes from ``--threads`` alone.  Another BLAS build is
-    left as it is, with one warning.
+    Another BLAS build is left as it is, with one warning.
     """
     libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
     for lib in sorted(libs.glob("libscipy_openblas*.so*")):
@@ -417,11 +413,8 @@ def main(argv=None) -> int:
         format="%(message)s",
     )
     _pin_blas()
-    if not 1 <= args.threads <= pipeline.MAX_THREADS:
-        print(
-            f"error: --threads must be between 1 and {pipeline.MAX_THREADS}",
-            file=sys.stderr,
-        )
+    if not 1 <= args.threads <= MAX_THREADS:
+        print(f"error: --threads must be between 1 and {MAX_THREADS}", file=sys.stderr)
         return 2
     try:
         return args.func(args)

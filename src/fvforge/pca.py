@@ -72,9 +72,9 @@ def fit_pca(descriptors: DescriptorSet, output_dim: int) -> PcaModel:
         raise ParameterError(f"output_dim {output_dim} outside 1..{d}")
     if n < output_dim:
         raise ParameterError(f"{n} descriptors cannot support output_dim {output_dim}")
-    x = descriptors.descriptors.astype(np.float64)
-    mean = x.mean(axis=0)
-    x -= mean  # x is a fresh copy; centering in place halves the peak
+    points = descriptors.descriptors
+    mean = points.mean(axis=0, dtype=np.float64)
+    x = np.subtract(points, mean, dtype=np.float64)  # cast and centre in one pass
     cov = x.T @ x / n
     try:
         eigvals, eigvecs = np.linalg.eigh(cov)
@@ -95,8 +95,7 @@ def project(model: PcaModel, descriptors: DescriptorSet) -> DescriptorSet:
         raise ShapeError(
             f"descriptor dim {descriptors.dim} != model input_dim {model.input_dim}"
         )
-    x = descriptors.descriptors.astype(np.float64)
-    x -= model.mean
+    x = np.subtract(descriptors.descriptors, model.mean, dtype=np.float64)
     reduced = x @ model.basis.T
     return DescriptorSet(dim=model.output_dim, descriptors=reduced)
 

@@ -25,13 +25,10 @@ meet, the object and scene streams in ``softmax_fusion`` or the global
 and local classifier banks of ``layer_fusion``, one row-wise weighted
 sum fuses them.
 
-Global features and score fusion run on the calling thread.  Only the
-local features use a worker pool: with ``threads`` N (at most
-``MAX_THREADS``), N − 1 pool threads encode images while the calling
-thread fits the models.  Local encodings are queued as tasks that either
-thread may run: once both streams are fit, the calling thread runs every
-encode no worker has started, from the back of the queue, and only then
-joins the encodings in manifest order and writes the local features.
+A run is single-threaded.  Each train entry's local encodings are made
+as soon as its models exist; every other entry is read and encoded as
+its feature row is written, so the first failing entry in manifest order
+is the one reported.
 
 Outputs under the run directory: ``report.csv``, ``scores.csv`` for the
 evaluated images, one feature container per role under ``features*/``
@@ -42,11 +39,8 @@ each written as its rows are computed and read back by
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import logging
-import threading
-from concurrent.futures import Executor, Future, ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -79,40 +73,10 @@ from .tensors import (
 
 logger = logging.getLogger(__name__)
 
-MAX_THREADS = 256
-
 
 def derived_seed(base: int, stream: str, variant: str) -> int:
     """Distinct per-(stream, variant) seed for local-encoding models."""
     return base * 4 + 2 * STREAMS.index(stream) + VARIANTS.index(variant)
-
-
-class _Task:
-    """A call queued on ``pool`` that runs once, on whichever thread
-    claims it first: a pool worker, or a caller of ``run`` or ``result``.
-    With no pool it runs here, as it is made."""
-
-    def __init__(self, pool: Executor | None, fn, *args):
-        self._call = (fn, args)
-        self._claim = threading.Lock()
-        self._future = Future()
-        if pool is None:
-            self.run()
-        else:
-            pool.submit(self.run)
-
-    def run(self) -> None:
-        if not self._claim.acquire(blocking=False):
-            return
-        (fn, args), self._call = self._call, None  # free the inputs once run
-        try:
-            self._future.set_result(fn(*args))
-        except Exception as exc:
-            self._future.set_exception(exc)
-
-    def result(self):
-        self.run()
-        return self._future.result()
 
 
 def _file_round(vec: np.ndarray) -> np.ndarray:
@@ -344,11 +308,10 @@ def _global_feature(entry: ManifestEntry, cfg: PipelineConfig) -> np.ndarray:
     return fuse_features(parts[0], parts[1], cfg.beta)
 
 
-def _encode_variant(gmm_model: GmmModel, views, cfg: PipelineConfig) -> list:
-    """One variant's pooled encoding of projected views, as a one-item
-    list, rounded to float32 as the feature file would."""
-    fv = encode_views(gmm_model, views, cfg.pooling_order)
-    return [fv.astype(np.float32)]
+def _encode_variant(gmm_model: GmmModel, views, cfg: PipelineConfig) -> np.ndarray:
+    """One variant's pooled encoding of projected views, rounded to
+    float32 as the feature file would."""
+    return encode_views(gmm_model, views, cfg.pooling_order).astype(np.float32)
 
 
 def _encode_entry(entry: ManifestEntry, stream: str, cfg: PipelineConfig, models) -> list:
@@ -358,33 +321,30 @@ def _encode_entry(entry: ManifestEntry, stream: str, cfg: PipelineConfig, models
     encodings = []
     for variant, pca_model, gmm_model in models:
         views = [project(pca_model, variant_descriptors(f, variant)) for f in fmaps]
-        encodings += _encode_variant(gmm_model, views, cfg)
+        encodings.append(_encode_variant(gmm_model, views, cfg))
     return encodings
 
 
 def _fit_stream(
-    stream: str, entries, cfg: PipelineConfig, models_dir: Path, pool: Executor | None
-) -> tuple[list, list]:
+    stream: str, entries, cfg: PipelineConfig, models_dir: Path
+) -> tuple[list, dict]:
     """Fit + serialize + reload one stream's PCA and GMM per configured
-    variant, in ``VARIANTS`` order, and return each entry's tasks that
-    encode it in the stream, plus every task in the order it was queued.
-    Each task returns a list of encodings, so an entry's tasks, in order,
-    return one encoding per variant, in ``VARIANTS`` order.
+    variant, in ``VARIANTS`` order, and return the (variant, PCA, mixture)
+    triples in that order, plus each train entry's encodings in the
+    stream, by entry, one per variant in the same order.
 
     ``read_stacks`` builds one stack per variant from the train views,
-    reading each view once.  The fits run here, each PCA on its stack as
-    it stands.  Each view is then projected from its own rows, as
-    ``apply-pca`` projects one view file, into one stack for the mixture,
-    as ``fit-gmm`` reads it; the variant's descriptor stack is freed
-    first.  As soon as a variant's mixture exists, a task on ``pool`` is
-    queued per train entry to encode its rows of that stack.  Once every
-    model exists, one task per other entry is queued to read and encode
-    it.  With no pool, each task runs as it is queued.
+    reading each view once.  Each PCA is fit on its stack as it stands.
+    Each view is then projected from its own rows, as ``apply-pca``
+    projects one view file, into one stack for the mixture, as ``fit-gmm``
+    reads it; the variant's descriptor stack is freed first.  As soon as
+    a variant's mixture exists, every train entry is encoded from its rows
+    of that stack.
     """
-    train_at = [i for i, entry in enumerate(entries) if entry.role == "train"]
+    train = [entry for entry in entries if entry.role == "train"]
     paths, view_counts = [], []
-    for i in train_at:
-        view_paths = _view_paths(entries[i], stream, cfg.conv_layer)
+    for entry in train:
+        view_paths = _view_paths(entry, stream, cfg.conv_layer)
         paths += view_paths
         view_counts.append(len(view_paths))
     variants = [v for v in VARIANTS if v in cfg.tdd_variants]
@@ -392,8 +352,7 @@ def _fit_stream(
         paths, [functools.partial(variant_descriptors, variant=v) for v in variants]
     )
     spans = list(zip(offsets[:-1], offsets[1:]))
-    tasks = [[] for _ in entries]
-    queued = []
+    encodings = {entry: [] for entry in train}
     models = []
     for variant in variants:
         stacked = stacks.pop(0)
@@ -413,52 +372,39 @@ def _fit_stream(
         models.append((variant, pca_model, gmm_model))
         views = [DescriptorSet(projected.dim, projected.descriptors[a:b]) for a, b in spans]
         first = 0
-        for i, count in zip(train_at, view_counts):
-            queued.append(
-                _Task(pool, _encode_variant, gmm_model, views[first:first + count], cfg)
+        for entry, count in zip(train, view_counts):
+            encodings[entry].append(
+                _encode_variant(gmm_model, views[first:first + count], cfg)
             )
-            tasks[i].append(queued[-1])
             first += count
-    for i, entry in enumerate(entries):
-        if entry.role != "train":
-            queued.append(_Task(pool, _encode_entry, entry, stream, cfg, models))
-            tasks[i].append(queued[-1])
-    return tasks, queued
+    return models, encodings
 
 
 def _write_local_features(
-    manifest: Manifest, cfg: PipelineConfig, out: Path, features_dir: Path, threads: int
+    manifest: Manifest, cfg: PipelineConfig, out: Path, features_dir: Path
 ) -> None:
-    """Fit the local models stream by stream while ``threads`` − 1 pool
-    threads encode every image whose models exist; at one thread, each
-    image is encoded as soon as its models do.  The calling thread then
-    runs, from the back, every encode no worker has started, and joins
-    each entry's encodings, in manifest order, and writes its feature."""
+    """Fit the local models stream by stream, encoding the train entries
+    as their models appear, then write each entry's feature in manifest
+    order, reading and encoding every other entry as its row is written."""
     entries = manifest.entries
     entries_for_role(manifest, "train")  # raises when there is nothing to fit on
-    with ThreadPoolExecutor(threads - 1) if threads > 1 else contextlib.nullcontext() as pool:
-        fitted = [_fit_stream(s, entries, cfg, out / "models", pool) for s in STREAMS]
-        tasks, queued = zip(*fitted)
-        # Workers take the queue from the front, so this walk meets them in
-        # the middle and never waits on a task a worker has claimed.
-        for task in reversed([t for stream_queue in queued for t in stream_queue]):
-            task.run()
-
-    entry_tasks = dict(zip(entries, zip(*tasks)))  # per entry, per stream
+    fitted = [_fit_stream(s, entries, cfg, out / "models") for s in STREAMS]
 
     def feature(entry: ManifestEntry) -> np.ndarray:
         """Variant concat per stream, the channel variant first, then
         stream concat."""
         stream_vecs = []
-        for stream_tasks in entry_tasks[entry]:
-            parts = [fv.astype(np.float64) for t in stream_tasks for fv in t.result()]
+        for stream, (models, encodings) in zip(STREAMS, fitted):
+            if entry.role == "train":
+                fvs = encodings.pop(entry)
+            else:
+                fvs = _encode_entry(entry, stream, cfg, models)
+            parts = [fv.astype(np.float64) for fv in fvs]
             if len(parts) == 2:
                 parts = [_file_round(fuse_features(*parts, FusionWeights()))]
             stream_vecs.append(parts[0])
         return fuse_features(stream_vecs[0], stream_vecs[1], cfg.beta)
 
-    # On this thread, so no pool task waits on a future and the first
-    # failing entry of a role, in manifest order, is the one reported.
     _write_features(features_dir, manifest, lambda role, entries: map(feature, entries))
     logger.info("stage=features kind=local images=%d", len(entries))
 
@@ -467,7 +413,6 @@ def run(
     manifest: Manifest | str | Path,
     cfg: PipelineConfig,
     out_dir: str | Path,
-    threads: int = 1,
 ) -> EvalReport:
     """Run the configured scenario and evaluate its score matrix.
 
@@ -480,13 +425,10 @@ def run(
     ``features_local/``, then either fuses them into ``features/`` or,
     with ``layer_mode = scores``, trains a bank on each and fuses their
     scores.  Both score fusions are the one row-wise weighted sum, and
-    every scenario ends in one evaluation.  Only the local features use
-    ``threads``; everything else runs on this thread.
+    every scenario ends in one evaluation.
     """
     if not isinstance(manifest, Manifest):
         manifest = load_manifest(manifest)
-    if not 1 <= threads <= MAX_THREADS:
-        raise ParameterError(f"threads must be between 1 and {MAX_THREADS}")
     out = Path(out_dir)
     scenario = cfg.scenario
     if scenario == "softmax_fusion":
@@ -507,7 +449,7 @@ def run(
             )
             logger.info("stage=features kind=global images=%d", len(manifest.entries))
         if scenario == "local_fv" or fusion:
-            _write_local_features(manifest, cfg, out, local_dir, threads)
+            _write_local_features(manifest, cfg, out, local_dir)
         banks = (("svm", out / "features"),)
         if fusion and cfg.layer_mode == "scores":
             banks = (("svm_global", global_dir), ("svm_local", local_dir))

@@ -492,6 +492,18 @@ def posterior_expanded(x, weights, means, variances):
     return np.exp(log_joint - log_px[:, None]), log_px
 
 
+def centred_two_pass(points, mean=None):
+    """``points`` copied to float64, then centred in place on ``mean``
+    (their own mean when None), and that mean; ``pca.fit_pca`` and
+    ``pca.project`` cast and centre in one pass and must match both bit
+    for bit."""
+    x = np.asarray(points).astype(np.float64)
+    if mean is None:
+        mean = x.mean(axis=0)
+    x -= mean
+    return mean, x
+
+
 def write_default_config(path):
     """Write the default configuration text to ``path``."""
     Path(path).write_text(DEFAULT_CONFIG_TEXT, encoding="utf-8")

@@ -14,12 +14,12 @@ import numpy as np
 import pytest
 
 from fvforge.classify import LinearModel, save_svm
-from fvforge.cli import build_parser, main
+from fvforge.cli import MAX_THREADS, build_parser, main
 from fvforge.config import PipelineConfig, load_config
 from fvforge.gmm import GmmModel, load_gmm, save_gmm
 from fvforge.normalize import variant_descriptors
 from fvforge.pca import PcaModel, load_pca, project, save_pca
-from fvforge.pipeline import MAX_THREADS, derived_seed
+from fvforge.pipeline import derived_seed
 from fvforge.synth import SynthSpec
 from fvforge.tensors import (
     FeatureMap,
@@ -210,6 +210,50 @@ def test_threads_above_the_bound_exit_two_without_starting_one(tiny, tmp_path, c
     assert threading.active_count() == before
     assert str(MAX_THREADS) in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "scenario",
+    [
+        "scenario = local_fv\n",
+        "scenario = layer_fusion\n\n[fusion]\nlayer_mode = features\n",
+        "scenario = layer_fusion\n\n[fusion]\nlayer_mode = scores\n",
+        "scenario = softmax_fusion\n",
+        "scenario = global_pretrained\n",
+    ],
+    ids=[
+        "local_fv", "layer_fusion-features", "layer_fusion-scores",
+        "softmax_fusion", "global_pretrained",
+    ],
+)
+def test_run_starts_no_thread_and_ignores_the_thread_count(
+    tiny, tmp_path, monkeypatch, scenario
+):
+    """`run` works on the calling thread alone, and at --threads 3 it
+    writes every byte of the run directory that --threads 1 writes."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("[pipeline]\n" + scenario + "\n" + _SMALL_CFG)
+
+    def refuse(self):
+        raise AssertionError(f"run started thread {self.name}")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    trees = []
+    for threads in ("1", "3"):
+        out = tmp_path / f"threads_{threads}"
+        assert main(
+            [
+                "--threads", threads,
+                "run",
+                "--config", str(cfg),
+                "--manifest", str(tiny / "data.manifest"),
+                "--out", str(out),
+            ]
+        ) == 0
+        trees.append(
+            {p.relative_to(out): p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()}
+        )
+    assert trees[0] and trees[0] == trees[1]
 
 
 def test_plan_views_stdout(capsys):

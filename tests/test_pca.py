@@ -10,7 +10,7 @@ from fvforge.normalize import DescriptorSet
 from fvforge.pca import PcaModel, fit_pca, load_pca, project, save_pca
 
 from conftest import random_descriptors
-from oracles import project_reference
+from oracles import centred_two_pass, project_reference
 
 
 def test_basis_is_orthonormal_and_eigenvalues_sorted(rng):
@@ -29,6 +29,21 @@ def test_projection_matches_scalar_reference(rng):
         model.mean.tolist(), model.basis.tolist(), ds.descriptors.astype(np.float64).tolist()
     )
     np.testing.assert_allclose(ours, np.asarray(ref, np.float32), atol=1e-4)
+
+
+@pytest.mark.parametrize("rows", [5, 3840, 11760])
+def test_one_pass_centring_matches_the_two_pass_form(rng, rows):
+    """Fit and projection centre exactly as a float64 copy centred in
+    place does, also past numpy's 8192-element cast buffer."""
+    ds = random_descriptors(rng, rows, 64)
+    model = fit_pca(ds, 3)
+    mean, centred = centred_two_pass(ds.descriptors)
+    assert np.array_equal(model.mean, mean)
+    eigvals = np.linalg.eigh(centred.T @ centred / rows)[0]
+    assert np.array_equal(model.eigenvalues, np.clip(eigvals[::-1][:3], 0.0, None))
+    _, centred = centred_two_pass(ds.descriptors, model.mean)
+    expected = DescriptorSet(3, centred @ model.basis.T).descriptors
+    assert np.array_equal(project(model, ds).descriptors, expected)
 
 
 def test_projected_descriptors_are_decorrelated(rng):

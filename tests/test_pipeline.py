@@ -3,19 +3,17 @@
 from __future__ import annotations
 
 import logging
-import sys
-import threading
 import tracemalloc
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from fvforge.augment import sum_pool
-from fvforge.config import PipelineConfig
+from fvforge.cli import build_parser
+from fvforge.config import PipelineConfig, load_config
 from fvforge.errors import (
     CorruptionError,
     FormatError,
@@ -47,6 +45,7 @@ from fvforge.tensors import (
     read_dims,
     read_matrix,
     read_tensor,
+    write_manifest,
     write_rows,
     write_tensor,
 )
@@ -70,6 +69,38 @@ def make_cfg(**overrides) -> PipelineConfig:
     base = dict(scenario="local_fv", pca_dim=5, gmm_components=3, gmm_max_iterations=40)
     base.update(overrides)
     return PipelineConfig(**base)
+
+
+def run_at_threads(manifest, cfg, out, threads):
+    """``fvforge --threads N run`` on ``manifest`` under ``cfg``; a
+    pipeline error surfaces as raised, not as an exit code."""
+    sections: dict[str, list[str]] = {}
+    for f in fields(PipelineConfig):
+        meta, value = f.metadata, getattr(cfg, f.name)
+        if meta["kind"] is FusionWeights:
+            texts = (value.object_weight, value.scene_weight)
+        else:
+            texts = (",".join(value) if meta["kind"] is tuple else value,)
+        sections.setdefault(meta["section"], []).extend(
+            f"{k} = {t}" for k, t in zip(meta["keys"], texts)
+        )
+    cfg_path = out.parent / f"{out.name}.cfg"
+    cfg_path.write_text(
+        "".join(f"[{s}]\n" + "\n".join(ls) + "\n" for s, ls in sections.items())
+    )
+    assert load_config(cfg_path) == cfg
+    manifest_path = out.parent / f"{out.name}.manifest"
+    write_manifest(manifest, manifest_path)
+    args = build_parser().parse_args(
+        [
+            "--threads", str(threads),
+            "run",
+            "--config", str(cfg_path),
+            "--manifest", str(manifest_path),
+            "--out", str(out),
+        ]
+    )
+    return args.func(args)
 
 
 @pytest.fixture(scope="module")
@@ -266,74 +297,31 @@ def test_models_never_see_test_entries(dataset, local_run, tmp_path):
         ).read_bytes()
 
 
-def test_thread_count_does_not_change_outputs(dataset, local_run, tmp_path):
-    serial_out, _ = local_run
-    # More threads than cores, switching often: workers encode while the
-    # calling thread fits; then it runs the encodes no worker has started,
-    # from the back of the queue, and joins them in manifest order.
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        run(dataset, make_cfg(), tmp_path / "pooled", threads=3)
-    finally:
-        sys.setswitchinterval(interval)
-    assert _run_bytes(tmp_path / "pooled") == _run_bytes(serial_out)
-
-
-@pytest.mark.parametrize(
-    "overrides",
-    [
-        dict(scenario="softmax_fusion"),
-        dict(scenario="global_pretrained"),
-        dict(scenario="layer_fusion", layer_mode="features"),
-        dict(scenario="layer_fusion", layer_mode="scores"),
-    ],
-    ids=["softmax_fusion", "global_pretrained", "layer_fusion-features", "layer_fusion-scores"],
-)
-def test_global_vectors_are_pooled_on_the_calling_thread(
-    dataset, tmp_path, monkeypatch, overrides
-):
-    """Score fusion and global features read their vectors on the calling
-    thread at any thread count, and write what one thread writes."""
-    cfg = make_cfg(**overrides)
-    run(dataset, cfg, tmp_path / "serial", threads=1)
-    callers = []
-
-    def recording_pooled_vector(*args):
-        callers.append(threading.get_ident())
-        return pooled_vector(*args)
-
-    pooled_vector = pipeline._pooled_vector
-    monkeypatch.setattr(pipeline, "_pooled_vector", recording_pooled_vector)
-    run(dataset, cfg, tmp_path / "threaded", threads=3)
-    assert callers and set(callers) == {threading.get_ident()}
-    assert _run_bytes(tmp_path / "threaded") == _run_bytes(tmp_path / "serial")
-
-
 @pytest.mark.parametrize("threads", [1, 3])
 def test_variant_order_does_not_change_a_local_run(
     dataset, local_run, tmp_path, threads
 ):
     """Fits follow the config's variant order, but encodings are keyed by
-    variant and joined channel first."""
+    variant and joined channel first, at any --threads."""
     default_out, _ = local_run
     out = tmp_path / "reversed"
-    run(dataset, make_cfg(tdd_variants=("spatial", "channel")), out, threads=threads)
+    run_at_threads(dataset, make_cfg(tdd_variants=("spatial", "channel")), out, threads)
     assert _run_bytes(out) == _run_bytes(default_out)
 
 
 @pytest.mark.parametrize("threads", [1, 3])
 def test_local_run_reads_each_conv_view_once(dataset, tmp_path, monkeypatch, threads):
-    """Fitting and encoding share one read of every conv view file."""
+    """Fitting and encoding share one read of every conv view file, at
+    any --threads."""
     reads = []
 
     def counting_read_as(path, expect):
-        reads.append(Path(path))
+        reads.append(Path(path).resolve())
         return read_as(path, expect)
 
     monkeypatch.setattr(pipeline, "read_as", counting_read_as)
     cfg = make_cfg()
-    run(dataset, cfg, tmp_path / "run", threads=threads)
+    run_at_threads(dataset, cfg, tmp_path / "run", threads)
     conv_views = [
         path
         for entry in dataset.entries
@@ -556,14 +544,15 @@ def test_missing_conv_views_are_named(dataset, tmp_path):
 
 @pytest.mark.parametrize("threads", [1, 3])
 def test_first_failing_entry_in_manifest_order_is_reported(tmp_path, threads):
-    """The object stream encodes first, so the second test entry fails
-    first in time; the error still names the first entry."""
+    """The second test entry's object view and the first's scene view
+    are broken; the error names the first entry, first in manifest
+    order, at any --threads."""
     corpus = generate_dataset(tmp_path / "data", SPEC)
     first, second = corpus.split("test")[:2]
     second.paths_for("object", "conv5_3")[0].write_bytes(b"JUNK")
     first.paths_for("scene", "conv5_3")[0].write_bytes(b"JUNK")
     with pytest.raises(FormatError, match=f"{first.image_id}\\."):
-        run(corpus, make_cfg(), tmp_path / "run", threads=threads)
+        run_at_threads(corpus, make_cfg(), tmp_path / "run", threads)
 
 
 @pytest.mark.parametrize(
@@ -578,76 +567,14 @@ def test_first_failing_entry_of_a_vector_scenario_is_reported(tmp_path, scenario
     second.paths_for("object", layer)[0].write_bytes(b"JUNK")
     first.paths_for("scene", layer)[0].write_bytes(b"JUNK")
     with pytest.raises(FormatError, match=f"{first.image_id}\\."):
-        run(corpus, make_cfg(scenario=scenario), tmp_path / "run", threads=3)
+        run(corpus, make_cfg(scenario=scenario), tmp_path / "run")
 
 
-def test_run_accepts_a_manifest_path_and_checks_threads(dataset, tmp_path):
+def test_run_accepts_a_manifest_path(tmp_path):
     cfg = make_cfg(scenario="softmax_fusion")
     generate_dataset(tmp_path / "data", SPEC)
     report = run(str(tmp_path / "data" / "data.manifest"), cfg, tmp_path / "run")
     assert 0.0 <= report.map_score <= 1.0
-    with pytest.raises(ParameterError):
-        run(dataset, cfg, tmp_path / "bad", threads=0)
-
-
-def test_run_rejects_too_many_threads_before_starting_one(dataset, tmp_path):
-    before = threading.active_count()
-    with pytest.raises(ParameterError, match=str(pipeline.MAX_THREADS)):
-        run(dataset, make_cfg(), tmp_path / "bad", threads=100000)
-    assert threading.active_count() == before
-    assert not (tmp_path / "bad").exists()
-
-
-@pytest.fixture
-def busy_pool():
-    """A one-worker pool whose worker is held until ``release`` is set."""
-    release = threading.Event()
-    with ThreadPoolExecutor(1) as pool:
-        pool.submit(release.wait, 30)
-        yield pool, release
-        release.set()
-
-
-def test_task_no_worker_started_runs_on_the_joining_thread(busy_pool):
-    pool, _ = busy_pool
-    task = pipeline._Task(pool, threading.get_ident)
-    assert task.result() == threading.get_ident()
-
-
-def test_task_runs_once_even_after_a_worker_reaches_it(busy_pool):
-    pool, release = busy_pool
-    calls = []
-
-    def call() -> int:
-        calls.append(threading.get_ident())
-        return len(calls)
-
-    task = pipeline._Task(pool, call)
-    assert task.result() == 1
-    release.set()
-    pool.shutdown(wait=True)  # the worker reaches the claimed task and skips it
-    assert task.result() == 1
-    assert calls == [threading.get_ident()]
-
-
-def test_task_that_a_worker_ran_is_not_run_again():
-    calls = []
-    with ThreadPoolExecutor(1) as pool:
-        task = pipeline._Task(pool, lambda: calls.append(threading.get_ident()))
-    task.run()
-    assert task.result() is None
-    assert len(calls) == 1 and calls[0] != threading.get_ident()
-
-
-def test_task_exception_surfaces_from_result(busy_pool):
-    pool, _ = busy_pool
-
-    def fail():
-        raise ValidationError("encode failed")
-
-    task = pipeline._Task(pool, fail)
-    with pytest.raises(ValidationError, match="encode failed"):
-        task.result()
 
 
 def test_derived_seeds_are_distinct():
