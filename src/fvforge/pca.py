@@ -4,6 +4,12 @@ Uses the maximum-likelihood (1/N) covariance so variance conventions line
 up with the mixture model that consumes the projected descriptors.  No
 whitening is applied; eigenvalues are stored with the model so it could
 be added without refitting.
+
+A fit makes two passes over the float32 stack: one for the mean, and one
+that sums the centred cross products over ``COV_BLOCK_ROWS``-row blocks
+(Chan, Golub & LeVeque, 1979).  Beyond the stack it holds one float64
+block and two d x d arrays (the sum and one block's product), never a
+float64 copy of the stack.
 """
 
 from __future__ import annotations
@@ -18,6 +24,7 @@ from .normalize import DescriptorSet
 from .tensors import load_model, save_model
 
 ORTHONORMALITY_TOL = 1e-6
+COV_BLOCK_ROWS = 1024  # fixed: the block size sets the covariance's summation order
 
 _HEADER_NAME = "pca.model"
 
@@ -66,7 +73,14 @@ def _fix_signs(basis: np.ndarray) -> np.ndarray:
 
 
 def fit_pca(descriptors: DescriptorSet, output_dim: int) -> PcaModel:
-    """Fit mean + top-``output_dim`` principal axes of a descriptor bag."""
+    """Fit mean + top-``output_dim`` principal axes of a descriptor bag.
+
+    The mean is one pass over the stack; the covariance is a second pass
+    that centres ``COV_BLOCK_ROWS`` rows at a time in float64 and adds
+    each block's ``x.T @ x`` into one (d, d) sum.  Memory beyond the
+    stack is one block and two (d, d) arrays; each block is freed before
+    the next is made.
+    """
     n, d = descriptors.count, descriptors.dim
     if output_dim < 1 or output_dim > d:
         raise ParameterError(f"output_dim {output_dim} outside 1..{d}")
@@ -74,8 +88,12 @@ def fit_pca(descriptors: DescriptorSet, output_dim: int) -> PcaModel:
         raise ParameterError(f"{n} descriptors cannot support output_dim {output_dim}")
     points = descriptors.descriptors
     mean = points.mean(axis=0, dtype=np.float64)
-    x = np.subtract(points, mean, dtype=np.float64)  # cast and centre in one pass
-    cov = x.T @ x / n
+    cov = np.zeros((d, d))
+    for start in range(0, n, COV_BLOCK_ROWS):
+        x = np.subtract(points[start:start + COV_BLOCK_ROWS], mean, dtype=np.float64)
+        cov += x.T @ x
+        del x  # free this block before the next one is made
+    cov /= n
     try:
         eigvals, eigvecs = np.linalg.eigh(cov)
     except np.linalg.LinAlgError as exc:

@@ -494,14 +494,23 @@ def posterior_expanded(x, weights, means, variances):
 
 def centred_two_pass(points, mean=None):
     """``points`` copied to float64, then centred in place on ``mean``
-    (their own mean when None), and that mean; ``pca.fit_pca`` and
-    ``pca.project`` cast and centre in one pass and must match both bit
-    for bit."""
+    (their own mean when None), and that mean; ``pca.fit_pca`` must match
+    the mean and, block by block, the centred rows (see
+    ``blocked_covariance``), and ``pca.project`` the centred rows, bit for
+    bit."""
     x = np.asarray(points).astype(np.float64)
     if mean is None:
         mean = x.mean(axis=0)
     x -= mean
     return mean, x
+
+
+def blocked_covariance(centred, block_rows):
+    """The 1/N covariance of already centred rows, summed as one ``x.T @ x``
+    per ``block_rows``-row block in row order; ``pca.fit_pca`` forms its
+    covariance this way and must match it bit for bit."""
+    blocks = (centred[a:a + block_rows] for a in range(0, centred.shape[0], block_rows))
+    return sum(x.T @ x for x in blocks) / centred.shape[0]
 
 
 def write_default_config(path):

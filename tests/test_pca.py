@@ -2,15 +2,17 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from fvforge.errors import NumericError, ParameterError, ShapeError
 from fvforge.normalize import DescriptorSet
-from fvforge.pca import PcaModel, fit_pca, load_pca, project, save_pca
+from fvforge.pca import COV_BLOCK_ROWS, PcaModel, fit_pca, load_pca, project, save_pca
 
 from conftest import random_descriptors
-from oracles import centred_two_pass, project_reference
+from oracles import blocked_covariance, centred_two_pass, project_reference
 
 
 def test_basis_is_orthonormal_and_eigenvalues_sorted(rng):
@@ -31,19 +33,34 @@ def test_projection_matches_scalar_reference(rng):
     np.testing.assert_allclose(ours, np.asarray(ref, np.float32), atol=1e-4)
 
 
-@pytest.mark.parametrize("rows", [5, 3840, 11760])
+@pytest.mark.parametrize("rows", [5, 3840, 11760, COV_BLOCK_ROWS + 1])
 def test_one_pass_centring_matches_the_two_pass_form(rng, rows):
     """Fit and projection centre exactly as a float64 copy centred in
-    place does, also past numpy's 8192-element cast buffer."""
+    place does, also past numpy's 8192-element cast buffer, and the fit
+    sums that copy's covariance block by block."""
     ds = random_descriptors(rng, rows, 64)
     model = fit_pca(ds, 3)
     mean, centred = centred_two_pass(ds.descriptors)
     assert np.array_equal(model.mean, mean)
-    eigvals = np.linalg.eigh(centred.T @ centred / rows)[0]
+    eigvals = np.linalg.eigh(blocked_covariance(centred, COV_BLOCK_ROWS))[0]
     assert np.array_equal(model.eigenvalues, np.clip(eigvals[::-1][:3], 0.0, None))
     _, centred = centred_two_pass(ds.descriptors, model.mean)
     expected = DescriptorSet(3, centred @ model.basis.T).descriptors
     assert np.array_equal(project(model, ds).descriptors, expected)
+
+
+def test_fit_pca_holds_no_float64_copy_of_the_stack():
+    """Beyond the float32 stack, a fit holds one centred block and two
+    d x d arrays, far below a float64 copy of the stack."""
+    n, d = 20_000, 64
+    ds = DescriptorSet(d, np.random.default_rng(3).normal(size=(n, d)).astype(np.float32))
+    tracemalloc.start()
+    try:
+        fit_pca(ds, 8)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.25 * n * d * 8
 
 
 def test_projected_descriptors_are_decorrelated(rng):
