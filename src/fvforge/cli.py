@@ -14,13 +14,10 @@ subcommand runs on one thread, with numpy's BLAS held at one thread;
 from __future__ import annotations
 
 import argparse
-import ctypes
 import logging
 import sys
 from dataclasses import fields
 from pathlib import Path
-
-import numpy as np
 
 from . import __version__, pipeline
 from .augment import plan_views
@@ -388,23 +385,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _pin_blas() -> None:
-    """Hold numpy's bundled OpenBLAS at one thread for the whole process.
-
-    Eigendecompositions and long inner products change in their last
-    bits with the BLAS thread count, and file outputs inherit that.
-    Another BLAS build is left as it is, with one warning.
-    """
-    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
-    for lib in sorted(libs.glob("libscipy_openblas*.so*")):
-        setter = getattr(ctypes.CDLL(str(lib)), "scipy_openblas_set_num_threads64_", None)
-        if setter is not None:
-            setter.argtypes, setter.restype = [ctypes.c_int], None
-            setter(1)
-            return
-    logger.warning("stage=blas event=unpinned reason=no bundled OpenBLAS thread setter")
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     logging.basicConfig(
@@ -412,18 +392,18 @@ def main(argv=None) -> int:
         level=getattr(logging, args.log_level.upper()),
         format="%(message)s",
     )
-    _pin_blas()
     if not 1 <= args.threads <= MAX_THREADS:
         print(f"error: --threads must be between 1 and {MAX_THREADS}", file=sys.stderr)
         return 2
-    try:
-        return args.func(args)
-    except FvForgeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return exc.exit_code
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+    with pipeline.pinned_blas():
+        try:
+            return args.func(args)
+        except FvForgeError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return exc.exit_code
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 3
 
 
 if __name__ == "__main__":

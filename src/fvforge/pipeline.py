@@ -39,8 +39,10 @@ each written as its rows are computed and read back by
 
 from __future__ import annotations
 
+import ctypes
 import functools
 import logging
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -72,6 +74,32 @@ from .tensors import (
 )
 
 logger = logging.getLogger(__name__)
+
+
+@contextmanager
+def pinned_blas():
+    """Hold numpy's bundled OpenBLAS at one thread while the block runs,
+    then restore the count it had.
+
+    Eigendecompositions and long inner products change in their last
+    bits with the BLAS thread count, and file outputs inherit that.
+    Another BLAS build is left as it is, with one warning.
+    """
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for lib in sorted(libs.glob("libscipy_openblas*.so*")):
+        blas = ctypes.CDLL(str(lib))
+        if hasattr(blas, "scipy_openblas_get_num_threads64_"):
+            break
+    else:
+        logger.warning("stage=blas event=unpinned reason=no bundled OpenBLAS thread setter")
+        yield
+        return
+    previous = blas.scipy_openblas_get_num_threads64_()
+    blas.scipy_openblas_set_num_threads64_(1)
+    try:
+        yield
+    finally:
+        blas.scipy_openblas_set_num_threads64_(previous)
 
 
 def derived_seed(base: int, stream: str, variant: str) -> int:
@@ -243,23 +271,10 @@ def report_scores(
 # ---------------------------------------------------------------- scenarios
 
 
-def _view_paths(entry: ManifestEntry, stream: str, layer: str):
-    paths = entry.paths_for(stream, layer)
-    if not paths:
-        raise ValidationError(
-            f"image '{entry.image_id}' lists no {stream}:{layer} view files"
-        )
-    return paths
-
-
-def _load_views(entry: ManifestEntry, stream: str, layer: str, expect):
-    return [read_as(p, expect) for p in _view_paths(entry, stream, layer)]
-
-
 def _pooled_vector(entry: ManifestEntry, stream: str, layer: str) -> np.ndarray:
     """Sum of one stream's rank-1 views, rounded through the file dtype."""
-    views = _load_views(entry, stream, layer, GlobalVector)
-    return _file_round(sum_pool([v.data for v in views]))
+    views = [read_as(p, GlobalVector).data for p in entry.paths_for(stream, layer)]
+    return _file_round(sum_pool(views))
 
 
 def _write_features(features_dir: Path, manifest: Manifest, role_rows) -> None:
@@ -317,7 +332,7 @@ def _encode_variant(gmm_model: GmmModel, views, cfg: PipelineConfig) -> np.ndarr
 def _encode_entry(entry: ManifestEntry, stream: str, cfg: PipelineConfig, models) -> list:
     """Read an entry's views of one stream once and encode every variant
     of ``models``, (variant, PCA, mixture) triples, in their order."""
-    fmaps = _load_views(entry, stream, cfg.conv_layer, FeatureMap)
+    fmaps = [read_as(p, FeatureMap) for p in entry.paths_for(stream, cfg.conv_layer)]
     encodings = []
     for variant, pca_model, gmm_model in models:
         views = [project(pca_model, variant_descriptors(f, variant)) for f in fmaps]
@@ -342,11 +357,8 @@ def _fit_stream(
     of that stack.
     """
     train = [entry for entry in entries if entry.role == "train"]
-    paths, view_counts = [], []
-    for entry in train:
-        view_paths = _view_paths(entry, stream, cfg.conv_layer)
-        paths += view_paths
-        view_counts.append(len(view_paths))
+    view_paths = [entry.paths_for(stream, cfg.conv_layer) for entry in train]
+    paths = [path for entry_paths in view_paths for path in entry_paths]
     variants = [v for v in VARIANTS if v in cfg.tdd_variants]
     stacks, offsets = read_stacks(
         paths, [functools.partial(variant_descriptors, variant=v) for v in variants]
@@ -372,11 +384,10 @@ def _fit_stream(
         models.append((variant, pca_model, gmm_model))
         views = [DescriptorSet(projected.dim, projected.descriptors[a:b]) for a, b in spans]
         first = 0
-        for entry, count in zip(train, view_counts):
-            encodings[entry].append(
-                _encode_variant(gmm_model, views[first:first + count], cfg)
-            )
-            first += count
+        for entry, entry_paths in zip(train, view_paths):
+            last = first + len(entry_paths)
+            encodings[entry].append(_encode_variant(gmm_model, views[first:last], cfg))
+            first = last
     return models, encodings
 
 
@@ -409,6 +420,7 @@ def _write_local_features(
     logger.info("stage=features kind=local images=%d", len(entries))
 
 
+@pinned_blas()
 def run(
     manifest: Manifest | str | Path,
     cfg: PipelineConfig,
@@ -425,7 +437,8 @@ def run(
     ``features_local/``, then either fuses them into ``features/`` or,
     with ``layer_mode = scores``, trains a bank on each and fuses their
     scores.  Both score fusions are the one row-wise weighted sum, and
-    every scenario ends in one evaluation.
+    every scenario ends in one evaluation.  The run holds the BLAS pin of
+    ``pinned_blas``.
     """
     if not isinstance(manifest, Manifest):
         manifest = load_manifest(manifest)

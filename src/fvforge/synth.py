@@ -108,51 +108,26 @@ def generate_dataset(out_dir: str | Path, spec: SynthSpec | None = None) -> Mani
             views = []
             for stream in STREAMS:
                 for v in range(spec.views):
-                    tag = f"{image_id}.{stream}.v{v}"
                     logits = spec.noise_scale * rng.standard_normal(spec.classes)
                     logits[k] += spec.class_scale
-                    prob = GlobalVector(
-                        dim=spec.classes,
-                        data=_softmax(logits),
-                        nonnegative=True,
-                    )
-                    prob_path = tensor_dir / f"{tag}.{layers.score_layer}.fvt"
-                    write_tensor(prob, prob_path)
-                    views.append((stream, layers.score_layer, prob_path))
-
                     fc = fc_means[stream][k] + spec.noise_scale * rng.standard_normal(
                         spec.fc_dim
                     )
-                    fc_path = tensor_dir / f"{tag}.{layers.global_layer}.fvt"
-                    write_tensor(
-                        GlobalVector(dim=spec.fc_dim, data=fc), fc_path
+                    conv = conv_means[stream][k] + spec.noise_scale * rng.standard_normal(
+                        (spec.map_size, spec.map_size, spec.map_channels)
                     )
-                    views.append((stream, layers.global_layer, fc_path))
-
-                    conv = conv_means[stream][k] + spec.noise_scale * (
-                        rng.standard_normal(
-                            (spec.map_size, spec.map_size, spec.map_channels)
-                        )
-                    )
-                    conv_path = tensor_dir / f"{tag}.{layers.conv_layer}.fvt"
-                    write_tensor(
-                        FeatureMap(
-                            height=spec.map_size,
-                            width=spec.map_size,
-                            channels=spec.map_channels,
-                            data=conv,
+                    tensors = {
+                        layers.score_layer: GlobalVector(
+                            spec.classes, _softmax(logits), nonnegative=True
                         ),
-                        conv_path,
-                    )
-                    views.append((stream, layers.conv_layer, conv_path))
-            entries.append(
-                ManifestEntry(
-                    image_id=image_id,
-                    label=k,
-                    views=tuple(views),
-                    role=role,
-                )
-            )
+                        layers.global_layer: GlobalVector(spec.fc_dim, fc),
+                        layers.conv_layer: FeatureMap(*conv.shape, conv),
+                    }
+                    for layer, tensor in tensors.items():
+                        path = tensor_dir / f"{image_id}.{stream}.v{v}.{layer}.fvt"
+                        write_tensor(tensor, path)
+                        views.append((stream, layer, path))
+            entries.append(ManifestEntry(image_id, k, tuple(views), role))
 
     manifest = Manifest(class_names=tuple(class_names), entries=tuple(entries))
     write_manifest(manifest, out / "data.manifest")

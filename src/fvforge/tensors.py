@@ -34,8 +34,8 @@ from __future__ import annotations
 
 import math
 import os
+import secrets
 import struct
-import tempfile
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
@@ -145,11 +145,14 @@ class ScoreVector:
 def _atomic_file(path: str | Path):
     """A binary file to write that appears under ``path`` by one rename
     when the block ends, and is removed if the block raises, so ``path``
-    is never left half-written."""
+    is never left half-written.  The temporary beside it is created
+    exclusively, never through a symlink, with the mode the process
+    umask gives a new file."""
     path = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=path.parent or Path("."), prefix=path.name + ".")
+    tmp = path.with_name(f"{path.name}.{secrets.token_hex(6)}")
+    fh = open(tmp, "xb")
     try:
-        with os.fdopen(fd, "wb") as fh:
+        with fh:
             yield fh
         os.replace(tmp, path)
     except BaseException:
@@ -166,14 +169,18 @@ def atomic_write_text(path: str | Path, text: str) -> None:
 
 
 def read_text(path: str | Path) -> str:
-    """The UTF-8 text of ``path``; any other bytes raise ValidationError
-    naming the file."""
+    """The UTF-8 text of ``path``; any other bytes, or a NUL, raise
+    ValidationError naming the file."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise ValidationError(
             f"{path}: not UTF-8 text (byte {exc.start}: {exc.reason})"
         ) from None
+    at = text.find("\x00")  # no field may hold one: open() refuses such a path
+    if at >= 0:
+        raise ValidationError(f"{path}: NUL at character {at}")
+    return text
 
 
 def _read_header(path: Path) -> dict[str, str]:
@@ -417,11 +424,18 @@ def load_model(
 class ManifestEntry:
     image_id: str
     label: int | None
-    views: tuple[tuple[str, str, Path], ...]  # (stream, layer, resolved path)
+    views: tuple[tuple[str, str, str | Path], ...]  # (stream, layer, resolved path)
     role: str = "train"
 
     def paths_for(self, stream: str, layer: str) -> tuple[Path, ...]:
-        return tuple(p for s, l, p in self.views if s == stream and l == layer)
+        """The paths of this entry's ``stream``:``layer`` views, in manifest
+        order; an entry that lists none raises ValidationError."""
+        paths = tuple(Path(p) for s, l, p in self.views if s == stream and l == layer)
+        if not paths:
+            raise ValidationError(
+                f"image '{self.image_id}' lists no {stream}:{layer} view files"
+            )
+        return paths
 
 
 @dataclass(frozen=True)
@@ -437,7 +451,7 @@ class Manifest:
         return tuple(e for e in self.entries if e.role == role)
 
 
-def _parse_views(spec: str, base: Path, lineno: int) -> tuple[tuple[str, str, Path], ...]:
+def _parse_views(spec: str, base: str, lineno: int) -> tuple[tuple[str, str, str], ...]:
     views = []
     for item in spec.split(","):
         item = item.strip()
@@ -451,7 +465,7 @@ def _parse_views(spec: str, base: Path, lineno: int) -> tuple[tuple[str, str, Pa
             raise ValidationError(f"line {lineno}: malformed view key '{head}'")
         if stream not in STREAMS:
             raise ValidationError(f"line {lineno}: unknown stream '{stream}'")
-        views.append((stream, layer, base / path))
+        views.append((stream, layer, os.path.join(base, path)))
     if not views:
         raise ValidationError(f"line {lineno}: entry lists no view files")
     return tuple(views)
@@ -460,11 +474,13 @@ def _parse_views(spec: str, base: Path, lineno: int) -> tuple[tuple[str, str, Pa
 def load_manifest(path: str | Path) -> Manifest:
     """Load and validate a manifest file.
 
-    View file paths are resolved but not opened; a dangling path only
-    surfaces later, at read_tensor time.
+    Each view path is checked and kept as text joined to the manifest's
+    directory; ``ManifestEntry.paths_for`` makes ``Path``s of the views
+    asked for.  Nothing is opened, so a dangling path only surfaces
+    later, at read_tensor time.
     """
     path = Path(path)
-    base = path.parent
+    base = str(path.parent)
     lines = read_text(path).splitlines()
     if not lines or not lines[0].startswith("classes:"):
         raise ValidationError(f"{path}: first line must be 'classes: ...'")
@@ -523,14 +539,26 @@ def load_manifest(path: str | Path) -> Manifest:
 
 
 def write_manifest(manifest: Manifest, path: str | Path) -> None:
-    """Serialize a manifest; view paths are written relative to ``path``."""
+    """Serialize a manifest; view paths are written relative to ``path``.
+
+    A view that ``load_manifest`` would not read back as written, such as
+    one whose stream, layer or relative path holds a ``,``, a tab, a NUL
+    or a line break, raises ValidationError before anything is written.
+    """
     path = Path(path)
     base = path.parent
     lines = ["classes: " + ",".join(manifest.class_names)]
     for entry in manifest.entries:
-        views = ",".join(
-            f"{s}:{l}={os.path.relpath(p, base)}" for s, l, p in entry.views
-        )
+        rels = tuple((s, l, os.path.relpath(p, base)) for s, l, p in entry.views)
+        views = ",".join(f"{s}:{l}={rel}" for s, l, rel in rels)
+        try:
+            kept = _parse_views(views, "", 0) == rels
+        except ValidationError:
+            kept = False
+        if not kept or views.splitlines() != [views] or any(c in views for c in "\t\x00"):
+            raise ValidationError(
+                f"{path}: image '{entry.image_id}' views {views!r} would not read back"
+            )
         label = -1 if entry.label is None else entry.label
         lines.append(f"{entry.image_id}\t{label}\t{views}\t{entry.role}")
     atomic_write_text(path, "\n".join(lines) + "\n")

@@ -1002,6 +1002,33 @@ def test_text_that_is_not_utf8_exits_three_naming_the_file(tiny, tmp_path, capsy
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("reader", ["manifest", "model-header"])
+def test_a_nul_in_a_named_path_exits_three_without_writing(tiny, tmp_path, capsys, reader):
+    """A NUL in a manifest's first conv5_3 path or in the file a model
+    header names is a data error naming the text file, not a ValueError
+    from ``open``."""
+    if reader == "manifest":
+        bad = tmp_path / "data.manifest"
+        text = (tiny / "data.manifest").read_text()
+        at = text.index("conv5_3=") + len("conv5_3=")
+        bad.write_text(text[:at] + "\x00" + text[at:])
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("[pca]\ndim = 4\n\n[gmm]\ncomponents = 2\n")
+        argv = ["run", "--config", str(cfg), "--manifest", str(bad)]
+    else:
+        _svm_inputs(tiny, tmp_path)
+        bad = tmp_path / "svm" / "svm.model"
+        text = bad.read_text()
+        assert "weights=weights.fvt" in text
+        bad.write_text(text.replace("weights=weights.fvt", "weights=weig\x00hts.fvt"))
+        argv = ["predict", "--model", str(tmp_path / "svm"), "--in", str(tmp_path / "test.fvt"),
+                "--manifest", str(tiny / "data.manifest")]
+    capsys.readouterr()
+    assert main(argv + ["--out", str(tmp_path / "out")]) == 3
+    assert f"{bad}: NUL at character" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_model_header_naming_a_file_outside_its_directory_exits_three(tmp_path, capsys):
     """``mean=../../x`` is refused although ``x`` is a valid mean vector."""
     model_dir = tmp_path / "a" / "pca"

@@ -50,7 +50,7 @@ from fvforge.tensors import (
     write_tensor,
 )
 
-from conftest import random_descriptors, random_gmm
+from conftest import arrays_at_blas_threads, random_descriptors, random_gmm
 from oracles import concat_variant_fvs, fit_local_models_by_view
 
 SPEC = SynthSpec(
@@ -568,6 +568,37 @@ def test_first_failing_entry_of_a_vector_scenario_is_reported(tmp_path, scenario
     first.paths_for("scene", layer)[0].write_bytes(b"JUNK")
     with pytest.raises(FormatError, match=f"{first.image_id}\\."):
         run(corpus, make_cfg(scenario=scenario), tmp_path / "run")
+
+
+_RUN_FILES = """
+import sys
+from pathlib import Path
+import numpy as np
+from fvforge.config import PipelineConfig
+from fvforge.pipeline import run
+from fvforge.synth import SynthSpec, generate_dataset
+
+work = Path(sys.argv[1]).with_suffix("")
+spec = SynthSpec(seed=3, classes=2, images_per_class=8, views=1, map_size=16,
+                 map_channels=512, test_fraction=0.5)
+cfg = PipelineConfig(pca_dim=8, gmm_components=2, gmm_max_iterations=3)
+run(generate_dataset(work / "data", spec), cfg, work / "run")
+files = sorted(p for p in (work / "run").rglob("*") if p.is_file())
+np.savez(sys.argv[1], **{
+    str(p.relative_to(work / "run")).replace("/", ":"): np.frombuffer(p.read_bytes(), np.uint8)
+    for p in files
+})
+"""
+
+
+def test_run_outputs_do_not_depend_on_blas_threads(tmp_path):
+    """Every file of a local_fv run directory, written by the library's
+    ``run`` with no CLI around it, is byte-equal at 1 and 2 BLAS threads."""
+    one, two = arrays_at_blas_threads(_RUN_FILES, tmp_path)
+    assert "models:pca_scene_channel:basis.fvt" in one
+    assert one.keys() == two.keys()
+    for name in one:
+        np.testing.assert_array_equal(one[name], two[name], err_msg=name)
 
 
 def test_run_accepts_a_manifest_path(tmp_path):

@@ -2,13 +2,18 @@
 
 from __future__ import annotations
 
+import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fvforge
 from fvforge.errors import (
     CorruptionError,
     DataError,
@@ -25,6 +30,8 @@ from fvforge.pca import fit_pca, load_pca, save_pca
 from fvforge.tensors import (
     FeatureMap,
     GlobalVector,
+    Manifest,
+    ManifestEntry,
     ScoreVector,
     load_manifest,
     read_dims,
@@ -310,6 +317,31 @@ def test_manifest_round_trip(tmp_path, rng):
     assert again.entries[1].role == "test"
 
 
+@pytest.mark.parametrize(
+    "stream, layer, name",
+    [
+        ("object", "fc7", "a,b/x.fvt"),
+        ("object", "fc7", "a\tb.fvt"),
+        ("object", "fc7", "a\nb.fvt"),
+        ("object", "fc7", "x.fvt "),
+        ("object", "fc=7", "x.fvt"),
+        ("object", "fc,7", "x.fvt"),
+        ("object:", "fc7", "x.fvt"),
+    ],
+    ids=["comma-dir", "tab", "newline", "trailing-space", "equals-layer", "comma-layer",
+         "colon-stream"],
+)
+def test_write_manifest_refuses_a_view_it_cannot_read_back(tmp_path, stream, layer, name):
+    """A view whose path, stream or layer the format cannot carry raises
+    before anything is written, instead of a manifest that load_manifest
+    rejects or reads as other views."""
+    entry = ManifestEntry("img_a", 0, ((stream, layer, tmp_path / name),))
+    out = tmp_path / "data.manifest"
+    with pytest.raises(ValidationError, match="img_a"):
+        write_manifest(Manifest(("cat",), (entry,)), out)
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_manifest_role_defaults_to_train(tmp_path):
     src = tmp_path / "m.manifest"
     src.write_text("classes: a,b\nx\t0\tobject:fc7=x.fvt\n")
@@ -387,3 +419,31 @@ def test_fuzzed_tensor_files_raise_typed_errors_only(rng, tmp_path):
             read_tensor(target)
         except FvForgeError:
             pass  # typed failure is the contract
+
+
+_MODES = """
+import os, stat, sys
+from pathlib import Path
+import numpy as np
+from fvforge.tensors import FeatureMap, atomic_write_text, write_rows, write_tensor
+
+out = Path(sys.argv[1])
+os.umask(int(sys.argv[2], 8))
+write_tensor(FeatureMap(1, 1, 2, np.ones(2)), out / "map.fvt")
+write_rows(out / "rows.fvt", 2, np.ones((2, 3)))
+atomic_write_text(out / "report.csv", "class,positives,ap\\n")
+print(" ".join(f"{p.name}={stat.S_IMODE(p.stat().st_mode):o}" for p in sorted(out.iterdir())))
+"""
+
+
+@pytest.mark.parametrize("umask, mode", [("022", "644"), ("077", "600")])
+def test_written_files_take_the_mode_the_umask_gives(tmp_path, umask, mode):
+    """A tensor, a row container and a text file are created as any new
+    file is under the process umask, and no temporary is left beside
+    them.  The umask is process-wide, so a child process sets it."""
+    src = str(Path(fvforge.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", _MODES, str(tmp_path), umask],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, check=True, timeout=120,
+    )
+    assert done.stdout.split() == [f"{n}={mode}" for n in ("map.fvt", "report.csv", "rows.fvt")]
