@@ -41,7 +41,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError, ParameterError, ShapeError, ValidationError
-from .tensors import load_model, save_model
+from .tensors import check_class_names, load_model, save_model
 
 logger = logging.getLogger(__name__)
 
@@ -87,6 +87,7 @@ class LinearModel:
                 f"{len(self.class_names)} class names for "
                 f"{self.class_count} classes"
             )
+        check_class_names(self.class_names)
         w.flags.writeable = False
         b.flags.writeable = False
         object.__setattr__(self, "weights", w)
@@ -324,8 +325,8 @@ def save_svm(model: LinearModel, model_dir: str | Path) -> None:
 
 
 def load_svm(model_dir: str | Path) -> LinearModel:
-    """Inverse of save_svm; the shape comes from ``weights.fvt`` and must
-    match the header's class_count and feature_dim."""
+    """Inverse of save_svm; ``LinearModel`` checks that ``weights.fvt``
+    has the header's class_count x feature_dim shape."""
     arrays, fields = load_model(model_dir, _HEADER_NAME, {"weights": 2, "biases": 1})
     try:
         shape = (int(fields["class_count"]), int(fields["feature_dim"]))
@@ -335,11 +336,6 @@ def load_svm(model_dir: str | Path) -> LinearModel:
         raise ValidationError(f"model header missing key {exc}") from exc
     except ValueError as exc:
         raise ValidationError(f"bad model header value: {exc}") from exc
-    if shape != arrays["weights"].shape:
-        raise ValidationError(
-            f"header class_count x feature_dim {shape} disagrees with "
-            f"weights tensor {arrays['weights'].shape}"
-        )
     names = tuple(fields["class_names"].split(",")) if "class_names" in fields else ()
     return LinearModel(
         *shape, **arrays, C=c_value, class_names=names, degenerate_classes=degenerate

@@ -211,6 +211,10 @@ def _cmd_train_svm(args) -> int:
 def _cmd_predict(args) -> int:
     manifest = load_manifest(args.manifest)
     model = load_svm(args.model)
+    if model.class_names and model.class_names != manifest.class_names:
+        raise ValidationError(
+            f"model classes {model.class_names} differ from the manifest's {manifest.class_names}"
+        )
     entries = pipeline.entries_for_role(manifest, args.role)
     matrix = predict_matrix(model, read_matrix(args.infile, len(entries)))
     write_scores_csv(args.out, [e.image_id for e in entries], matrix)

@@ -222,7 +222,7 @@ def read_scores_csv(path: str | Path) -> tuple[list[str], np.ndarray]:
 
 
 def write_report_csv(path: str | Path, report: EvalReport) -> None:
-    """CSV of (class, positives, AP) plus a trailing summary line."""
+    """CSV of (class, positives, AP) and a summary line; nothing in fvforge reads it."""
     lines = [_REPORT_COMMENT, "class,positives,ap"]
     excluded = set(report.excluded_classes)
     for k in range(report.class_count):

@@ -420,12 +420,35 @@ def load_model(
     return arrays, header
 
 
+def check_class_names(names) -> None:
+    """Labels index the class names, which a manifest's class line and an
+    SVM header split at ``,`` and strip: each must be non-empty and unique,
+    with no ``,``, NUL, line break or surrounding whitespace."""
+    for i, name in enumerate(names):
+        if not name:
+            raise ValidationError(f"class {i} has an empty name")
+        if name in names[:i]:
+            raise ValidationError(f"class name '{name}' is repeated")
+        if "," in name or "\x00" in name or name.strip().splitlines() != [name]:
+            raise ValidationError(f"class name {name!r} holds ',', NUL, a line break or edge space")
+
+
 @dataclass(frozen=True)
 class ManifestEntry:
     image_id: str
     label: int | None
     views: tuple[tuple[str, str, str | Path], ...]  # (stream, layer, resolved path)
     role: str = "train"
+
+    def __post_init__(self):
+        # The id names a scores.csv cell and the vector file `stack` reads.
+        image_id = self.image_id
+        if any(c in image_id for c in '/,"\t\x00') or image_id.splitlines() != [image_id]:
+            raise ValidationError(
+                f"image_id {image_id!r} is empty or holds '/', ',', '\"', tab, NUL or line break"
+            )
+        if self.role not in ROLES:
+            raise ValidationError(f"unknown role '{self.role}'")
 
     def paths_for(self, stream: str, layer: str) -> tuple[Path, ...]:
         """The paths of this entry's ``stream``:``layer`` views, in manifest
@@ -438,10 +461,33 @@ class ManifestEntry:
         return paths
 
 
+class _EntryError(ValidationError):
+    """A rule of ``Manifest`` that its entry at index ``at`` breaks."""
+
+    def __init__(self, at: int, message: str):
+        super().__init__(message)
+        self.at = at
+
+
 @dataclass(frozen=True)
 class Manifest:
+    """Every Manifest is one ``load_manifest`` can produce."""
+
     class_names: tuple[str, ...]
     entries: tuple[ManifestEntry, ...]
+
+    def __post_init__(self):
+        if not self.class_names:
+            raise ValidationError("empty class list")
+        check_class_names(self.class_names)
+        n = len(self.class_names)
+        seen: set[str] = set()
+        for at, e in enumerate(self.entries):
+            if e.image_id in seen:
+                raise _EntryError(at, f"duplicate image_id '{e.image_id}'")
+            seen.add(e.image_id)
+            if e.label is not None and not (type(e.label) is int and 0 <= e.label < n):
+                raise _EntryError(at, f"image '{e.image_id}': label {e.label!r} not in 0..{n - 1}")
 
     @property
     def class_count(self) -> int:
@@ -451,7 +497,7 @@ class Manifest:
         return tuple(e for e in self.entries if e.role == role)
 
 
-def _parse_views(spec: str, base: str, lineno: int) -> tuple[tuple[str, str, str], ...]:
+def _parse_views(spec: str, base: str) -> tuple[tuple[str, str, str], ...]:
     views = []
     for item in spec.split(","):
         item = item.strip()
@@ -459,83 +505,50 @@ def _parse_views(spec: str, base: str, lineno: int) -> tuple[tuple[str, str, str
             continue
         head, sep, path = item.partition("=")
         if not sep or not path:
-            raise ValidationError(f"line {lineno}: malformed view '{item}'")
+            raise ValidationError(f"malformed view '{item}'")
         stream, sep, layer = head.partition(":")
         if not sep or not layer:
-            raise ValidationError(f"line {lineno}: malformed view key '{head}'")
+            raise ValidationError(f"malformed view key '{head}'")
         if stream not in STREAMS:
-            raise ValidationError(f"line {lineno}: unknown stream '{stream}'")
+            raise ValidationError(f"unknown stream '{stream}'")
         views.append((stream, layer, os.path.join(base, path)))
     if not views:
-        raise ValidationError(f"line {lineno}: entry lists no view files")
+        raise ValidationError("entry lists no view files")
     return tuple(views)
 
 
 def load_manifest(path: str | Path) -> Manifest:
-    """Load and validate a manifest file.
-
-    Each view path is checked and kept as text joined to the manifest's
-    directory; ``ManifestEntry.paths_for`` makes ``Path``s of the views
-    asked for.  Nothing is opened, so a dangling path only surfaces
-    later, at read_tensor time.
-    """
+    """Parse a manifest file and construct its ``Manifest``; any error
+    raises ValidationError naming the file and line.  View paths stay text
+    joined to the manifest's directory until ``paths_for`` asks for them;
+    nothing is opened, so a dangling path surfaces at read time."""
     path = Path(path)
     base = str(path.parent)
     lines = read_text(path).splitlines()
     if not lines or not lines[0].startswith("classes:"):
         raise ValidationError(f"{path}: first line must be 'classes: ...'")
     class_names = tuple(name.strip() for name in lines[0][len("classes:"):].split(","))
-    if class_names == ("",):
-        raise ValidationError(f"{path}: empty class list")
-    # Labels index this list, so an empty name is never skipped.
-    for i, name in enumerate(class_names):
-        if not name:
-            raise ValidationError(f"{path} line 1: class {i} has an empty name")
-        if name in class_names[:i]:
-            raise ValidationError(f"{path} line 1: class name '{name}' is repeated")
-
-    entries = []
-    seen: set[str] = set()
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        fields = line.split("\t")
-        if len(fields) not in (3, 4):
-            raise ValidationError(f"{path} line {lineno}: expected 3 or 4 fields")
-        image_id, label_text, view_spec = fields[0], fields[1], fields[2]
-        role = fields[3].strip() if len(fields) == 4 else "train"
-        if role not in ROLES:
-            raise ValidationError(f"{path} line {lineno}: unknown role '{role}'")
-        if not image_id:
-            raise ValidationError(f"{path} line {lineno}: empty image_id")
-        if any(c in image_id for c in '/,"'):
-            # The id names a scores.csv cell, and the vector file `stack`
-            # reads for the image.
-            raise ValidationError(
-                f"{path} line {lineno}: image_id '{image_id}' contains '/', ',' or '\"'"
-            )
-        if image_id in seen:
-            raise ValidationError(f"{path} line {lineno}: duplicate image_id '{image_id}'")
-        seen.add(image_id)
-        try:
-            label_index = int(label_text)
-        except ValueError:
-            raise ValidationError(
-                f"{path} line {lineno}: label '{label_text}' is not an integer"
-            ) from None
-        if label_index == -1:
-            label = None
-        elif 0 <= label_index < len(class_names):
-            label = label_index
-        else:
-            raise ValidationError(
-                f"{path} line {lineno}: label {label_index} outside "
-                f"0..{len(class_names) - 1}"
-            )
-        views = _parse_views(view_spec, base, lineno)
-        entries.append(ManifestEntry(image_id, label, views, role))
-
-    return Manifest(class_names=class_names, entries=tuple(entries))
+    entries, linenos, lineno = [], [], 1
+    try:
+        Manifest(class_names, ())
+        for lineno, line in enumerate(lines[1:], start=2):
+            if not line.strip():
+                continue
+            fields = line.split("\t")
+            if len(fields) not in (3, 4):
+                raise ValidationError("expected 3 or 4 fields")
+            try:
+                label = int(fields[1])
+            except ValueError:
+                raise ValidationError(f"label '{fields[1]}' is not an integer") from None
+            role = fields[3].strip() if len(fields) == 4 else "train"
+            views = _parse_views(fields[2], base)
+            entries.append(ManifestEntry(fields[0], None if label == -1 else label, views, role))
+            linenos.append(lineno)
+        return Manifest(class_names, tuple(entries))
+    except ValidationError as exc:
+        at = linenos[exc.at] if isinstance(exc, _EntryError) else lineno
+        raise ValidationError(f"{path} line {at}: {exc}") from None
 
 
 def write_manifest(manifest: Manifest, path: str | Path) -> None:
@@ -552,7 +565,7 @@ def write_manifest(manifest: Manifest, path: str | Path) -> None:
         rels = tuple((s, l, os.path.relpath(p, base)) for s, l, p in entry.views)
         views = ",".join(f"{s}:{l}={rel}" for s, l, rel in rels)
         try:
-            kept = _parse_views(views, "", 0) == rels
+            kept = _parse_views(views, "") == rels
         except ValidationError:
             kept = False
         if not kept or views.splitlines() != [views] or any(c in views for c in "\t\x00"):

@@ -7,6 +7,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fvforge.classify import (
     LinearModel,
@@ -334,6 +336,31 @@ def test_one_feature_weights_load_as_a_column(rng, tmp_path):
     loaded = load_svm(tmp_path / "svm")
     assert loaded.weights.shape == (3, 1)
     np.testing.assert_array_equal(loaded.weights, model.weights.astype(np.float32))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    names=st.lists(
+        st.text(alphabet="ab=#", min_size=1, max_size=3)
+        | st.text(alphabet='ab ,=#"\t\n\r\x00\x85\u2028', max_size=3),
+        max_size=3,
+        unique=True,
+    )
+)
+@example(names=[" a", "b"])
+@example(names=["a,b", "c"])
+@example(names=["a\nb", "c"])
+def test_class_names_of_every_model_survive_the_header(tmp_path_factory, names):
+    """The header splits the names at ``,`` and strips its lines, so a
+    model holds only names that read back as written."""
+    k = max(1, len(names))
+    try:
+        model = LinearModel(k, 1, np.zeros((k, 1)), np.zeros(k), class_names=tuple(names))
+    except ValidationError:
+        return
+    out = tmp_path_factory.mktemp("svm")
+    save_svm(model, out)
+    assert load_svm(out).class_names == model.class_names
 
 
 def test_degenerate_flag_survives_the_files(rng, tmp_path):

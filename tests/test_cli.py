@@ -536,13 +536,15 @@ def test_manifest_image_ids_that_break_the_run_directory_exit_three(
     """An id names a scores.csv cell and the vector file `stack` reads, so
     a slash could name a file outside that directory, a comma or quote
     would make a scores.csv that evaluate rejects, and an empty id would
-    name the hidden file ``.fvt``."""
+    name the hidden file ``.fvt``.  ``ManifestEntry`` refuses such an id,
+    so it is put into the written text."""
     manifest = load_manifest(tiny / "data.manifest")
     at = next(i for i, e in enumerate(manifest.entries) if e.role == role)
-    entries = list(manifest.entries)
-    entries[at] = replace(entries[at], image_id=image_id)
     path = tmp_path / "m.manifest"
-    write_manifest(replace(manifest, entries=tuple(entries)), path)
+    write_manifest(manifest, path)
+    lines = path.read_text().splitlines(keepends=True)
+    lines[at + 1] = image_id + lines[at + 1][lines[at + 1].index("\t"):]
+    path.write_text("".join(lines))
     cfg = tmp_path / "run.cfg"
     cfg.write_text("[pipeline]\nscenario = global_pretrained\n")
     out = tmp_path / "deep" / "run"
@@ -551,6 +553,32 @@ def test_manifest_image_ids_that_break_the_run_directory_exit_three(
     assert code == 3
     assert f"line {at + 2}" in capsys.readouterr().err
     assert not (tmp_path / "deep").exists()
+
+
+def test_predict_refuses_a_model_whose_class_names_differ_from_the_manifest(
+    tiny, tmp_path, capsys
+):
+    """Scores are columns by class index, so a model trained on other names
+    would have evaluate report each AP under the wrong class."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("[pipeline]\nscenario = global_pretrained\n")
+    run = tmp_path / "r"
+    argv = ["run", "--config", str(cfg), "--manifest", str(tiny / "data.manifest")]
+    assert main([*argv, "--out", str(run)]) == 0
+    text = (tiny / "data.manifest").read_text()
+    assert text.startswith("classes: class00,class01,class02\n")
+    swapped = tmp_path / "swapped.manifest"  # predict opens no view file
+    swapped.write_text(text.replace("class00,class01,class02", "class02,class01,class00", 1))
+    capsys.readouterr()
+    scores = tmp_path / "scores.csv"
+    code = main(
+        ["predict", "--model", str(run / "models" / "svm"), "--manifest", str(swapped),
+         "--in", str(run / "features" / "test.fvt"), "--out", str(scores)]
+    )
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "'class00', 'class01', 'class02'" in err and "'class02', 'class01', 'class00'" in err
+    assert not scores.exists()
 
 
 @pytest.mark.parametrize(

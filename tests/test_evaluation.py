@@ -23,6 +23,7 @@ from fvforge.evaluation import (
     write_report_csv,
     write_scores_csv,
 )
+from fvforge.tensors import ManifestEntry
 
 from oracles import (
     average_precision_reference,
@@ -184,6 +185,30 @@ def test_scores_csv_round_trip(rng, tmp_path):
     got_ids, got = read_scores_csv(path)
     assert got_ids == ids
     np.testing.assert_array_equal(got, matrix)  # repr round-trips floats exactly
+
+
+def _accepted(image_id: str) -> bool:
+    try:
+        ManifestEntry(image_id, None, ())
+    except ValidationError:
+        return False
+    return True
+
+
+@settings(max_examples=150, deadline=None)
+@given(ids=st.lists(st.text(min_size=1, max_size=6), min_size=1, max_size=5, unique=True))
+def test_every_id_a_manifest_entry_accepts_survives_the_scores_csv(tmp_path_factory, ids):
+    """The CSV is written unquoted, so it is safe only because an id holds
+    no ``,``, ``"``, NUL or line break."""
+    ids = [i for i in ids if _accepted(i)]
+    if not ids:
+        return
+    path = tmp_path_factory.mktemp("scores") / "scores.csv"
+    matrix = np.arange(2.0 * len(ids)).reshape(len(ids), 2)
+    write_scores_csv(path, ids, matrix)
+    got_ids, got = read_scores_csv(path)
+    assert got_ids == ids
+    np.testing.assert_array_equal(got, matrix)
 
 
 def test_scores_csv_rejects_malformed_input(tmp_path):

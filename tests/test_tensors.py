@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import fvforge
@@ -28,6 +28,8 @@ from fvforge.gmm import fit_gmm, load_gmm, save_gmm
 from fvforge.normalize import DescriptorSet
 from fvforge.pca import fit_pca, load_pca, save_pca
 from fvforge.tensors import (
+    ROLES,
+    STREAMS,
     FeatureMap,
     GlobalVector,
     Manifest,
@@ -315,6 +317,61 @@ def test_manifest_round_trip(tmp_path, rng):
     assert again.class_names == manifest.class_names
     assert [e.image_id for e in again.entries] == ["img_a", "img_b"]
     assert again.entries[1].role == "test"
+
+
+# Half the draws use only characters every field can carry, so that
+# many manifests construct; the rest may hold any character the format
+# splits or strips on.
+_TEXT = st.text(alphabet="ab.:= ", min_size=1, max_size=3) | st.text(
+    alphabet='ab ,/:="\t\n\r\x00\x85\u2028.', max_size=3
+)
+_ROWS = st.lists(
+    st.tuples(
+        _TEXT,
+        st.none() | st.integers(-1, 3),
+        st.sampled_from(ROLES),
+        st.lists(st.tuples(st.sampled_from(STREAMS), _TEXT, _TEXT), min_size=1, max_size=2),
+    ),
+    max_size=3,
+    unique_by=lambda row: row[0],
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(class_names=st.lists(_TEXT, min_size=1, max_size=3, unique=True), rows=_ROWS)
+@example(class_names=["a,b", "c"], rows=[("x", 1, "train", [("object", "fc7", "x.fvt")])])
+def test_every_manifest_that_constructs_reads_back_as_written(tmp_path_factory, class_names, rows):
+    """A Manifest holds only class names, ids, labels and roles that the
+    manifest text carries; a view it cannot carry is refused before
+    anything is written.  Everything else reloads as it was."""
+    base = tmp_path_factory.mktemp("manifest")
+    try:
+        manifest = Manifest(
+            tuple(class_names),
+            tuple(
+                ManifestEntry(i, label, tuple((s, l, base / "v" / p) for s, l, p in views), role)
+                for i, label, role, views in rows
+            ),
+        )
+    except ValidationError:
+        return
+    path = base / "data.manifest"
+    try:
+        write_manifest(manifest, path)
+    except ValidationError as exc:
+        assert "would not read back" in str(exc)
+        assert not path.exists()
+        return
+    back = load_manifest(path)
+
+    def described(m):
+        return [
+            (e.image_id, e.label, e.role, [(s, l, os.path.normpath(p)) for s, l, p in e.views])
+            for e in m.entries
+        ]
+
+    assert back.class_names == manifest.class_names
+    assert described(back) == described(manifest)
 
 
 @pytest.mark.parametrize(
