@@ -15,13 +15,13 @@ training vectors; keeping the margins w_k . x_i current makes one update
 O(n) instead of O(dim).
 
 Memory: the caller's float64 feature matrix is the only copy of the
-training data; no bias column is appended to it.  The finiteness
-check, the norms and Q work on ``TILE_ROWS``-row tiles, and only the
-tiles Q multiplies carry the constant 1.  Q (n^2 float64) is built from
-its upper triangle one tile pair at a time, each block mirrored.  The
-weights combine the unaugmented rows, and each bias sums its class's
-signed duals in sample order.  Beyond the matrix the stage holds Q, two
-tiles and a few K n for duals and margins.
+training data; no bias column is appended to it.  The norms and Q work
+on ``TILE_ROWS``-row tiles, and only the tiles Q multiplies carry the
+constant 1.  Q (n^2 float64) is built from its upper triangle one tile
+pair at a time, each block mirrored.  The weights combine the
+unaugmented rows, and each bias sums its class's signed duals in sample
+order.  Beyond the matrix the stage holds Q, two tiles and a few K n for
+duals and margins.
 
 Q and the weights come from ``np.einsum``, not ``@``: BLAS products
 round differently at different thread counts, and models must not.
@@ -40,8 +40,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError, ParameterError, ShapeError, ValidationError
-from .tensors import check_class_names, load_model, save_model
+from .errors import ParameterError, ShapeError, ValidationError
+from .tensors import _checked, check_class_names, load_model, save_model
 
 logger = logging.getLogger(__name__)
 
@@ -69,33 +69,28 @@ class LinearModel:
     def __post_init__(self):
         if self.class_count < 1 or self.feature_dim < 1:
             raise ParameterError("class_count and feature_dim must be positive")
-        if self.C <= 0.0 or not np.isfinite(self.C):
+        if not 0.0 < self.C < np.inf:
             raise ParameterError(f"C must be a positive real, got {self.C}")
-        w = np.ascontiguousarray(self.weights, dtype=np.float64)
-        b = np.ascontiguousarray(self.biases, dtype=np.float64).reshape(-1)
-        if w.shape != (self.class_count, self.feature_dim):
-            raise ShapeError(
-                f"weights shape {w.shape} != "
-                f"({self.class_count}, {self.feature_dim})"
-            )
-        if b.shape != (self.class_count,):
-            raise ShapeError(f"biases shape {b.shape} != ({self.class_count},)")
-        if not (np.all(np.isfinite(w)) and np.all(np.isfinite(b))):
-            raise DataError("model parameters must be finite")
-        if self.class_names and len(self.class_names) != self.class_count:
-            raise ShapeError(
-                f"{len(self.class_names)} class names for "
-                f"{self.class_count} classes"
-            )
-        check_class_names(self.class_names)
-        w.flags.writeable = False
-        b.flags.writeable = False
+        w, b = _checked(
+            np.float64,
+            ("SVM weights", self.weights, (self.class_count, self.feature_dim)),
+            ("SVM biases", np.reshape(self.biases, -1), (self.class_count,)),
+        )
+        _check_names(self.class_names, self.class_count)
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "biases", b)
         object.__setattr__(self, "class_names", tuple(self.class_names))
         object.__setattr__(
             self, "degenerate_classes", tuple(self.degenerate_classes)
         )
+
+
+def _check_names(class_names, class_count: int) -> None:
+    """A bank's class names are none, or one per class that
+    ``check_class_names`` accepts."""
+    if class_names and len(class_names) != class_count:
+        raise ShapeError(f"{len(class_names)} class names for {class_count} classes")
+    check_class_names(class_names)
 
 
 def _tile(x: np.ndarray, start: int, bias: bool) -> np.ndarray:
@@ -232,13 +227,10 @@ def train_ovr(
     ``degenerate_classes`` rather than raised.  Classes that stop at
     ``max_epochs`` are named in one ``not-converged`` warning.
     """
-    x = np.ascontiguousarray(features, dtype=np.float64)
-    if x.ndim != 2 or x.shape[0] < 1:
+    (x,) = _checked(np.float64, ("features", features, (None, None)))
+    if x.shape[0] < 1:
         raise ShapeError(f"features must be a nonempty 2-d array, got {x.shape}")
     n = x.shape[0]
-    tiles = [x[i:i + TILE_ROWS] for i in range(0, n, TILE_ROWS)]
-    if not all(np.isfinite(tile).all() for tile in tiles):
-        raise DataError("features contain non-finite values")
     y = np.asarray(labels, dtype=np.int64).reshape(-1)
     if y.shape[0] != x.shape[0]:
         raise ShapeError(f"{y.shape[0]} labels for {x.shape[0]} features")
@@ -249,11 +241,14 @@ def train_ovr(
             f"labels must lie in [0, {class_count}), got "
             f"[{y.min()}, {y.max()}]"
         )
-    if C <= 0.0:
-        raise ParameterError(f"C must be positive, got {C}")
+    if not 0.0 < C < np.inf:
+        raise ParameterError(f"C must be a positive real, got {C}")
     if max_epochs < 1 or not tol > 0.0 or seed < 0:
         raise ParameterError("max_epochs must be >= 1, tol > 0 and seed >= 0")
+    class_names = tuple(class_names)
+    _check_names(class_names, class_count)
 
+    tiles = [x[i:i + TILE_ROWS] for i in range(0, n, TILE_ROWS)]
     norms = np.concatenate([np.linalg.norm(tile, axis=1) for tile in tiles])
     off = np.abs(norms - 1.0) > NORM_WARN_FRACTION
     if np.any(off):
@@ -287,7 +282,7 @@ def train_ovr(
         weights=w_aug[:, :-1],
         biases=w_aug[:, -1],
         C=C,
-        class_names=tuple(class_names),
+        class_names=class_names,
         degenerate_classes=degenerate,
     )
 
@@ -298,14 +293,7 @@ def predict_matrix(model: LinearModel, features: np.ndarray) -> np.ndarray:
     One BLAS product over every row: scoring in row blocks rounds
     differently whenever a block has only a few rows.
     """
-    x = np.ascontiguousarray(features, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != model.feature_dim:
-        raise ShapeError(
-            f"features shape {x.shape} incompatible with model dim "
-            f"{model.feature_dim}"
-        )
-    if not np.all(np.isfinite(x)):
-        raise DataError("features contain non-finite values")
+    (x,) = _checked(np.float64, ("features", features, (None, model.feature_dim)))
     return x @ model.weights.T + model.biases
 
 

@@ -23,7 +23,7 @@ from .errors import (
     UndefinedApError,
     ValidationError,
 )
-from .tensors import atomic_write_text, read_text
+from .tensors import _checked, atomic_write_text, read_text
 
 _REPORT_COMMENT = (
     "# ties break by input order (stable sort); "
@@ -43,14 +43,10 @@ class EvalReport:
     class_names: tuple[str, ...] = ()
 
     def __post_init__(self):
-        ap = np.ascontiguousarray(self.per_class_ap, dtype=np.float64).reshape(-1)
-        counts = np.ascontiguousarray(
-            self.per_class_counts, dtype=np.int64
-        ).reshape(-1)
-        if ap.shape != counts.shape:
-            raise ShapeError(
-                f"{ap.size} AP values but {counts.size} class counts"
-            )
+        (counts,) = _checked(
+            np.int64, ("per-class counts", self.per_class_counts, (None,)), flat=True
+        )
+        (ap,) = _checked(np.float64, ("per-class AP", self.per_class_ap, counts.shape), flat=True)
         defined = np.setdiff1d(
             np.arange(ap.size), np.asarray(self.excluded_classes, dtype=np.int64)
         )
@@ -60,8 +56,6 @@ class EvalReport:
             raise DataError("per-class AP values must lie in [0, 1]")
         if not 0.0 <= self.top1_accuracy <= 1.0:
             raise DataError(f"top1_accuracy {self.top1_accuracy} outside [0, 1]")
-        ap.flags.writeable = False
-        counts.flags.writeable = False
         object.__setattr__(self, "per_class_ap", ap)
         object.__setattr__(self, "per_class_counts", counts)
         object.__setattr__(
@@ -82,14 +76,10 @@ def _ranked_labels(scores: np.ndarray, labels: np.ndarray) -> np.ndarray:
 
 def average_precision(scores, labels) -> float:
     """Area under the precision-recall curve of one ranked class."""
-    s = np.ascontiguousarray(scores, dtype=np.float64).reshape(-1)
     y = np.asarray(labels, dtype=bool).reshape(-1)
-    if s.shape != y.shape:
-        raise ShapeError(f"{s.size} scores for {y.size} labels")
+    (s,) = _checked(np.float64, ("scores", scores, y.shape), flat=True)
     if s.size == 0:
         raise ParameterError("cannot compute AP of an empty ranking")
-    if not np.all(np.isfinite(s)):
-        raise DataError("scores contain non-finite values")
     positives = int(y.sum())
     if positives == 0:
         raise UndefinedApError("AP is undefined with zero positive labels")
@@ -109,18 +99,10 @@ def top1_accuracy(score_matrix: np.ndarray, labels: np.ndarray) -> float:
 
 def evaluate(score_matrix, labels, class_names=()) -> EvalReport:
     """One-vs-rest AP per class, mAP over defined classes, and top-1."""
-    scores = np.ascontiguousarray(score_matrix, dtype=np.float64)
     y = np.asarray(labels, dtype=np.int64).reshape(-1)
-    if scores.ndim != 2:
-        raise ShapeError(f"score matrix must be 2-d, got shape {scores.shape}")
-    if scores.shape[0] != y.shape[0]:
-        raise ShapeError(
-            f"{scores.shape[0]} score rows for {y.shape[0]} labels"
-        )
+    (scores,) = _checked(np.float64, ("score matrix", score_matrix, (y.shape[0], None)))
     if scores.shape[0] == 0:
         raise ParameterError("cannot evaluate an empty score matrix")
-    if not np.all(np.isfinite(scores)):
-        raise DataError("score matrix contains non-finite values")
     class_count = scores.shape[1]
     if y.min() < 0 or y.max() >= class_count:
         raise ValidationError(
@@ -216,9 +198,7 @@ def read_scores_csv(path: str | Path) -> tuple[list[str], np.ndarray]:
             raise ValidationError(
                 f"scores file {src} row {i + 2}: {exc}"
             ) from exc
-    if not np.all(np.isfinite(data)):
-        raise DataError(f"scores file {src} contains non-finite values")
-    return ids, data
+    return ids, _checked(np.float64, (f"scores file {src}", data, data.shape))[0]
 
 
 def write_report_csv(path: str | Path, report: EvalReport) -> None:

@@ -15,8 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import gmm as gmm_mod
-from .errors import DataError, ParameterError, ShapeError
+from .errors import ParameterError
 from .normalize import DescriptorSet
+from .tensors import _checked
 
 
 @dataclass(frozen=True)
@@ -30,15 +31,10 @@ class FisherVector:
     def __post_init__(self):
         if self.K < 1 or self.d < 1:
             raise ParameterError("K and d must be positive")
-        arr = np.ascontiguousarray(self.data, dtype=np.float64).reshape(-1)
-        if arr.size != 2 * self.K * self.d:
-            raise ShapeError(
-                f"data length {arr.size} != 2*K*d = {2 * self.K * self.d}"
-            )
-        if not np.all(np.isfinite(arr)):
-            raise DataError("Fisher vector contains non-finite values")
-        arr.flags.writeable = False
-        object.__setattr__(self, "data", arr)
+        (data,) = _checked(
+            np.float64, ("FisherVector", self.data, (2 * self.K * self.d,)), flat=True
+        )
+        object.__setattr__(self, "data", data)
 
 
 def encode_fv(model: gmm_mod.GmmModel, descriptors: DescriptorSet) -> FisherVector:

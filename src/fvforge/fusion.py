@@ -6,8 +6,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, ParameterError, ShapeError
-from .tensors import ScoreVector
+from .errors import ParameterError, ShapeError
+from .tensors import ScoreVector, _checked
 
 
 @dataclass(frozen=True)
@@ -57,9 +57,11 @@ def concat_features(
 ) -> FusedFeature:
     """[w_o * object_feat, w_s * scene_feat] as one float64 vector."""
     w = w or FusionWeights()
-    o = np.ascontiguousarray(object_feat, dtype=np.float64).reshape(-1)
-    s = np.ascontiguousarray(scene_feat, dtype=np.float64).reshape(-1)
-    if not (np.all(np.isfinite(o)) and np.all(np.isfinite(s))):
-        raise DataError("stream features must be finite")
+    o, s = _checked(
+        np.float64,
+        ("object stream features", object_feat, (None,)),
+        ("scene stream features", scene_feat, (None,)),
+        flat=True,
+    )
     fused = np.concatenate([w.object_weight * o, w.scene_weight * s])
     return FusedFeature(data=fused)

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import NumericError, ParameterError, ShapeError
 from .normalize import DescriptorSet
-from .tensors import load_model, save_model
+from .tensors import _checked, load_model, save_model
 
 logger = logging.getLogger(__name__)
 
@@ -54,21 +54,18 @@ class GmmModel:
     def __post_init__(self):
         if self.K < 1 or self.dim < 1:
             raise ParameterError("K and dim must be positive")
-        w = np.ascontiguousarray(self.weights, dtype=np.float64)
-        mu = np.ascontiguousarray(self.means, dtype=np.float64)
-        var = np.ascontiguousarray(self.variances, dtype=np.float64)
-        if w.shape != (self.K,):
-            raise ShapeError(f"weights shape {w.shape} != ({self.K},)")
-        if mu.shape != (self.K, self.dim) or var.shape != (self.K, self.dim):
-            raise ShapeError("means/variances must be (K, dim)")
+        w, mu, var = _checked(
+            np.float64,
+            ("mixture weights", self.weights, (self.K,)),
+            ("mixture means", self.means, (self.K, self.dim)),
+            ("mixture variances", self.variances, (self.K, self.dim)),
+            error=NumericError,
+        )
         if abs(w.sum() - 1.0) > WEIGHT_SUM_TOL or np.any(w <= 0.0):
             raise NumericError("weights must be positive and sum to 1")
         if np.any(var <= 0.0):
             raise NumericError("variances must be strictly positive")
-        if not (np.all(np.isfinite(mu)) and np.all(np.isfinite(var))):
-            raise NumericError("model parameters must be finite")
         for name, arr in (("weights", w), ("means", mu), ("variances", var)):
-            arr.flags.writeable = False
             object.__setattr__(self, name, arr)
 
 

@@ -12,16 +12,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, ParameterError, ShapeError
-from .tensors import FeatureMap
+from .errors import ParameterError
+from .tensors import FeatureMap, _checked
 
 VARIANTS = ("channel", "spatial")
 
 DEFAULT_EPSILON = 1e-12
-
-# Rows per finiteness check, so a check holds one small boolean block and
-# never a boolean twin of the whole array.
-FINITE_CHECK_ROWS = 4096
 
 
 @dataclass(frozen=True)
@@ -39,16 +35,10 @@ class DescriptorSet:
     def __post_init__(self):
         if self.dim < 1:
             raise ParameterError("descriptor dim must be positive")
-        arr = np.ascontiguousarray(self.descriptors, dtype=np.float32)
-        if arr.ndim != 2 or arr.shape[1] != self.dim:
-            raise ShapeError(
-                f"descriptors must be (N, {self.dim}), got {arr.shape}"
-            )
-        for start in range(0, arr.shape[0], FINITE_CHECK_ROWS):
-            if not np.isfinite(arr[start:start + FINITE_CHECK_ROWS]).all():
-                raise DataError("descriptors contain non-finite values")
-        arr.flags.writeable = False
-        object.__setattr__(self, "descriptors", arr)
+        (descriptors,) = _checked(
+            np.float32, ("DescriptorSet", self.descriptors, (None, self.dim))
+        )
+        object.__setattr__(self, "descriptors", descriptors)
 
     @property
     def count(self) -> int:

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import NumericError, ParameterError, ShapeError
 from .normalize import DescriptorSet
-from .tensors import load_model, save_model
+from .tensors import _checked, load_model, save_model
 
 ORTHONORMALITY_TOL = 1e-6
 COV_BLOCK_ROWS = 1024  # fixed: the block size sets the covariance's summation order
@@ -40,24 +40,19 @@ class PcaModel:
     def __post_init__(self):
         if not 1 <= self.output_dim <= self.input_dim:
             raise ParameterError("need 1 <= output_dim <= input_dim")
-        mean = np.ascontiguousarray(self.mean, dtype=np.float64)
-        basis = np.ascontiguousarray(self.basis, dtype=np.float64)
-        eig = np.ascontiguousarray(self.eigenvalues, dtype=np.float64)
-        if mean.shape != (self.input_dim,):
-            raise ShapeError(f"mean shape {mean.shape} != ({self.input_dim},)")
-        if basis.shape != (self.output_dim, self.input_dim):
-            raise ShapeError(
-                f"basis shape {basis.shape} != ({self.output_dim}, {self.input_dim})"
-            )
-        if eig.shape != (self.output_dim,):
-            raise ShapeError("eigenvalue count must equal output_dim")
+        mean, basis, eig = _checked(
+            np.float64,
+            ("PCA mean", self.mean, (self.input_dim,)),
+            ("PCA basis", self.basis, (self.output_dim, self.input_dim)),
+            ("PCA eigenvalues", self.eigenvalues, (self.output_dim,)),
+            error=NumericError,
+        )
         gram = basis @ basis.T
         if not np.allclose(gram, np.eye(self.output_dim), atol=ORTHONORMALITY_TOL):
             raise NumericError("basis rows are not orthonormal")
         if np.any(np.diff(eig) > 1e-12) or np.any(eig < -1e-12):
             raise NumericError("eigenvalues must be nonincreasing and nonnegative")
         for name, arr in (("mean", mean), ("basis", basis), ("eigenvalues", eig)):
-            arr.flags.writeable = False
             object.__setattr__(self, name, arr)
 
 

@@ -61,14 +61,55 @@ STREAMS = ("object", "scene")
 ROLES = ("train", "test")
 
 
-def _freeze(arr: np.ndarray) -> np.ndarray:
-    arr.flags.writeable = False
-    return arr
+# Rows per finiteness scan block, so a check holds one small boolean block
+# and never a boolean twin of the whole array.  A row is one vector along
+# the last axis (a 1-d array is one row); a row wider than
+# FINITE_CHECK_ROWS values is scanned in pieces of that many, so a block
+# never holds more than FINITE_CHECK_ROWS**2 booleans (16 MiB), even for
+# the wide feature matrices of a paper-size run.
+FINITE_CHECK_ROWS = 4096
 
 
-def _check_finite(data: np.ndarray, what: str) -> None:
-    if not np.all(np.isfinite(data)):
-        raise DataError(f"{what} contains non-finite values")
+def _checked(dtype, *arrays, error: type = DataError, flat: bool = False,
+             nonnegative: bool = False) -> list[np.ndarray]:
+    """Each ``(what, data, shape)`` of ``arrays`` as a read-only
+    C-contiguous ``dtype`` array; ``None`` in ``shape`` matches any length.
+    With ``flat``, data of any layout is raveled, then reshaped to a fully
+    given shape of its size.  The caller's own arrays keep their flags.
+
+    Every shape is checked first (ShapeError), then every array is scanned
+    ``FINITE_CHECK_ROWS`` rows at a time for a non-finite value (``error``)
+    and, with ``nonnegative``, a negative one (DataError once the scans
+    end), so no scan holds more than one small boolean block.
+    """
+    checked = []
+    for what, data, shape in arrays:
+        arr = np.ascontiguousarray(data, dtype=dtype)
+        if flat:
+            arr = arr.reshape(-1)
+            if None not in shape and arr.size == math.prod(shape):
+                arr = arr.reshape(shape)
+        if arr.ndim != len(shape) or any(n not in (None, m) for n, m in zip(shape, arr.shape)):
+            raise ShapeError(f"{what} has shape {arr.shape}, expected {shape}")
+        checked.append((what, arr))
+    negative = None
+    for what, arr in checked:
+        values = arr.reshape(-1)
+        step = FINITE_CHECK_ROWS * max(min(arr.shape[-1], FINITE_CHECK_ROWS), 1)
+        for start in range(0, values.size, step):
+            block = values[start:start + step]
+            finite = np.isfinite(block)
+            if not finite.all():
+                at = np.unravel_index(start + int(finite.argmin()), arr.shape)
+                raise error(f"{what} is not finite: non-finite value at {tuple(map(int, at))}")
+            if nonnegative and negative is None and block.min() < 0.0:
+                negative = what
+    if negative is not None:
+        raise DataError(f"{negative} is negative under the nonnegative flag")
+    views = [arr.view() for _, arr in checked]
+    for view in views:
+        view.flags.writeable = False
+    return views
 
 
 @dataclass(frozen=True)
@@ -89,17 +130,11 @@ class FeatureMap:
         for name in ("height", "width", "channels"):
             if getattr(self, name) < 1:
                 raise ParameterError(f"FeatureMap {name} must be positive")
-        arr = np.ascontiguousarray(self.data, dtype=np.float32)
-        if arr.size != self.height * self.width * self.channels:
-            raise ShapeError(
-                f"payload has {arr.size} values, shape implies "
-                f"{self.height * self.width * self.channels}"
-            )
-        arr = arr.reshape(self.height, self.width, self.channels)
-        _check_finite(arr, "FeatureMap")
-        if self.nonnegative and np.any(arr < 0.0):
-            raise DataError("FeatureMap declared nonnegative but has negative values")
-        object.__setattr__(self, "data", _freeze(arr))
+        (data,) = _checked(
+            np.float32, ("FeatureMap", self.data, (self.height, self.width, self.channels)),
+            flat=True, nonnegative=self.nonnegative,
+        )
+        object.__setattr__(self, "data", data)
 
 
 @dataclass(frozen=True)
@@ -113,13 +148,11 @@ class GlobalVector:
     def __post_init__(self):
         if self.dim < 1:
             raise ParameterError("GlobalVector dim must be positive")
-        arr = np.ascontiguousarray(self.data, dtype=np.float32).reshape(-1)
-        if arr.size != self.dim:
-            raise ShapeError(f"payload has {arr.size} values, dim is {self.dim}")
-        _check_finite(arr, "GlobalVector")
-        if self.nonnegative and np.any(arr < 0.0):
-            raise DataError("GlobalVector declared nonnegative but has negative values")
-        object.__setattr__(self, "data", _freeze(arr))
+        (data,) = _checked(
+            np.float32, ("GlobalVector", self.data, (self.dim,)),
+            flat=True, nonnegative=self.nonnegative,
+        )
+        object.__setattr__(self, "data", data)
 
 
 @dataclass(frozen=True)
@@ -132,13 +165,10 @@ class ScoreVector:
     def __post_init__(self):
         if self.class_count < 1:
             raise ParameterError("class_count must be positive")
-        arr = np.ascontiguousarray(self.scores, dtype=np.float64).reshape(-1)
-        if arr.size != self.class_count:
-            raise ShapeError(
-                f"{arr.size} scores for class_count {self.class_count}"
-            )
-        _check_finite(arr, "ScoreVector")
-        object.__setattr__(self, "scores", _freeze(arr))
+        (scores,) = _checked(
+            np.float64, ("ScoreVector", self.scores, (self.class_count,)), flat=True
+        )
+        object.__setattr__(self, "scores", scores)
 
 
 @contextmanager
@@ -285,8 +315,9 @@ def open_tensor(path: str | Path):
 def _open_rows(path: str | Path, count: int | None):
     """Open a row container whose header is rank 3 at width 1 and declares
     ``count`` rows, when given; yields the row count, the dim and an
-    iterator that reads each row into one reused float32 buffer, checked
-    finite, and nonnegative when the header sets the flag."""
+    iterator that reads each row into one reused float32 buffer and yields
+    a read-only view of it, checked finite, and nonnegative when the header
+    sets the flag."""
     with open_tensor(path) as (fh, dims, flags):
         if len(dims) != 3 or dims[1] != 1:
             raise ValidationError(f"{path}: {dims} is not a rows x 1 x dim container")
@@ -298,11 +329,10 @@ def _open_rows(path: str | Path, count: int | None):
             for i in range(dims[0]):
                 if fh.readinto(row) != row.nbytes:
                     raise CorruptionError(f"{path}: changed while it was read")
-                if not np.isfinite(row).all():
-                    raise DataError(f"{path}: row {i} is not finite")
-                if flags & FLAG_NONNEGATIVE and (row < 0.0).any():
-                    raise DataError(f"{path}: row {i} is negative under the nonnegative flag")
-                yield row
+                yield _checked(
+                    "<f4", (f"{path}: row {i}", row, (dims[2],)),
+                    nonnegative=bool(flags & FLAG_NONNEGATIVE),
+                )[0]
 
         yield dims[0], dims[2], rows()
 

@@ -20,7 +20,7 @@ from fvforge.classify import (
 )
 from fvforge.cli import main
 from fvforge.errors import DataError, ParameterError, ShapeError, ValidationError
-from fvforge.tensors import write_rows
+from fvforge.tensors import FINITE_CHECK_ROWS, write_rows
 
 from conftest import arrays_at_blas_threads, make_blobs
 from oracles import (
@@ -311,6 +311,44 @@ def test_model_container_validation(rng):
         LinearModel(
             class_count=1, feature_dim=2, weights=np.zeros((1, 2)), biases=np.zeros(1), C=-1.0
         )
+
+
+@pytest.mark.parametrize(
+    "kwargs, error",
+    [
+        ({"class_names": ("a,b", "c")}, ValidationError),
+        ({"class_names": ("a", "b", "c")}, ShapeError),
+        ({"C": float("inf")}, ParameterError),
+    ],
+    ids=["comma-in-name", "three-names-for-two-classes", "infinite-c"],
+)
+def test_train_ovr_refuses_what_the_model_would_before_training(rng, monkeypatch, kwargs, error):
+    """Names and C that ``LinearModel`` refuses are refused before any
+    training work starts."""
+    x, y = make_blobs(rng, classes=2, per_class=5, dim=3)
+
+    def no_training(*args, **kwds):
+        raise AssertionError("_train_dual ran")
+
+    monkeypatch.setattr("fvforge.classify._train_dual", no_training)
+    with pytest.raises(error):
+        train_ovr(x, y, class_count=2, **kwargs)
+
+
+def test_predict_matrix_scans_without_a_whole_boolean_copy():
+    """A non-finite value in the last row is found by scanning 16 blocks
+    of rows, never a boolean copy of the whole matrix (0.125x)."""
+    x = np.ones((16 * FINITE_CHECK_ROWS, 8))
+    x[-1, -1] = np.nan
+    model = LinearModel(class_count=2, feature_dim=8, weights=np.zeros((2, 8)), biases=np.zeros(2))
+    tracemalloc.start()
+    try:
+        with pytest.raises(DataError, match="non-finite"):
+            predict_matrix(model, x)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.05 * x.nbytes
 
 
 def test_save_load_round_trip(rng, tmp_path):

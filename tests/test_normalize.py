@@ -9,14 +9,13 @@ import pytest
 
 from fvforge.errors import DataError, ParameterError, ShapeError
 from fvforge.normalize import (
-    FINITE_CHECK_ROWS,
     DescriptorSet,
     channel_normalize,
     extract_descriptors,
     normalize_variant,
     spatial_normalize,
 )
-from fvforge.tensors import FeatureMap, read_tensor, write_rows
+from fvforge.tensors import FINITE_CHECK_ROWS, FeatureMap, read_tensor, write_rows
 
 from oracles import (
     channel_normalize_reference,

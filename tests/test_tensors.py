@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import dataclasses
 import os
 import struct
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -19,15 +21,19 @@ from fvforge.errors import (
     DataError,
     FormatError,
     FvForgeError,
+    NumericError,
     ParameterError,
     ShapeError,
     ValidationError,
 )
-from fvforge.classify import load_svm, save_svm, train_ovr
-from fvforge.gmm import fit_gmm, load_gmm, save_gmm
+from fvforge.classify import LinearModel, load_svm, save_svm, train_ovr
+from fvforge.evaluation import EvalReport
+from fvforge.fisher import FisherVector
+from fvforge.gmm import GmmModel, fit_gmm, load_gmm, save_gmm
 from fvforge.normalize import DescriptorSet
-from fvforge.pca import fit_pca, load_pca, save_pca
+from fvforge.pca import PcaModel, fit_pca, load_pca, save_pca
 from fvforge.tensors import (
+    FINITE_CHECK_ROWS,
     ROLES,
     STREAMS,
     FeatureMap,
@@ -53,6 +59,84 @@ def test_feature_map_round_trip_is_bit_exact(rng, tmp_path):
     assert isinstance(back, FeatureMap)
     assert back.data.tobytes() == fmap.data.tobytes()
     assert (back.height, back.width, back.channels) == (4, 5, 3)
+
+
+# Each container, built from the array it checks first: a valid value of
+# that array, and the error class a non-finite value in it raises.
+CONTAINERS = {
+    "FeatureMap": (lambda a: FeatureMap(3, 2, 4, a), np.ones((3, 2, 4)), DataError),
+    "GlobalVector": (lambda a: GlobalVector(5, a), np.ones(5), DataError),
+    "ScoreVector": (lambda a: ScoreVector(4, a), np.ones(4), DataError),
+    "DescriptorSet": (lambda a: DescriptorSet(3, a), np.ones((6, 3)), DataError),
+    "FisherVector": (lambda a: FisherVector(2, 3, a), np.ones(12), DataError),
+    "PcaModel": (
+        lambda a: PcaModel(3, 2, np.zeros(3), a, np.array([2.0, 1.0])),
+        np.eye(2, 3),
+        NumericError,
+    ),
+    "GmmModel": (
+        lambda a: GmmModel(2, 3, np.array([0.5, 0.5]), a, np.ones((2, 3))),
+        np.ones((2, 3)),
+        NumericError,
+    ),
+    "LinearModel": (lambda a: LinearModel(2, 3, a, np.zeros(2)), np.ones((2, 3)), DataError),
+    "EvalReport": (
+        lambda a: EvalReport(a, 0.5, 0.5, np.array([1, 2, 3])),
+        np.array([0.25, 0.5, 1.0]),
+        DataError,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(CONTAINERS))
+def test_every_container_checks_shape_finiteness_and_freezes(name):
+    """A non-finite value in the last row raises the container's error
+    class, a wrong shape ShapeError, and every stored array is read-only
+    while the caller's array stays writable."""
+    make, good, error = CONTAINERS[name]
+    bad = good.copy()
+    bad.reshape(-1)[-1] = np.nan
+    with pytest.raises(error, match="non-finite"):
+        make(bad)
+    with pytest.raises(ShapeError):
+        make(np.ones(good.shape[:-1] + (good.shape[-1] + 1,)))
+    container = make(good)
+    stored = [
+        value for value in (getattr(container, f.name) for f in dataclasses.fields(container))
+        if isinstance(value, np.ndarray)
+    ]
+    assert stored and not any(arr.flags.writeable for arr in stored)
+    assert good.flags.writeable
+
+
+@pytest.mark.parametrize(
+    "make, error",
+    [
+        (lambda: PcaModel(2, 1, np.array([0.0, np.nan]), np.eye(1, 2), np.ones(1)), NumericError),
+        (lambda: PcaModel(2, 1, np.zeros(2), np.eye(1, 2), np.array([np.nan])), NumericError),
+        (lambda: GmmModel(2, 1, np.array([np.nan, 0.5]), np.zeros((2, 1)), np.ones((2, 1))),
+         NumericError),
+        (lambda: EvalReport(np.array([0.5, np.nan]), 0.5, 0.5, np.array([2, 0]), (1,)), DataError),
+    ],
+    ids=["pca-mean", "pca-eigenvalue", "gmm-weight", "excluded-class-ap"],
+)
+def test_containers_refuse_non_finite_values_no_other_check_catches(make, error):
+    with pytest.raises(error, match="non-finite"):
+        make()
+
+
+def test_read_tensor_of_a_tall_container_holds_little_beyond_its_payload(tmp_path):
+    """The finiteness scan of a (16 blocks) x 1 x 32 container holds one
+    block of booleans, not a boolean copy of the payload (0.25x)."""
+    rows = np.ones((16 * FINITE_CHECK_ROWS, 1, 32), np.float32)
+    write_tensor(FeatureMap(*rows.shape, rows), tmp_path / "tall.fvt")
+    tracemalloc.start()
+    try:
+        read_tensor(tmp_path / "tall.fvt")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.05 * rows.nbytes
 
 
 def test_global_vector_round_trip_keeps_flag(rng, tmp_path):
