@@ -76,21 +76,13 @@ class LinearModel:
             ("SVM weights", self.weights, (self.class_count, self.feature_dim)),
             ("SVM biases", np.reshape(self.biases, -1), (self.class_count,)),
         )
-        _check_names(self.class_names, self.class_count)
+        check_class_names(self.class_names, self.class_count)
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "biases", b)
         object.__setattr__(self, "class_names", tuple(self.class_names))
         object.__setattr__(
             self, "degenerate_classes", tuple(self.degenerate_classes)
         )
-
-
-def _check_names(class_names, class_count: int) -> None:
-    """A bank's class names are none, or one per class that
-    ``check_class_names`` accepts."""
-    if class_names and len(class_names) != class_count:
-        raise ShapeError(f"{len(class_names)} class names for {class_count} classes")
-    check_class_names(class_names)
 
 
 def _tile(x: np.ndarray, start: int, bias: bool) -> np.ndarray:
@@ -246,7 +238,7 @@ def train_ovr(
     if max_epochs < 1 or not tol > 0.0 or seed < 0:
         raise ParameterError("max_epochs must be >= 1, tol > 0 and seed >= 0")
     class_names = tuple(class_names)
-    _check_names(class_names, class_count)
+    check_class_names(class_names, class_count)
 
     tiles = [x[i:i + TILE_ROWS] for i in range(0, n, TILE_ROWS)]
     norms = np.concatenate([np.linalg.norm(tile, axis=1) for tile in tiles])

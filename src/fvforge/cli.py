@@ -25,7 +25,7 @@ from .classify import load_svm, predict_matrix
 from .config import PipelineConfig, load_config
 from .errors import FvForgeError, ParameterError, ValidationError
 from .evaluation import read_scores_csv, write_scores_csv
-from .fusion import FusionWeights, fuse_scores
+from .fusion import FusionWeights, weighted_sum
 from .gmm import load_gmm
 from .normalize import VARIANTS, extract_descriptors, variant_descriptors
 from .pca import load_pca, project
@@ -34,7 +34,6 @@ from .tensors import (
     ROLES,
     FeatureMap,
     GlobalVector,
-    ScoreVector,
     atomic_write_text,
     load_manifest,
     read_as,
@@ -180,11 +179,7 @@ def _cmd_fuse(args) -> int:
     weights = _parse_weights(args.alpha)
     first, second = (read_as(p, GlobalVector) for p in args.inputs)
     if args.mode == "scores":
-        fused = fuse_scores(
-            ScoreVector(first.dim, first.data),
-            ScoreVector(second.dim, second.data),
-            weights,
-        ).scores
+        fused = weighted_sum(first.data, second.data, weights)
     else:
         fused = pipeline.fuse_features(first.data, second.data, weights)
     write_tensor(GlobalVector(dim=fused.size, data=fused), args.out)

@@ -5,6 +5,11 @@ descending (ties break by input order via a stable sort), then average
 the precision measured at each positive's rank.  Classes with no
 positive images have undefined AP; ``evaluate`` excludes them from the
 mean and lists them in the report.
+
+``evaluate`` checks its (images, classes) matrix once and ranks every
+class in one stable sort down the image axis; each class's AP then sums
+the precisions at its own positives' ranks, so it has the same bits as
+``average_precision`` of that one column.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ from .errors import (
     UndefinedApError,
     ValidationError,
 )
-from .tensors import _checked, atomic_write_text, read_text
+from .tensors import _checked, atomic_write_text, check_class_names, read_text
 
 _REPORT_COMMENT = (
     "# ties break by input order (stable sort); "
@@ -47,6 +52,7 @@ class EvalReport:
             np.int64, ("per-class counts", self.per_class_counts, (None,)), flat=True
         )
         (ap,) = _checked(np.float64, ("per-class AP", self.per_class_ap, counts.shape), flat=True)
+        check_class_names(self.class_names, ap.size)
         defined = np.setdiff1d(
             np.arange(ap.size), np.asarray(self.excluded_classes, dtype=np.int64)
         )
@@ -68,10 +74,17 @@ class EvalReport:
         return int(self.per_class_ap.size)
 
 
-def _ranked_labels(scores: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    """Boolean labels reordered by score descending, ties by input index."""
-    order = np.argsort(-scores, kind="stable")
-    return labels[order]
+def _average_precisions(scores: np.ndarray, positives: np.ndarray) -> np.ndarray:
+    """AP of each column of the checked ``scores`` against the same column
+    of the boolean ``positives`` (0 for a column with none), each summing
+    its precisions at its positive ranks only, as a one-column ranking does."""
+    order = np.argsort(-scores, axis=0, kind="stable")
+    ranked = np.take_along_axis(positives, order, axis=0)
+    precision = np.cumsum(ranked, axis=0) / np.arange(1, ranked.shape[0] + 1)[:, None]
+    counts = ranked.sum(axis=0)
+    return np.array(
+        [precision[ranked[:, k], k].sum() / max(counts[k], 1) for k in range(ranked.shape[1])]
+    )
 
 
 def average_precision(scores, labels) -> float:
@@ -80,15 +93,9 @@ def average_precision(scores, labels) -> float:
     (s,) = _checked(np.float64, ("scores", scores, y.shape), flat=True)
     if s.size == 0:
         raise ParameterError("cannot compute AP of an empty ranking")
-    positives = int(y.sum())
-    if positives == 0:
+    if not y.any():
         raise UndefinedApError("AP is undefined with zero positive labels")
-
-    ranked = _ranked_labels(s, y)
-    hits = np.cumsum(ranked)
-    ranks = np.arange(1, ranked.size + 1)
-    precision = hits / ranks
-    return float(precision[ranked].sum() / positives)
+    return float(_average_precisions(s[:, None], y[:, None])[0])
 
 
 def top1_accuracy(score_matrix: np.ndarray, labels: np.ndarray) -> float:
@@ -109,30 +116,15 @@ def evaluate(score_matrix, labels, class_names=()) -> EvalReport:
             f"labels must lie in [0, {class_count}), got "
             f"[{y.min()}, {y.max()}]"
         )
-    if class_names and len(class_names) != class_count:
-        raise ShapeError(
-            f"{len(class_names)} class names for {class_count} classes"
-        )
-
-    ap = np.zeros(class_count)
-    counts = np.zeros(class_count, dtype=np.int64)
-    excluded = []
-    for k in range(class_count):
-        positives = y == k
-        counts[k] = int(positives.sum())
-        if counts[k] == 0:
-            excluded.append(k)
-            continue
-        ap[k] = average_precision(scores[:, k], positives)
-    defined = [k for k in range(class_count) if k not in set(excluded)]
-    if not defined:
-        raise UndefinedApError("every class has zero positives")
+    positives = y[:, None] == np.arange(class_count)
+    counts = positives.sum(axis=0)
+    ap = _average_precisions(scores, positives)
     return EvalReport(
         per_class_ap=ap,
-        map_score=float(ap[defined].mean()),
+        map_score=float(ap[counts > 0].mean()),
         top1_accuracy=top1_accuracy(scores, y),
         per_class_counts=counts,
-        excluded_classes=tuple(excluded),
+        excluded_classes=tuple(np.flatnonzero(counts == 0).tolist()),
         class_names=tuple(class_names),
     )
 

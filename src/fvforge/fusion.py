@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError, ShapeError
+from .errors import ParameterError
 from .tensors import ScoreVector, _checked
 
 
@@ -34,19 +34,27 @@ class FusedFeature:
     data: np.ndarray
 
 
+def weighted_sum(object_scores, scene_scores, w: FusionWeights) -> np.ndarray:
+    """``w_o * object_scores + w_s * scene_scores`` of two class-score
+    vectors or two (images, classes) matrices of one shape, both widened
+    to float64 first (NumPy 2 keeps ``1.3 * float32_array`` float32)."""
+    shape = np.shape(object_scores)
+    a, b = _checked(
+        np.float64,
+        ("object stream scores", object_scores, shape),
+        ("scene stream scores", scene_scores, shape),
+    )
+    return w.object_weight * a + w.scene_weight * b
+
+
 def fuse_scores(
     object_scores: ScoreVector,
     scene_scores: ScoreVector,
     w: FusionWeights | None = None,
 ) -> ScoreVector:
-    """Weighted elementwise sum of the two streams' class scores."""
-    w = w or FusionWeights()
-    if object_scores.class_count != scene_scores.class_count:
-        raise ShapeError(
-            f"class count mismatch: {object_scores.class_count} vs "
-            f"{scene_scores.class_count}"
-        )
-    fused = w.object_weight * object_scores.scores + w.scene_weight * scene_scores.scores
+    """Weighted elementwise sum of the two streams' class scores; class
+    counts that differ raise ShapeError."""
+    fused = weighted_sum(object_scores.scores, scene_scores.scores, w or FusionWeights())
     return ScoreVector(class_count=object_scores.class_count, scores=fused)
 
 

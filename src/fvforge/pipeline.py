@@ -22,8 +22,9 @@ view from its own rows into one stack for the mixture; ``fit-pca`` and
 Every scenario ends the same way: one matrix of class scores for the
 evaluated entries, one ``report_scores`` call.  Where two score sources
 meet, the object and scene streams in ``softmax_fusion`` or the global
-and local classifier banks of ``layer_fusion``, one row-wise weighted
-sum fuses them.
+and local classifier banks of ``layer_fusion``, each source is first
+one whole (images, classes) matrix, and one ``weighted_sum`` call fuses
+the two.
 
 A run is single-threaded.  Each train entry's local encodings are made
 as soon as its models exist; every other entry is read and encoded as
@@ -53,7 +54,7 @@ from .config import POOLING_ORDERS, PipelineConfig
 from .errors import CorruptionError, ParameterError, ShapeError, ValidationError
 from .evaluation import EvalReport, evaluate, write_report_csv, write_scores_csv
 from .fisher import FisherVector, encode_fv, intra_normalize, power_l2_normalize, unit_norm
-from .fusion import FusionWeights, concat_features, fuse_scores
+from .fusion import FusionWeights, concat_features, weighted_sum
 from .gmm import GmmModel, fit_gmm, load_gmm, save_gmm
 from .normalize import VARIANTS, DescriptorSet, variant_descriptors
 from .pca import PcaModel, fit_pca, load_pca, project, save_pca
@@ -64,7 +65,6 @@ from .tensors import (
     GlobalVector,
     Manifest,
     ManifestEntry,
-    ScoreVector,
     load_manifest,
     read_as,
     read_dims,
@@ -303,17 +303,6 @@ def _stream_scores(entry: ManifestEntry, layer: str, class_count: int) -> list:
     return per_stream
 
 
-def _fuse_rows(row_pairs, weights: FusionWeights) -> np.ndarray:
-    """The score matrix whose rows are the weighted sums of ``row_pairs``,
-    taken one pair at a time, in order."""
-    return np.stack(
-        [
-            fuse_scores(ScoreVector(a.size, a), ScoreVector(b.size, b), weights).scores
-            for a, b in row_pairs
-        ]
-    )
-
-
 def _global_feature(entry: ManifestEntry, cfg: PipelineConfig) -> np.ndarray:
     """Sum-pool each stream's global vectors, unit-normalize, concatenate."""
     parts = [
@@ -436,9 +425,9 @@ def run(
     ``layer_fusion`` writes both under ``features_global/`` and
     ``features_local/``, then either fuses them into ``features/`` or,
     with ``layer_mode = scores``, trains a bank on each and fuses their
-    scores.  Both score fusions are the one row-wise weighted sum, and
-    every scenario ends in one evaluation.  The run holds the BLAS pin of
-    ``pinned_blas``.
+    scores.  Both score fusions are one weighted sum of two whole
+    (images, classes) matrices, and every scenario ends in one
+    evaluation.  The run holds the BLAS pin of ``pinned_blas``.
     """
     if not isinstance(manifest, Manifest):
         manifest = load_manifest(manifest)
@@ -447,10 +436,9 @@ def run(
     if scenario == "softmax_fusion":
         out.mkdir(parents=True, exist_ok=True)
         entries = list(manifest.split("test") or manifest.entries)
-        row_pairs = (
-            _stream_scores(e, cfg.score_layer, manifest.class_count) for e in entries
-        )
-        matrix = _fuse_rows(row_pairs, cfg.alpha)
+        rows = [_stream_scores(e, cfg.score_layer, manifest.class_count) for e in entries]
+        object_scores, scene_scores = np.stack(rows, axis=1)
+        matrix = weighted_sum(object_scores, scene_scores, cfg.alpha)
     else:
         fusion = scenario == "layer_fusion"
         global_dir = out / ("features_global" if fusion else "features")
@@ -487,7 +475,7 @@ def run(
         ]
         matrix = matrices[0]
         if len(matrices) == 2:
-            matrix = _fuse_rows(zip(*matrices), cfg.layer_weights)
+            matrix = weighted_sum(*matrices, cfg.layer_weights)
     return report_scores(
         matrix, entries, manifest.class_names, out / "report.csv", out / "scores.csv"
     )

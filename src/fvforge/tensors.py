@@ -450,10 +450,13 @@ def load_model(
     return arrays, header
 
 
-def check_class_names(names) -> None:
-    """Labels index the class names, which a manifest's class line and an
-    SVM header split at ``,`` and strip: each must be non-empty and unique,
-    with no ``,``, NUL, line break or surrounding whitespace."""
+def check_class_names(names, count: int) -> None:
+    """Labels index the class names, which a manifest's class line, an SVM
+    header and a report row split at ``,`` and strip: there are none or
+    ``count`` (else ShapeError), each non-empty and unique, with no ``,``,
+    NUL, line break or surrounding whitespace."""
+    if names and len(names) != count:
+        raise ShapeError(f"{len(names)} class names for {count} classes")
     for i, name in enumerate(names):
         if not name:
             raise ValidationError(f"class {i} has an empty name")
@@ -509,8 +512,8 @@ class Manifest:
     def __post_init__(self):
         if not self.class_names:
             raise ValidationError("empty class list")
-        check_class_names(self.class_names)
         n = len(self.class_names)
+        check_class_names(self.class_names, n)
         seen: set[str] = set()
         for at, e in enumerate(self.entries):
             if e.image_id in seen:

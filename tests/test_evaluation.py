@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fvforge import evaluation
 from fvforge.errors import (
     DataError,
     ParameterError,
@@ -136,6 +139,35 @@ def test_evaluate_excludes_positive_free_classes(rng):
     assert report.map_score == pytest.approx(float(np.mean(defined)))
 
 
+def _evaluate_counting_checks(matrix, labels):
+    """``evaluate``'s report and how many arrays it sent through ``_checked``."""
+    with mock.patch.object(evaluation, "_checked", wraps=evaluation._checked) as checked:
+        report = evaluate(matrix, labels)
+    return report, checked.call_count
+
+
+@settings(max_examples=150, deadline=None)
+@given(images=st.integers(1, 25), classes=st.integers(1, 8), data=st.data())
+def test_evaluate_ranks_every_class_in_one_pass(images, classes, data):
+    values = data.draw(
+        st.lists(st.floats(-2.0, 2.0), min_size=images * classes, max_size=images * classes)
+    )
+    scores = np.round(np.reshape(values, (images, classes)), 1)  # rounding makes ties
+    labels = np.asarray(
+        data.draw(st.lists(st.integers(0, classes - 1), min_size=images, max_size=images))
+    )
+    report, checks = _evaluate_counting_checks(scores, labels)
+    assert checks == _evaluate_counting_checks([[0.0]], [0])[1]
+    for k in range(classes):
+        if k in report.excluded_classes:
+            assert not np.any(labels == k)
+            continue
+        ap = average_precision(scores[:, k], labels == k)
+        assert report.per_class_ap[k] == ap
+        ref = average_precision_reference(scores[:, k].tolist(), (labels == k).tolist())
+        assert ap == pytest.approx(ref, abs=1e-12)
+
+
 def test_top1_ties_pick_the_lowest_index():
     matrix = np.array([[0.5, 0.5], [0.5, 0.5]])
     assert top1_accuracy(matrix, np.array([0, 0])) == 1.0
@@ -151,6 +183,22 @@ def test_evaluate_preconditions(rng):
         evaluate(np.zeros((0, 3)), [])
     with pytest.raises(DataError):
         evaluate(np.array([[np.inf, 0.0]]), [0])
+
+
+def test_evaluate_refuses_class_names_a_report_row_would_break(rng):
+    matrix = rng.normal(size=(2, 2))
+    with pytest.raises(ValidationError):
+        evaluate(matrix, [0, 1], ("a,b", "c"))
+    with pytest.raises(ShapeError):
+        evaluate(matrix, [0, 1], ("a",))
+    with pytest.raises(ValidationError):
+        EvalReport(
+            per_class_ap=np.array([0.5, 0.5]),
+            map_score=0.5,
+            top1_accuracy=0.5,
+            per_class_counts=np.array([1, 1]),
+            class_names=("a", "a"),
+        )
 
 
 def test_report_container_validation():

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from fvforge.errors import DataError, ParameterError, ShapeError
-from fvforge.fusion import FusionWeights, concat_features, fuse_scores
+from fvforge.fusion import FusionWeights, concat_features, fuse_scores, weighted_sum
 from fvforge.tensors import ScoreVector
 
 
@@ -44,6 +44,28 @@ def test_argmax_invariant_to_scaling_both_weights(rng):
 def test_score_fusion_rejects_mismatched_class_counts(rng):
     with pytest.raises(ShapeError):
         fuse_scores(ScoreVector(3, np.zeros(3)), ScoreVector(4, np.zeros(4)))
+
+
+def test_weighted_sum_widens_float32_scores_before_weighting(rng):
+    a, b = rng.normal(size=(2, 7)).astype(np.float32)
+    w = FusionWeights(1.3, 0.7)
+    fused = weighted_sum(a, b, w)
+    assert fused.dtype == np.float64
+    np.testing.assert_array_equal(
+        fused, fuse_scores(ScoreVector(7, a), ScoreVector(7, b), w).scores
+    )
+
+
+def test_weighted_sum_of_matrices_fuses_each_row(rng):
+    a, b = rng.normal(size=(2, 5, 3))
+    w = FusionWeights(0.6, 1.4)
+    rows = [fuse_scores(ScoreVector(3, x), ScoreVector(3, y), w).scores for x, y in zip(a, b)]
+    np.testing.assert_array_equal(weighted_sum(a, b, w), np.stack(rows))
+    with pytest.raises(ShapeError):
+        weighted_sum(a, b[:4], w)
+    b[4, 2] = np.nan
+    with pytest.raises(DataError):
+        weighted_sum(a, b, w)
 
 
 def test_feature_concat_layout_and_weighting(rng):

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from fvforge.augment import sum_pool
+from fvforge.classify import load_svm, predict_matrix
 from fvforge.cli import build_parser
 from fvforge.config import PipelineConfig, load_config
 from fvforge.errors import (
@@ -448,6 +449,26 @@ def test_layer_fusion_scores_with_zero_local_weight_matches_global(dataset, tmp_
     assert report_lf.map_score == report_g.map_score
     assert report_lf.top1_accuracy == report_g.top1_accuracy
     assert (tmp_path / "lf" / "models" / "svm_local" / "svm.model").is_file()
+
+
+def test_layer_fusion_scores_weigh_both_saved_banks(dataset, tmp_path):
+    cfg = make_cfg(
+        scenario="layer_fusion",
+        layer_mode="scores",
+        layer_weights=FusionWeights(0.6, 1.4),
+    )
+    out = tmp_path / "run"
+    run(dataset, cfg, out)
+    count = len(dataset.split("test"))
+    global_scores, local_scores = (
+        predict_matrix(
+            load_svm(out / "models" / f"svm_{kind}"),
+            read_matrix(out / f"features_{kind}" / "test.fvt", count),
+        )
+        for kind in ("global", "local")
+    )
+    _, written = read_scores_csv(out / "scores.csv")
+    np.testing.assert_array_equal(written, 0.6 * global_scores + 1.4 * local_scores)
 
 
 def test_wrong_score_layer_dim_is_rejected(dataset, tmp_path):
