@@ -41,7 +41,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ParameterError, ShapeError, ValidationError
-from .tensors import _checked, check_class_names, load_model, save_model
+from .tensors import _checked, check_class_names, check_labels, load_model, save_model
 
 logger = logging.getLogger(__name__)
 
@@ -217,22 +217,14 @@ def train_ovr(
     ``default_rng([seed, k])``.  A class with no positive examples is
     trained as a constant always-negative scorer and reported in
     ``degenerate_classes`` rather than raised.  Classes that stop at
-    ``max_epochs`` are named in one ``not-converged`` warning.
+    ``max_epochs`` are named in one ``not-converged`` warning.  Every argument
+    is checked before training, ``labels`` by ``tensors.check_labels``.
     """
     (x,) = _checked(np.float64, ("features", features, (None, None)))
-    if x.shape[0] < 1:
+    if 0 in x.shape:
         raise ShapeError(f"features must be a nonempty 2-d array, got {x.shape}")
     n = x.shape[0]
-    y = np.asarray(labels, dtype=np.int64).reshape(-1)
-    if y.shape[0] != x.shape[0]:
-        raise ShapeError(f"{y.shape[0]} labels for {x.shape[0]} features")
-    if class_count < 1:
-        raise ParameterError("class_count must be positive")
-    if y.min() < 0 or y.max() >= class_count:
-        raise ValidationError(
-            f"labels must lie in [0, {class_count}), got "
-            f"[{y.min()}, {y.max()}]"
-        )
+    y = check_labels(labels, class_count, n)
     if not 0.0 < C < np.inf:
         raise ParameterError(f"C must be a positive real, got {C}")
     if max_epochs < 1 or not tol > 0.0 or seed < 0:

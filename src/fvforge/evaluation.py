@@ -28,7 +28,9 @@ from .errors import (
     UndefinedApError,
     ValidationError,
 )
-from .tensors import _checked, atomic_write_text, check_class_names, read_text
+from .tensors import (
+    _checked, atomic_write_text, check_class_names, check_image_id, check_labels, read_text,
+)
 
 _REPORT_COMMENT = (
     "# ties break by input order (stable sort); "
@@ -88,9 +90,10 @@ def _average_precisions(scores: np.ndarray, positives: np.ndarray) -> np.ndarray
 
 
 def average_precision(scores, labels) -> float:
-    """Area under the precision-recall curve of one ranked class."""
-    y = np.asarray(labels, dtype=bool).reshape(-1)
-    (s,) = _checked(np.float64, ("scores", scores, y.shape), flat=True)
+    """Area under the precision-recall curve of one ranked class; the 0/1
+    relevance ``labels`` pass ``tensors.check_labels`` as two classes."""
+    (s,) = _checked(np.float64, ("scores", scores, (None,)), flat=True)
+    y = check_labels(labels, 2, s.size) == 1
     if s.size == 0:
         raise ParameterError("cannot compute AP of an empty ranking")
     if not y.any():
@@ -98,31 +101,26 @@ def average_precision(scores, labels) -> float:
     return float(_average_precisions(s[:, None], y[:, None])[0])
 
 
-def top1_accuracy(score_matrix: np.ndarray, labels: np.ndarray) -> float:
-    """Fraction of rows whose argmax (lowest index on ties) is the label."""
-    predicted = np.argmax(score_matrix, axis=1)
-    return float(np.mean(predicted == labels))
+def top1_accuracy(score_matrix, labels) -> float:
+    """Fraction of rows whose argmax (lowest index on ties) is the label,
+    from the inputs ``evaluate`` checks."""
+    return evaluate(score_matrix, labels).top1_accuracy
 
 
 def evaluate(score_matrix, labels, class_names=()) -> EvalReport:
-    """One-vs-rest AP per class, mAP over defined classes, and top-1."""
-    y = np.asarray(labels, dtype=np.int64).reshape(-1)
-    (scores,) = _checked(np.float64, ("score matrix", score_matrix, (y.shape[0], None)))
+    """One-vs-rest AP per class, mAP over defined classes, and top-1;
+    ``labels`` pass ``tensors.check_labels`` before any scoring."""
+    (scores,) = _checked(np.float64, ("score matrix", score_matrix, (None, None)))
     if scores.shape[0] == 0:
         raise ParameterError("cannot evaluate an empty score matrix")
-    class_count = scores.shape[1]
-    if y.min() < 0 or y.max() >= class_count:
-        raise ValidationError(
-            f"labels must lie in [0, {class_count}), got "
-            f"[{y.min()}, {y.max()}]"
-        )
-    positives = y[:, None] == np.arange(class_count)
+    y = check_labels(labels, scores.shape[1], scores.shape[0])
+    positives = y[:, None] == np.arange(scores.shape[1])
     counts = positives.sum(axis=0)
     ap = _average_precisions(scores, positives)
     return EvalReport(
         per_class_ap=ap,
         map_score=float(ap[counts > 0].mean()),
-        top1_accuracy=top1_accuracy(scores, y),
+        top1_accuracy=float(np.mean(np.argmax(scores, axis=1) == y)),
         per_class_counts=counts,
         excluded_classes=tuple(np.flatnonzero(counts == 0).tolist()),
         class_names=tuple(class_names),
@@ -132,13 +130,17 @@ def evaluate(score_matrix, labels, class_names=()) -> EvalReport:
 def write_scores_csv(
     path: str | Path, image_ids, score_matrix: np.ndarray
 ) -> None:
-    """image_id,score_0,...,score_{C-1} with a header row."""
-    scores = np.ascontiguousarray(score_matrix, dtype=np.float64)
+    """image_id,score_0,...,score_{C-1} with a header row.  Unique ids under
+    ``tensors.check_image_id`` and a finite nonempty matrix with one row per
+    id are checked first, so ``read_scores_csv`` reads back exactly these."""
     ids = list(image_ids)
-    if scores.ndim != 2 or scores.shape[0] != len(ids):
-        raise ShapeError(
-            f"{len(ids)} image ids for score matrix shape {scores.shape}"
-        )
+    (scores,) = _checked(np.float64, ("score matrix", score_matrix, (len(ids), None)))
+    if 0 in scores.shape:
+        raise ShapeError(f"score matrix has shape {scores.shape}, expected rows and columns")
+    for image_id in ids:
+        check_image_id(image_id)
+    if len(set(ids)) != len(ids):
+        raise ValidationError("image ids repeat")
     header = ["image_id"] + [f"score_{k}" for k in range(scores.shape[1])]
     lines = [",".join(header)]
     for image_id, row in zip(ids, scores):

@@ -466,6 +466,34 @@ def check_class_names(names, count: int) -> None:
             raise ValidationError(f"class name {name!r} holds ',', NUL, a line break or edge space")
 
 
+def check_labels(labels, class_count: int, rows: int) -> np.ndarray:
+    """``rows`` class indices in ``[0, class_count)`` as a 1-d int64 array;
+    a wrong count is a ShapeError, and a non-numeric dtype, a value the cast
+    would change (a fraction, NaN, +-inf) or one out of range a ValidationError."""
+    if class_count < 1:
+        raise ParameterError("class_count must be positive")
+    y = np.asarray(labels).reshape(-1)
+    if y.shape[0] != rows:
+        raise ShapeError(f"{y.shape[0]} labels for {rows} rows")
+    if y.dtype.kind not in "biuf":
+        raise ValidationError(f"labels must be numbers, got dtype {y.dtype}")
+    if y.dtype.kind == "f" and not (whole := np.isfinite(y) & (np.trunc(y) == y)).all():
+        at = int(whole.argmin())
+        raise ValidationError(f"label {float(y[at])} at index {at} is not a whole number")
+    lo, hi = (int(y.min()), int(y.max())) if y.size else (0, 0)
+    if lo < 0 or hi >= class_count:
+        raise ValidationError(f"labels must lie in [0, {class_count}), got [{lo}, {hi}]")
+    return y.astype(np.int64)
+
+
+def check_image_id(image_id: str) -> None:
+    """An id names a scores.csv cell and the vector file ``stack`` reads."""
+    if any(c in image_id for c in '/,"\t\x00') or image_id.splitlines() != [image_id]:
+        raise ValidationError(
+            f"image_id {image_id!r} is empty or holds '/', ',', '\"', tab, NUL or line break"
+        )
+
+
 @dataclass(frozen=True)
 class ManifestEntry:
     image_id: str
@@ -474,12 +502,7 @@ class ManifestEntry:
     role: str = "train"
 
     def __post_init__(self):
-        # The id names a scores.csv cell and the vector file `stack` reads.
-        image_id = self.image_id
-        if any(c in image_id for c in '/,"\t\x00') or image_id.splitlines() != [image_id]:
-            raise ValidationError(
-                f"image_id {image_id!r} is empty or holds '/', ',', '\"', tab, NUL or line break"
-            )
+        check_image_id(self.image_id)
         if self.role not in ROLES:
             raise ValidationError(f"unknown role '{self.role}'")
 

@@ -335,6 +335,15 @@ def test_train_ovr_refuses_what_the_model_would_before_training(rng, monkeypatch
         train_ovr(x, y, class_count=2, **kwargs)
 
 
+def test_train_ovr_refuses_a_zero_width_matrix_before_training(monkeypatch):
+    def no_training(*args, **kwds):
+        raise AssertionError("_train_dual ran")
+
+    monkeypatch.setattr("fvforge.classify._train_dual", no_training)
+    with pytest.raises(ShapeError, match="nonempty"):
+        train_ovr(np.zeros((4, 0)), [0, 1, 0, 1], class_count=2)
+
+
 def test_predict_matrix_scans_without_a_whole_boolean_copy():
     """A non-finite value in the last row is found by scanning 16 blocks
     of rows, never a boolean copy of the whole matrix (0.125x)."""

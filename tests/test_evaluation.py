@@ -259,6 +259,43 @@ def test_every_id_a_manifest_entry_accepts_survives_the_scores_csv(tmp_path_fact
     np.testing.assert_array_equal(got, matrix)
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    ids=st.lists(st.text(alphabet=st.sampled_from('ab /,"\t\x00\n\r\x85'), max_size=3),
+                 min_size=1, max_size=4),
+    data=st.data(),
+)
+def test_scores_csv_writes_exactly_the_ids_it_can_read_back(tmp_path_factory, ids, data):
+    """Ids that ``check_image_id`` accepts round-trip with their scores;
+    any other id, or a repeated one, is refused before a file appears."""
+    values = data.draw(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                                min_size=2 * len(ids), max_size=2 * len(ids)))
+    matrix = np.reshape(values, (len(ids), 2))
+    path = tmp_path_factory.mktemp("scores") / "scores.csv"
+    if all(map(_accepted, ids)) and len(set(ids)) == len(ids):
+        write_scores_csv(path, ids, matrix)
+        got_ids, got = read_scores_csv(path)
+        assert got_ids == ids
+        np.testing.assert_array_equal(got, matrix)
+    else:
+        with pytest.raises(ValidationError):
+            write_scores_csv(path, ids, matrix)
+        assert list(path.parent.iterdir()) == []
+
+
+def test_scores_csv_refuses_what_its_reader_would(tmp_path):
+    path = tmp_path / "scores.csv"
+    with pytest.raises(ValidationError):
+        write_scores_csv(path, ['"ab"', "c"], np.eye(2))
+    with pytest.raises(ValidationError):
+        write_scores_csv(path, ["a", "a"], np.eye(2))
+    with pytest.raises(ShapeError):
+        write_scores_csv(path, ["a", "b"], np.zeros((2, 0)))
+    with pytest.raises(DataError):
+        write_scores_csv(path, ["a", "b"], np.array([[0.0], [np.nan]]))
+    assert not path.exists()
+
+
 def test_scores_csv_rejects_malformed_input(tmp_path):
     path = tmp_path / "scores.csv"
     path.write_text("image_id,score_0\n")
